@@ -9,6 +9,7 @@ trip bit exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -43,17 +44,19 @@ def write_field(field, path):
         dtype_code, cast = 0, "<f8"
     else:
         raise ValidationError(f"cannot serialize {type(field)!r}")
-    blob = [_HEADER.pack(MAGIC, VERSION, dtype_code, field.rank, b"\x00\x00")]
+    header = [_HEADER.pack(MAGIC, VERSION, dtype_code, field.rank, b"\x00\x00")]
     for a in field.axes:
         name = a.name.encode("utf-8")
-        blob.append(struct.pack("<B", len(name)))
-        blob.append(name)
-        blob.append(_AXIS_FIXED.pack(a.n, a.min, a.max))
-    blob.append(np.ascontiguousarray(field.data).astype(cast, copy=False).tobytes())
-    Path(path).write_bytes(b"".join(blob))
+        header.append(struct.pack("<B", len(name)))
+        header.append(name)
+        header.append(_AXIS_FIXED.pack(a.n, a.min, a.max))
+    payload = np.ascontiguousarray(field.data).astype(cast, copy=False)
+    with open(path, "wb") as fh:
+        fh.writelines(header)
+        fh.write(memoryview(payload).cast("B"))
 
 
-def _take(buf: bytes, offset: int, size: int, what: str):
+def _take(buf: memoryview, offset: int, size: int, what: str):
     if offset + size > len(buf):
         raise FieldFormatError(f"truncated field file while reading {what}")
     return buf[offset : offset + size], offset + size
@@ -61,7 +64,8 @@ def _take(buf: bytes, offset: int, size: int, what: str):
 
 def read_field(path):
     """Deserialize a field file; raises FieldFormatError on malformed bytes."""
-    buf = Path(path).read_bytes()
+    # payload arrays view the file's bytes through the memoryview; nothing is copied
+    buf = memoryview(Path(path).read_bytes())
     raw, off = _take(buf, 0, _HEADER.size, "header")
     magic, version, dtype_code, rank, reserved = _HEADER.unpack(raw)
     if magic != MAGIC:
@@ -80,7 +84,7 @@ def read_field(path):
         (name_len,) = struct.unpack("<B", raw)
         raw, off = _take(buf, off, name_len, "axis name")
         try:
-            name = raw.decode("utf-8")
+            name = bytes(raw).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FieldFormatError(f"axis name is not UTF-8: {exc}") from exc
         raw, off = _take(buf, off, _AXIS_FIXED.size, "axis bounds")
@@ -121,10 +125,16 @@ def parse_slice_spec(spec: str) -> dict[str, float]:
         if name in out:
             raise ValidationError(f"axis {name!r} pinned twice in slice spec")
         try:
-            out[name] = float(val)
-        except ValueError as exc:
+            out[name] = _finite_pin(name, float(val))
+        except ValueError as exc:  # ValidationError is a ValueError
             raise ValidationError(f"slice entry {chunk!r}: {exc}") from exc
     return out
+
+
+def _finite_pin(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"pin for axis {name!r} must be finite, got {value!r}")
+    return value
 
 
 def export_csv(field, pins: dict[str, float], path) -> dict[str, float]:
@@ -140,9 +150,10 @@ def export_csv(field, pins: dict[str, float], path) -> dict[str, float]:
     if not isinstance(field, RealField):
         raise ValidationError(f"cannot export {type(field)!r}")
     names = [a.name for a in field.axes]
-    for name in pins:
+    for name, value in pins.items():
         if name not in names:
             raise ValidationError(f"slice pins unknown axis {name!r}; field axes are {names}")
+        _finite_pin(name, value)
     free = [a for a in field.axes if a.name not in pins]
     if len(free) not in (1, 2):
         raise ValidationError(f"slice must leave 1 or 2 free axes, got {len(free)}")

@@ -47,7 +47,9 @@ class AxisGrid:
         return self.min + self.step * np.arange(self.n)
 
     def nearest_index(self, value: float) -> int:
-        # ties between two nodes resolve toward -inf
+        # ties between two nodes resolve toward -inf; values off the axis snap to its
+        # end nodes, so clamp first to keep huge values from overflowing the ratio
+        value = min(max(value, self.min), self.max)
         i = int(math.ceil((value - self.min) / self.step - 0.5))
         return min(max(i, 0), self.n - 1)
 
@@ -96,11 +98,22 @@ class _BaseField:
         shape = tuple(a.n for a in self.axes)
         if data.shape != shape:
             raise ValidationError(f"data shape {data.shape} does not match axes {shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("field data contains non-finite values")
         data = np.ascontiguousarray(data)
+        # min and max propagate NaN and surface +-inf without a boolean temporary
+        flat = data.view(np.float64)
+        if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+            raise ValidationError("field data contains non-finite values")
         data.flags.writeable = False
         self.data = data
+
+    @classmethod
+    def _trusted(cls, axes, data):
+        """Wrap a derived contiguous array on already-validated axes, skipping the checks."""
+        obj = cls.__new__(cls)
+        obj.axes = axes
+        data.flags.writeable = False
+        obj.data = data
+        return obj
 
     @property
     def rank(self) -> int:
@@ -215,21 +228,58 @@ def stencil_halfwidth(power: int, order: int) -> int:
     return (power + 1) // 2 + order // 2 - 1
 
 
-def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, power: int) -> Array:
-    """Zero-extended central difference along one array axis."""
-    pad = [(0, 0)] * data.ndim
-    pad[axis] = (w, w)
-    padded = np.pad(data, pad)
+def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, power: int,
+                              lo: int = 0, hi: int | None = None) -> Array:
+    """Zero-extended central difference along one array axis, for output indices [lo, hi).
+
+    Each tap adds c * data[i + j] only where i + j is on the grid; a tap that
+    falls off the edge would add c * 0, so the sums equal those of a
+    zero-padded copy bit for bit. Neighbours of a sub-range are read straight
+    from `data`, so no halo copy is made.
+    """
     n = data.shape[axis]
-    out = np.zeros_like(data)
-    sl = [slice(None)] * data.ndim
+    hi = n if hi is None else hi
+    shape = list(data.shape)
+    shape[axis] = hi - lo
+    out = np.zeros(shape, dtype=data.dtype)
+    scratch = np.empty_like(out)
+    src = [slice(None)] * data.ndim
+    dst = [slice(None)] * data.ndim
     for j, c in zip(range(-w, w + 1), coeffs):
         if c == 0.0:
             continue
-        sl[axis] = slice(w + j, w + j + n)
-        out += c * padded[tuple(sl)]
+        a, b = max(lo, -j), min(hi, n - j)  # outputs whose source a+j .. b+j is on the grid
+        if a >= b:
+            continue
+        src[axis], dst[axis] = slice(a + j, b + j), slice(a - lo, b - lo)
+        buf = scratch[tuple(dst)]
+        np.multiply(data[tuple(src)], c, out=buf)
+        out[tuple(dst)] += buf
     out /= h**power
     return out
+
+
+def _max_abs(data: Array) -> float:
+    """max |data| without the full-size temporary of np.abs."""
+    return max(float(data.max()), -float(data.min()))
+
+
+def _stencil(data: Array, k: int, step: float, power: int, scheme: StencilScheme,
+             lo: int = 0, hi: int | None = None) -> Array:
+    """Partial along array axis k (grid step `step`) on index range [lo, hi) of that axis."""
+    h = scheme.h if scheme.h is not None else step
+    return _apply_stencil_along_axis(data, k, stencil_coefficients(power, scheme.order),
+                                     stencil_halfwidth(power, scheme.order), h, power, lo, hi)
+
+
+_SLAB_BYTES = 1 << 20
+
+
+def _x_slabs(data: Array):
+    """[lo, hi) ranges over axis 0, each holding about 1 MiB of `data` (at least one row)."""
+    n = data.shape[0]
+    rows = max(1, _SLAB_BYTES // data[0].nbytes)
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilScheme) -> RealField:
@@ -241,11 +291,7 @@ def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilS
     if not isinstance(field, (RealField, ComplexField)):
         raise ValidationError(f"expected a field, got {type(field)!r}")
     k = field.axis_index(axis)
-    coeffs = stencil_coefficients(power, scheme.order)
-    w = stencil_halfwidth(power, scheme.order)
-    h = scheme.h if scheme.h is not None else field.axes[k].step
-    out = _apply_stencil_along_axis(field.data, k, coeffs, w, h, power)
-    return field.with_data(out)
+    return type(field)._trusted(field.axes, _stencil(field.data, k, field.axes[k].step, power, scheme))
 
 
 def integrate_axis(field: RealField, axis: str, weight: float = 1.0):

@@ -28,7 +28,8 @@ from .fields import (
     RealField,
     StencilScheme,
     ValidationError,
-    partial_derivative,
+    _stencil,
+    _x_slabs,
 )
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "moyal_rhs",
     "transport_lhs",
     "moyal_residual",
+    "moyal_residual_slabs",
 ]
 
 
@@ -188,6 +190,68 @@ def _xv_mesh(w4: RealField):
     return x, v
 
 
+class _GridRows:
+    """Transport part and correction series of a grid W, evaluated on x-rows [lo, hi).
+
+    Only d_x couples rows; it reads its stencil-halfwidth neighbours straight
+    from W, so a slab costs a few slab-sized temporaries. Coefficient arrays
+    are built once on the whole (x, v) grid and sliced, so every slab equals
+    the same rows of a dense evaluation bit for bit.
+    """
+
+    def __init__(self, w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, dt_term=None):
+        _require_rank4(w4)
+        m = params.m
+        x, v = _xv_mesh(w4)
+        vddot = w4.axes[3].points()[None, None, None, :]
+        self.w4, self.scheme = w4, scheme
+        self.steps = [a.step for a in w4.axes]
+        self.v = v
+        self.vdot = w4.axes[2].points()[None, None, :, None]
+        self.drift = vddot - u.derivative(dv=1)(x, v) / m
+        self.force = u.derivative(dx=1)(x, v) / m
+        self.dt = None if dt_term is None else np.broadcast_to(np.asarray(dt_term, dtype=np.float64),
+                                                               w4.data.shape)
+        self.series_terms = [(term, term.coeff * term.du(x, v)) for term in build_term_table(u, params)]
+
+    def _d(self, data: Array, k: int, power: int, lo: int = 0, hi: int | None = None) -> Array:
+        return _stencil(data, k, self.steps[k], power, self.scheme, lo, hi)
+
+    def transport(self, lo: int, hi: int) -> Array:
+        rows = self.w4.data[lo:hi]
+        out = np.zeros(rows.shape)
+        if self.dt is not None:
+            out += self.dt[lo:hi]
+        out += self.v * self._d(self.w4.data, 0, 1, lo, hi)
+        out += self.vdot * self._d(rows, 1, 1)
+        out += self.drift[lo:hi] * self._d(rows, 2, 1)
+        out += self.force[lo:hi] * self._d(rows, 3, 1)
+        return out
+
+    def series(self, lo: int, hi: int) -> Array:
+        rows = self.w4.data[lo:hi]
+        out = np.zeros(rows.shape)
+        for term, coeff in self.series_terms:
+            dw = self._d(rows, 3, term.vddot_power) if term.vddot_power else rows
+            if term.vdot_power:
+                dw = self._d(dw, 2, term.vdot_power)
+            out += coeff[lo:hi] * dw
+        return out
+
+    def residual(self, lo: int, hi: int) -> Array:
+        out = self.transport(lo, hi)
+        out -= self.series(lo, hi)
+        return out
+
+
+def _fill(w4: RealField, rows_fn) -> RealField:
+    """Dense field assembled from rows_fn(lo, hi) over the x-slabs of w4."""
+    out = np.empty_like(w4.data)
+    for lo, hi in _x_slabs(w4.data):
+        out[lo:hi] = rows_fn(lo, hi)
+    return RealField._trusted(w4.axes, out)
+
+
 def moyal_rhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *, points=None):
     """Evaluate the correction series on a grid field or at arbitrary points.
 
@@ -214,15 +278,7 @@ def moyal_rhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *, poin
             dw = w4.derivative((0, 0, term.vdot_power, term.vddot_power), points, scheme)
             out += term.coeff * term.du(x, v) * dw
         return out
-    _require_rank4(w4)
-    x, v = _xv_mesh(w4)
-    out = np.zeros_like(w4.data)
-    for term in table:
-        dw = partial_derivative(w4, "vddot", term.vddot_power, scheme) if term.vddot_power else w4
-        if term.vdot_power:
-            dw = partial_derivative(dw, "vdot", term.vdot_power, scheme)
-        out += (term.coeff * term.du(x, v)) * dw.data
-    return RealField(w4.axes, out)
+    return _fill(w4, _GridRows(w4, u, params, scheme).series)
 
 
 def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
@@ -232,12 +288,12 @@ def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
     dt_term, when given, supplies d_t W on the same support (grid array or
     values at `points`); stationary fields omit it.
     """
-    m = params.m
-    du_dx = u.derivative(dx=1)
-    du_dv = u.derivative(dv=1)
     if isinstance(w4, PointwiseField):
         if points is None:
             raise ValidationError("pointwise mode needs points=(x, v, vdot, vddot)")
+        m = params.m
+        du_dx = u.derivative(dx=1)
+        du_dv = u.derivative(dv=1)
         x, v, vdot, vddot = (np.asarray(c, dtype=np.float64) for c in points)
         out = np.zeros(np.broadcast(*points).shape, dtype=np.float64)
         if dt_term is not None:
@@ -247,25 +303,26 @@ def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
         out += (vddot - du_dv(x, v) / m) * w4.derivative((0, 0, 1, 0), points, scheme)
         out += (du_dx(x, v) / m) * w4.derivative((0, 0, 0, 1), points, scheme)
         return out
-    _require_rank4(w4)
-    x, v = _xv_mesh(w4)
-    vdot = w4.axes[2].points()[None, None, :, None]
-    vddot = w4.axes[3].points()[None, None, None, :]
-    out = np.zeros_like(w4.data)
-    if dt_term is not None:
-        out += np.asarray(dt_term, dtype=np.float64)
-    out += v * partial_derivative(w4, "x", 1, scheme).data
-    out += vdot * partial_derivative(w4, "v", 1, scheme).data
-    out += (vddot - du_dv(x, v) / m) * partial_derivative(w4, "vdot", 1, scheme).data
-    out += (du_dx(x, v) / m) * partial_derivative(w4, "vddot", 1, scheme).data
-    return RealField(w4.axes, out)
+    return _fill(w4, _GridRows(w4, u, params, scheme, dt_term).transport)
+
+
+def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, *,
+                         dt_term=None):
+    """Yield (lo, hi, rows): the grid moyal_residual on x-rows [lo, hi), in order.
+
+    Each block equals the same rows of the dense residual bit for bit, so a
+    caller can reduce the residual (its max, say) without a second dense
+    field. The slab height is set from the field's row size.
+    """
+    rows = _GridRows(w4, u, params, scheme, dt_term)
+    for lo, hi in _x_slabs(w4.data):
+        yield lo, hi, rows.residual(lo, hi)
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
                    points=None, dt_term=None):
     """Transport part minus correction series; zero for an exact solution."""
-    lhs = transport_lhs(w4, u, params, scheme, points=points, dt_term=dt_term)
-    rhs = moyal_rhs(w4, u, params, scheme, points=points)
-    if isinstance(lhs, RealField):
-        return RealField(lhs.axes, lhs.data - rhs.data)
-    return lhs - rhs
+    if isinstance(w4, PointwiseField):
+        lhs = transport_lhs(w4, u, params, scheme, points=points, dt_term=dt_term)
+        return lhs - moyal_rhs(w4, u, params, scheme, points=points)
+    return _fill(w4, _GridRows(w4, u, params, scheme, dt_term).residual)

@@ -29,9 +29,11 @@ from .fields import (
     RealField,
     StencilScheme,
     ValidationError,
+    _max_abs,
+    _stencil,
+    _x_slabs,
     integrate_axis,
     partial_derivative,
-    stencil_coefficients,
     stencil_halfwidth,
 )
 from .moyal import PolynomialPotential
@@ -86,9 +88,27 @@ class FluxField:
         return 1.0 - float(self.mask.sum()) / self.mask.size
 
 
+def _check_mask_threshold(threshold: float) -> float:
+    """Return the threshold if it is finite and in [0, 1); raise ValidationError otherwise.
+
+    Below 0 nothing is masked, and W may be negative, so moment ratios would
+    divide by densities near or below zero; at 1 or above the mask is empty.
+    """
+    if not 0.0 <= threshold < 1.0:
+        raise ValidationError(f"mask threshold must be finite and in [0, 1), got {threshold!r}")
+    return threshold
+
+
 def _support_mask(density: Array, threshold: float) -> Array:
-    peak = float(np.abs(density).max())
-    return np.abs(density) >= threshold * peak
+    return np.abs(density) >= threshold * _max_abs(density)
+
+
+def _flux_field(kind: str, axes, num: Array, den: Array, threshold: float) -> FluxField:
+    """Moment ratio num / den on the support mask of den, zero elsewhere."""
+    mask = _support_mask(den, threshold)
+    vals = np.zeros_like(den)
+    np.divide(num, den, out=vals, where=mask)
+    return FluxField(kind, RealField._trusted(axes, vals), mask, threshold)
 
 
 def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
@@ -97,9 +117,11 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
     The flux is the m-weighted first moment along the traced axis divided by
     the m-weighted zeroth moment, masked where the zeroth moment falls below
     mask_threshold times its peak. '12-vel' first reduces the vddot axis.
+    Both moments are accumulated one x-slab at a time.
     """
     if which not in MOMENT_KINDS:
         raise ValidationError(f"unknown moment kind {which!r}; expected one of {sorted(MOMENT_KINDS)}")
+    _check_mask_threshold(mask_threshold)
     traced, reduce_first = MOMENT_KINDS[which]
     field = w4
     present = {a.name for a in field.axes}
@@ -108,12 +130,15 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
             field = integrate_axis(field, name, weight=params.m)
     k = field.axis_index(traced)
     coord = field.axes[k].points().reshape((-1,) + (1,) * (field.rank - 1 - k))
-    num = integrate_axis(field.with_data(field.data * coord), traced, weight=params.m)
-    den = integrate_axis(field, traced, weight=params.m)
-    mask = _support_mask(den.data, mask_threshold)
-    vals = np.zeros_like(den.data)
-    np.divide(num.data, den.data, out=vals, where=mask)
-    return FluxField(which, RealField(den.axes, vals), mask, mask_threshold)
+    scale = params.m * field.axes[k].step
+    shape = field.data.shape[:k] + field.data.shape[k + 1 :]
+    num, den = np.empty(shape), np.empty(shape)
+    # slabs run along axis 0, so they need an axis 0 that is not reduced
+    for lo, hi in _x_slabs(field.data) if k else [(0, field.data.shape[0])]:
+        rows = field.data[lo:hi]
+        num[lo:hi] = (rows * coord).sum(axis=k) * scale
+        den[lo:hi] = rows.sum(axis=k) * scale
+    return _flux_field(which, field.axes[:k] + field.axes[k + 1 :], num, den, mask_threshold)
 
 
 def _series_lmax(u: PolynomialPotential, var: str) -> int:
@@ -129,6 +154,7 @@ def _check_positive(f_data: Array, mask: Array, what: str):
 
 def _closure_series(f, u, params, scheme, axis_name, coeff_sign, points, mask_threshold, kind):
     """Shared body for the two closure series; differs only in signs and axes."""
+    _check_mask_threshold(mask_threshold)
     m, hbar2 = params.m, params.hbar2
     ratio2 = (hbar2 / (2.0 * m)) ** 2
     lmax = _series_lmax(u, "x")
@@ -173,7 +199,7 @@ def _closure_series(f, u, params, scheme, axis_name, coeff_sign, points, mask_th
             np.divide(dfl, f.data, out=term, where=mask)
             out += c * du(xs, vs) * term
     out[~mask] = 0.0
-    return FluxField(kind, RealField(f.axes, out), mask, mask_threshold)
+    return FluxField(kind, RealField._trusted(f.axes, out), mask, mask_threshold)
 
 
 def vlasov_moyal_accel_flux(f, u: PolynomialPotential, params, scheme: StencilScheme | None = None, *,
@@ -215,10 +241,12 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
     Averages the rank-4 series closure over vdot:
     <vddot>_{124} = m Int <vddot>_{1234} w4 dvdot / (m Int w4 dvdot).
     The product <vddot>_{1234} w4 is assembled in series form directly, so no
-    division by w4 occurs in the numerator.
+    division by w4 occurs in the numerator. Both integrals are accumulated
+    one x-slab at a time.
     """
     if scheme is None:
         scheme = StencilScheme()
+    _check_mask_threshold(mask_threshold)
     names = tuple(a.name for a in w4.axes)
     if names != ("x", "v", "vdot", "vddot"):
         raise ValidationError(f"integral flux route needs the canonical rank-4 axes, got {names}")
@@ -226,20 +254,25 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
     ratio2 = (hbar2 / (2.0 * m)) ** 2
     xs = w4.axes[0].points()[:, None, None, None]
     vs = w4.axes[1].points()[None, :, None, None]
-    product = np.zeros_like(w4.data)
+    terms = []
     for l in range(_series_lmax(u, "x") + 1):
         du = u.derivative(dx=2 * l + 1)
         if du.is_zero:
             continue
         c = ((-1.0) ** l) * ratio2**l / (m * math.factorial(2 * l + 1))
-        dfl = w4.data if l == 0 else partial_derivative(w4, "vddot", 2 * l, scheme).data
-        product += c * du(xs, vs) * dfl
-    num = integrate_axis(RealField(w4.axes, product), "vdot", weight=m)
-    den = integrate_axis(w4, "vdot", weight=m)
-    mask = _support_mask(den.data, mask_threshold)
-    vals = np.zeros_like(den.data)
-    np.divide(num.data, den.data, out=vals, where=mask)
-    return FluxField("124-accel", RealField(den.axes, vals), mask, mask_threshold)
+        terms.append((l, c * du(xs, vs)))
+    scale = m * w4.axes[2].step
+    shape = w4.data.shape[:2] + w4.data.shape[3:]
+    num, den = np.empty(shape), np.empty(shape)
+    for lo, hi in _x_slabs(w4.data):
+        rows = w4.data[lo:hi]
+        product = np.zeros_like(rows)
+        for l, coeff in terms:
+            dfl = rows if l == 0 else _stencil(rows, 3, w4.axes[3].step, 2 * l, scheme)
+            product += coeff[lo:hi] * dfl
+        num[lo:hi] = product.sum(axis=2) * scale
+        den[lo:hi] = rows.sum(axis=2) * scale
+    return _flux_field("124-accel", w4.axes[:2] + w4.axes[3:], num, den, mask_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +354,7 @@ def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: Poly
         out += partial_derivative(g, axis, 1, scheme).data
     if kind == "w123":
         out -= _w123_series_grid(f, u, params, scheme)
-    return RealField(f.axes, out)
+    return RealField._trusted(f.axes, out)
 
 
 def _required_flux_axes(kind: str) -> tuple[str, ...]:
@@ -402,6 +435,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     """
     if not u1.v_independent:
         raise ValidationError("closure equivalence is defined for U1(x) only")
+    _check_mask_threshold(mask_threshold)
     names = tuple(a.name for a in f4.axes)
     if names != ("x", "v", "vdot", "vddot"):
         raise ValidationError(f"expected canonical rank-4 axes, got {names}")
@@ -456,13 +490,6 @@ def _erode(mask: Array, axis: int, w: int) -> Array:
     return out
 
 
-def _interior(field: RealField, axes_names, w: int) -> Array:
-    mask = np.ones(field.data.shape, dtype=bool)
-    for name in axes_names:
-        mask = _erode(mask, field.axis_index(name), w)
-    return mask
-
-
 @dataclass(frozen=True)
 class DissipationReport:
     """Divergence sources of the reduced members and their entropy balances.
@@ -507,6 +534,7 @@ def dissipation_report(w12: RealField, w124: RealField, fluxes, params, scheme: 
     for key in ("12-vel", "124-vel", "124-accel"):
         if key not in fluxes:
             raise ValidationError(f"dissipation report needs flux {key!r}")
+    _check_mask_threshold(mask_threshold)
     w = stencil_halfwidth(1, scheme.order)
     vel12 = _flux_values_grid(fluxes["12-vel"], w12)
     vel124 = _flux_values_grid(fluxes["124-vel"], w124)

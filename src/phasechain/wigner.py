@@ -32,6 +32,7 @@ from .fields import (
     NumericError,
     RealField,
     ValidationError,
+    _max_abs,
     integrate_axis,
 )
 
@@ -144,7 +145,7 @@ def wigner4(psi: ComplexField, params) -> RealField:
         max_imag = max(max_imag, float(np.abs(spec.imag).max()))
         # spec is (vddot, v, vdot); store as (v, vdot, vddot)
         out[i] = pref * np.moveaxis(spec.real, 0, 2)
-    peak = float(np.abs(out).max())
+    peak = _max_abs(out)
     if max_imag * pref > IMAG_RESIDUE_LIMIT * peak:
         raise NumericError(
             f"imaginary residue {max_imag * pref:.3e} exceeds {IMAG_RESIDUE_LIMIT:.1e} x peak {peak:.3e}"

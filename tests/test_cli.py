@@ -141,20 +141,32 @@ def test_residual_chain_modes(w4_path, tmp_path, capsys, mode):
 
 
 def test_residual_with_empty_mask_is_numeric_failure(w4_path, tmp_path, capsys):
+    # at 0.99 of the peak only the central node survives, and eroding it by
+    # the stencil halfwidth leaves nothing to evaluate
     pot = potential_file(tmp_path, "2 0 0.5\n")
     code = main(["residual", "--in", str(w4_path), "--potential", pot,
-                 "--mode", "vlasov12", "--mask-threshold", "1.5"])
+                 "--mode", "vlasov12", "--mask-threshold", "0.99"])
     assert code == 3
-    assert "numeric failure:" in capsys.readouterr().err
+    assert "numeric failure: no valid points left after masking" in capsys.readouterr().err
 
 
-def test_fluxes_with_empty_mask_is_numeric_failure(w4_path, tmp_path, capsys):
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "1.5", "1e400", "abc"])
+@pytest.mark.parametrize("command", ["fluxes", "residual"])
+def test_bad_mask_threshold_exits_1(w4_path, tmp_path, capsys, command, value):
+    # a threshold is a fraction of the density peak: below 0 nothing is masked
+    # (W can be negative), at 1 or above nothing is left
     out = tmp_path / "flux.fld"
-    code = main(["fluxes", "--in", str(w4_path), "--which", "123",
-                 "--mask-threshold", "1.5", "--out", str(out)])
-    assert code == 3
-    assert "numeric failure:" in capsys.readouterr().err
-    assert not out.exists()  # nothing extracted, nothing written
+    argv = {
+        "fluxes": ["fluxes", "--in", str(w4_path), "--which", "123", "--out", str(out)],
+        "residual": ["residual", "--in", str(w4_path), "--potential", potential_file(tmp_path, "2 0 0.5\n"),
+                     "--mode", "vlasov12"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--mask-threshold", value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--mask-threshold" in err
+    assert not out.exists()
 
 
 def test_export_csv(w4_path, tmp_path, capsys):
@@ -177,6 +189,23 @@ def test_export_csv_bad_slice(w4_path, tmp_path, capsys):
     out = tmp_path / "slice.csv"
     assert main(["export-csv", "--in", str(w4_path), "--slice", "vdot=0", "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pin", ["nan", "inf", "-inf", "1e400", "-1e400"])
+def test_export_csv_rejects_non_finite_pins(w4_path, tmp_path, capsys, pin):
+    out = tmp_path / "slice.csv"
+    assert main(["export-csv", "--in", str(w4_path), "--slice", f"vdot=0,vddot=0,x={pin}",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+    assert not out.exists()
+
+
+def test_export_csv_huge_pin_snaps_to_the_end_node(w4_path, tmp_path, capsys):
+    out = tmp_path / "slice.csv"
+    assert main(["export-csv", "--in", str(w4_path), "--slice", "vdot=0,vddot=0,x=1.7e308",
+                 "--out", str(out)]) == 0
+    assert "64 rows over (v), pinned x = 7.75, vdot = 0, vddot = 0" in capsys.readouterr().out
 
 
 def test_check_suite_passes_and_warns_on_odd_hbar2(capsys):

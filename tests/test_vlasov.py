@@ -54,6 +54,29 @@ def w4():
 
 # --- moment-ratio fluxes -------------------------------------------------------
 
+@pytest.mark.parametrize("threshold", [-1.0, -1e-300, 1.0, 1.5, math.inf, -math.inf, math.nan])
+def test_mask_threshold_must_be_finite_and_below_one(threshold):
+    small = rank4_grid(nxy=8, ntail=8)
+    w124 = integrate_axis(small, "vdot", weight=P.m)
+    w12 = integrate_axis(w124, "vddot", weight=P.m)
+    calls = [
+        lambda: mean_flux_from_w4(small, "123-accel", P, threshold),
+        lambda: accel_flux_124_from_w4(small, U_HO, P, ORDER4, threshold),
+        lambda: vlasov_moyal_accel_flux(small, U_HO, P, ORDER4, mask_threshold=threshold),
+        lambda: vlasov_moyal_velocity_flux(w12, U_HO, P, ORDER4, mask_threshold=threshold),
+        lambda: divergence_series_gap(U_HO, small, P, ORDER4, threshold),
+        lambda: dissipation_report(w12, w124, {"12-vel": 0.0, "124-vel": 0.0, "124-accel": 0.0},
+                                   P, ORDER4, threshold),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"mask threshold must be finite and in \[0, 1\)"):
+            call()
+
+
+def test_mask_threshold_zero_keeps_every_node(w4):
+    assert mean_flux_from_w4(w4, "124-vel", P, 0.0).masked_fraction == 0.0
+
+
 def test_moment_fluxes_match_closed_forms(w4):
     for kind in ("123-accel", "124-vel", "12-vel"):
         fl = mean_flux_from_w4(w4, kind, P)
