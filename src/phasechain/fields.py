@@ -15,6 +15,22 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = [
+    "AxisGrid",
+    "ComplexField",
+    "NumericError",
+    "PointwiseField",
+    "RealField",
+    "StencilScheme",
+    "ValidationError",
+    "integrate_axis",
+    "make_axis",
+    "partial_derivative",
+    "sample_complex",
+    "sample_real",
+    "stencil_coefficients",
+]
+
 Array = np.ndarray
 
 AXIS_NAMES = ("x", "v", "vdot", "vddot", "s1", "s2")
@@ -228,33 +244,67 @@ def stencil_halfwidth(power: int, order: int) -> int:
     return (power + 1) // 2 + order // 2 - 1
 
 
+@lru_cache(maxsize=None)
+def _band_matrix(n: int, coeffs: tuple[float, ...]) -> Array:
+    """n x n stencil weights: row i (output node) holds c_j in column i + j (source node).
+
+    Taps that fall off the grid have no column, which is zero extension.
+    """
+    w = len(coeffs) // 2
+    mat = np.zeros((n, n))
+    for j, c in zip(range(-w, w + 1), coeffs):
+        i = np.arange(max(0, -j), min(n, n - j))
+        mat[i, i + j] = c
+    mat.flags.writeable = False
+    return mat
+
+
+# OpenBLAS keeps gemm calls of <= 64^3 multiply-adds on one thread; bigger ones on 2 cores: 0.58 s pool start, 2x CPU
+_BLAS_MADDS = 1 << 18
+
+
 def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, power: int,
                               lo: int = 0, hi: int | None = None) -> Array:
     """Zero-extended central difference along one array axis, for output indices [lo, hi).
 
-    Each tap adds c * data[i + j] only where i + j is on the grid; a tap that
-    falls off the edge would add c * 0, so the sums equal those of a
-    zero-padded copy bit for bit. Neighbours of a sub-range are read straight
-    from `data`, so no halo copy is made.
+    The stencil is a banded matrix product along `axis`: rows [lo, hi) of the
+    n x n weight matrix times the on-grid source nodes [lo - w, hi + w) of
+    `data`, read in place, so neither a halo nor a padded copy is made. The
+    free dimensions are cut into batches of BLAS calls of at most
+    _BLAS_MADDS multiply-adds each. BLAS orders each sum its own way, so a
+    result matches the zero-padded tap sum within 4 (2w+1) eps
+    sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
     """
     n = data.shape[axis]
     hi = n if hi is None else hi
+    a, b = max(lo - w, 0), min(hi + w, n)
+    band = _band_matrix(n, tuple(coeffs))[lo:hi, a:b]
+    pre, post = math.prod(data.shape[:axis]), math.prod(data.shape[axis + 1 :])
+    src = data.reshape(pre, n, post)[:, a:b]
     shape = list(data.shape)
     shape[axis] = hi - lo
-    out = np.zeros(shape, dtype=data.dtype)
-    scratch = np.empty_like(out)
-    src = [slice(None)] * data.ndim
-    dst = [slice(None)] * data.ndim
-    for j, c in zip(range(-w, w + 1), coeffs):
-        if c == 0.0:
-            continue
-        a, b = max(lo, -j), min(hi, n - j)  # outputs whose source a+j .. b+j is on the grid
-        if a >= b:
-            continue
-        src[axis], dst[axis] = slice(a + j, b + j), slice(a - lo, b - lo)
-        buf = scratch[tuple(dst)]
-        np.multiply(data[tuple(src)], c, out=buf)
-        out[tuple(dst)] += buf
+    out = np.empty(shape, dtype=np.result_type(data, band))
+    dst = out.reshape(pre, hi - lo, post)
+    per_call = max(1, _BLAS_MADDS // band.size)
+    if post > 1:
+        # out[p, :, cols] = band @ src[p, :, cols], batched over p and blocks of `step` columns
+        step = min(per_call, post)
+        cut = post - post % step
+
+        def blocks(x):
+            return x[..., :cut].reshape(pre, x.shape[1], cut // step, step).transpose(0, 2, 1, 3)
+
+        np.matmul(band, blocks(src), out=blocks(dst))
+        if cut < post:
+            np.matmul(band, src[..., cut:], out=dst[..., cut:])
+    else:
+        # the last axis: out[rows] = src[rows] @ band.T, batched over blocks of `step` rows
+        src, dst, step = src[..., 0], dst[..., 0], min(per_call, pre)
+        cut = pre - pre % step
+        band_t = band.T.copy()  # gemm on the transposed view ran 1.6x slower at 64^4
+        np.matmul(src[:cut].reshape(-1, step, b - a), band_t, out=dst[:cut].reshape(-1, step, hi - lo))
+        if cut < pre:
+            np.matmul(src[cut:], band_t, out=dst[cut:])
     out /= h**power
     return out
 

@@ -190,13 +190,21 @@ def _xv_mesh(w4: RealField):
     return x, v
 
 
+def _add_product(out: Array, coef: Array, d: Array):
+    """out += coef * d, multiplying the fresh derivative d in place instead of into a temporary."""
+    np.multiply(d, coef, out=d)
+    out += d
+
+
 class _GridRows:
     """Transport part and correction series of a grid W, evaluated on x-rows [lo, hi).
 
     Only d_x couples rows; it reads its stencil-halfwidth neighbours straight
     from W, so a slab costs a few slab-sized temporaries. Coefficient arrays
-    are built once on the whole (x, v) grid and sliced, so every slab equals
-    the same rows of a dense evaluation bit for bit.
+    are built once on the whole (x, v) grid and sliced, and each derivative is
+    multiplied by its coefficient in place. A slab equals the same rows of the
+    zero-padded tap-sum evaluation within the stencil rounding bound (see
+    fields._apply_stencil_along_axis), whatever the slab height.
     """
 
     def __init__(self, w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, dt_term=None):
@@ -222,10 +230,10 @@ class _GridRows:
         out = np.zeros(rows.shape)
         if self.dt is not None:
             out += self.dt[lo:hi]
-        out += self.v * self._d(self.w4.data, 0, 1, lo, hi)
-        out += self.vdot * self._d(rows, 1, 1)
-        out += self.drift[lo:hi] * self._d(rows, 2, 1)
-        out += self.force[lo:hi] * self._d(rows, 3, 1)
+        _add_product(out, self.v, self._d(self.w4.data, 0, 1, lo, hi))
+        _add_product(out, self.vdot, self._d(rows, 1, 1))
+        _add_product(out, self.drift[lo:hi], self._d(rows, 2, 1))
+        _add_product(out, self.force[lo:hi], self._d(rows, 3, 1))
         return out
 
     def series(self, lo: int, hi: int) -> Array:
@@ -235,7 +243,7 @@ class _GridRows:
             dw = self._d(rows, 3, term.vddot_power) if term.vddot_power else rows
             if term.vdot_power:
                 dw = self._d(dw, 2, term.vdot_power)
-            out += coeff[lo:hi] * dw
+            _add_product(out, coeff[lo:hi], dw)
         return out
 
     def residual(self, lo: int, hi: int) -> Array:
@@ -310,9 +318,9 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
                          dt_term=None):
     """Yield (lo, hi, rows): the grid moyal_residual on x-rows [lo, hi), in order.
 
-    Each block equals the same rows of the dense residual bit for bit, so a
-    caller can reduce the residual (its max, say) without a second dense
-    field. The slab height is set from the field's row size.
+    Each block equals the same rows of the dense residual within the stencil
+    rounding bound, so a caller can reduce the residual (its max, say) without
+    a second dense field. The slab height is set from the field's row size.
     """
     rows = _GridRows(w4, u, params, scheme, dt_term)
     for lo, hi in _x_slabs(w4.data):

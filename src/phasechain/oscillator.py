@@ -24,7 +24,6 @@ __all__ = [
     "PhysParams",
     "GammaForm",
     "psi12",
-    "potential_u12",
     "u12_polynomial",
     "w1234_analytic",
     "w123_analytic",
@@ -112,10 +111,6 @@ def u12_polynomial(p: PhysParams) -> PolynomialPotential:
     c02 = p.m * p.omega**2 * (1.0 + p.hbar2**2 / (2.0 * p.hbar**2 * p.omega**4))
     c20 = -0.5 * p.m * p.omega**4
     return PolynomialPotential(((0, 0, c00), (0, 2, c02), (2, 0, c20)))
-
-
-def potential_u12(x, v, p: PhysParams) -> Array:
-    return u12_polynomial(p)(x, v)
 
 
 @dataclass(frozen=True)

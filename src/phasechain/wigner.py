@@ -109,6 +109,12 @@ def _window_columns(n: int):
     return j + n - lp, j + lp
 
 
+def _swapped_halves(n: int):
+    # fftshift of an even axis as (source, destination) halves
+    h = n // 2
+    return (slice(h, None), slice(None, h)), (slice(None, h), slice(h, None))
+
+
 def wigner4(psi: ComplexField, params) -> RealField:
     """Double transform of a rank-2 wave function to (x, v, vdot, vddot).
 
@@ -129,22 +135,27 @@ def wigner4(psi: ComplexField, params) -> RealField:
     plan = TransformPlan.for_psi(psi, params)
     ax, av = psi.axes
     nx, nv = ax.n, av.n
+    hx, hv = nx // 2, nv // 2
     pref = (2.0 * ax.step) * (2.0 * av.step) / (2.0 * math.pi * plan.hbar2) ** 2
-    padded = _pad(_pad(psi.data, (nx // 2, nx // 2), 0), (nv // 2, nv // 2), 1)
-    colm, colp = _window_columns(nv)
+    padded = _pad(_pad(psi.data, (hx, hx), 0), (hv, hv), 1)
+    # ifftshift on (k', l') is folded into the gather: kernel row q holds k' = (q + nx/2) % nx
+    kq = (np.arange(nx) + hx) % nx
+    rows_minus, rows_plus = (nx - kq)[:, None, None], kq[:, None, None]
+    colm, colp = (c[:, (np.arange(nv) + hv) % nv] for c in _window_columns(nv))
     out = np.empty((nx, nv, nv, nx), dtype=np.float64)
     max_imag = 0.0
     for i in range(nx):
-        rows_minus = padded[i + 1 : i + nx + 1][::-1]
-        rows_plus = padded[i : i + nx]
-        # kernel[k', j, l'] = conj(psi[i-k, j-l]) psi[i+k, j+l], centered indices
-        ker = np.conj(rows_minus[:, colm]) * rows_plus[:, colp]
-        ker = np.fft.ifftshift(ker, axes=(0, 2))
-        spec = np.fft.fft(np.fft.ifft(ker, axis=0) * nx, axis=2)
-        spec = np.fft.fftshift(spec, axes=(0, 2))
-        max_imag = max(max_imag, float(np.abs(spec.imag).max()))
-        # spec is (vddot, v, vdot); store as (v, vdot, vddot)
-        out[i] = pref * np.moveaxis(spec.real, 0, 2)
+        # ker[k', j, l'] = conj(psi[i-k, j-l]) psi[i+k, j+l], centered indices, shifted order
+        ker = padded[rows_minus + i, colm]
+        np.conj(ker, out=ker)
+        ker *= padded[rows_plus + i, colp]
+        spec = np.fft.fft(np.fft.ifft(ker, axis=0, norm="forward"), axis=2)
+        max_imag = max(max_imag, _max_abs(spec.imag))
+        # spec is (vddot, v, vdot) in FFT order; fftshift lands on the quadrants of (v, vdot, vddot)
+        re = np.moveaxis(spec.real, 0, 2)
+        for src_r, dst_r in _swapped_halves(nv):
+            for src_q, dst_q in _swapped_halves(nx):
+                np.multiply(pref, re[:, src_r, src_q], out=out[i][:, dst_r, dst_q])
     peak = _max_abs(out)
     if max_imag * pref > IMAG_RESIDUE_LIMIT * peak:
         raise NumericError(
