@@ -10,6 +10,8 @@ trip bit exactly.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -37,7 +39,11 @@ class FieldFormatError(OSError):
 
 
 def write_field(field, path):
-    """Serialize a RealField or ComplexField; overwrites an existing file."""
+    """Serialize a RealField or ComplexField; replaces an existing file.
+
+    The bytes go to a sibling temporary file that then replaces `path`, so a
+    field that `read_field` still maps keeps the old file's bytes.
+    """
     if isinstance(field, ComplexField):
         dtype_code, cast = 1, "<c16"
     elif isinstance(field, RealField):
@@ -51,9 +57,18 @@ def write_field(field, path):
         header.append(name)
         header.append(_AXIS_FIXED.pack(a.n, a.min, a.max))
     payload = np.ascontiguousarray(field.data).astype(cast, copy=False)
-    with open(path, "wb") as fh:
-        fh.writelines(header)
-        fh.write(memoryview(payload).cast("B"))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL: never truncate a file of that name; mode 0o666 less the umask, as open(path, "wb")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(header)
+            fh.write(memoryview(payload).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _take(buf: memoryview, offset: int, size: int, what: str):
@@ -63,9 +78,15 @@ def _take(buf: memoryview, offset: int, size: int, what: str):
 
 
 def read_field(path):
-    """Deserialize a field file; raises FieldFormatError on malformed bytes."""
-    # payload arrays view the file's bytes through the memoryview; nothing is copied
-    buf = memoryview(Path(path).read_bytes())
+    """Deserialize a field file; raises FieldFormatError on malformed bytes.
+
+    The file is mapped read-only and the payload array views the mapping, so
+    nothing is copied; the mapping lives as long as the field's data.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses empty files
+            raise FieldFormatError("truncated field file while reading header")
+        buf = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
     raw, off = _take(buf, 0, _HEADER.size, "header")
     magic, version, dtype_code, rank, reserved = _HEADER.unpack(raw)
     if magic != MAGIC:
@@ -100,12 +121,12 @@ def read_field(path):
     raw, off = _take(buf, off, count * itemsize, "payload")
     if off != len(buf):
         raise FieldFormatError(f"{len(buf) - off} trailing bytes after payload")
-    shape = tuple(a.n for a in axes)
-    if dtype_code:
-        data = np.frombuffer(raw, dtype="<c16").reshape(shape)
-        return ComplexField(axes, data)
-    data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    return RealField(axes, data)
+    kind, dtype = (ComplexField, "<c16") if dtype_code else (RealField, "<f8")
+    try:
+        # duplicate axis names, a complex rank above 2 and non-finite values surface here
+        return kind(axes, np.frombuffer(raw, dtype=dtype).reshape(tuple(a.n for a in axes)))
+    except ValidationError as exc:
+        raise FieldFormatError(f"invalid field in field file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -135,24 +135,30 @@ def wigner4(psi: ComplexField, params) -> RealField:
     plan = TransformPlan.for_psi(psi, params)
     ax, av = psi.axes
     nx, nv = ax.n, av.n
-    hx, hv = nx // 2, nv // 2
     pref = (2.0 * ax.step) * (2.0 * av.step) / (2.0 * math.pi * plan.hbar2) ** 2
-    padded = _pad(_pad(psi.data, (hx, hx), 0), (hv, hv), 1)
-    # ifftshift on (k', l') is folded into the gather: kernel row q holds k' = (q + nx/2) % nx
-    kq = (np.arange(nx) + hx) % nx
-    rows_minus, rows_plus = (nx - kq)[:, None, None], kq[:, None, None]
-    colm, colp = (c[:, (np.arange(nv) + hv) % nv] for c in _window_columns(nv))
+    # column windows, gathered once: minus[j, r, x] = conj(psi[x, j-l]), plus[j, r, x] = psi[x, j+l],
+    # with shift l = r for r < nv/2 and r - nv above (ifftshift folded in), zero off the grid
+    padded = _pad(psi.data, (nv // 2, nv // 2), 1)
+    cols = (np.arange(nv) + nv // 2) % nv
+    colm, colp = (c[:, cols] for c in _window_columns(nv))
+    minus = np.ascontiguousarray(np.moveaxis(np.conj(padded[:, colm]), 0, 2))
+    plus = np.ascontiguousarray(np.moveaxis(padded[:, colp], 0, 2))
+    ker = np.empty((nv, nv, nx), dtype=np.complex128)
     out = np.empty((nx, nv, nv, nx), dtype=np.float64)
     max_imag = 0.0
     for i in range(nx):
-        # ker[k', j, l'] = conj(psi[i-k, j-l]) psi[i+k, j+l], centered indices, shifted order
-        ker = padded[rows_minus + i, colm]
-        np.conj(ker, out=ker)
-        ker *= padded[rows_plus + i, colp]
-        spec = np.fft.fft(np.fft.ifft(ker, axis=0, norm="forward"), axis=2)
-        max_imag = max(max_imag, _max_abs(spec.imag))
-        # spec is (vddot, v, vdot) in FFT order; fftshift lands on the quadrants of (v, vdot, vddot)
-        re = np.moveaxis(spec.real, 0, 2)
+        # ker[j, r, q] = minus[j, r, i-k] plus[j, r, i+k] with k = q for q < nx/2 and q - nx above;
+        # rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
+        m = min(i, nx - 1 - i)
+        np.multiply(minus[..., i::-1][..., : m + 1], plus[..., i : i + m + 1], out=ker[..., : m + 1])
+        ker[..., m + 1 : nx - m] = 0.0
+        if m:
+            np.multiply(minus[..., i + m : i : -1], plus[..., i - m : i], out=ker[..., nx - m :])
+        np.fft.ifft(ker, axis=2, norm="forward", out=ker)
+        np.fft.fft(ker, axis=1, out=ker)
+        max_imag = max(max_imag, _max_abs(ker.imag))
+        # ker is (v, vdot, vddot), the last two in FFT order; fftshift is a swap of quadrants
+        re = ker.real
         for src_r, dst_r in _swapped_halves(nv):
             for src_q, dst_q in _swapped_halves(nx):
                 np.multiply(pref, re[:, src_r, src_q], out=out[i][:, dst_r, dst_q])

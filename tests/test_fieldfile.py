@@ -1,9 +1,12 @@
 """Binary field persistence and CSV slicing."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasechain import (
     ComplexField,
@@ -121,6 +124,107 @@ def test_axis_bounds_validation_maps_to_format_error(tmp_path):
     swapped = good[:22] + struct.pack("<dd", 2.0, 1.0) + good[38:]
     with pytest.raises(FieldFormatError):
         read_field(corrupt(tmp_path / "bad.fld", swapped))
+
+
+@pytest.fixture(scope="module")
+def good_blobs(tmp_path_factory):
+    """Valid files of both dtypes: a real rank-3 field and a complex rank-2 one."""
+    real = RealField(
+        (make_axis("x", -1.0, 1.0, 4), make_axis("v", 0.0, 2.0, 4), make_axis("vdot", -3.0, 3.0, 6)),
+        awkward_values((4, 4, 6), seed=2),
+    )
+    psi_axes = (make_axis("x", -2.0, 2.0, 4), make_axis("v", -2.0, 2.0, 4))
+    psi = sample_complex(lambda x, v: np.exp(-x * x) * (1.0 + 1j * v), psi_axes)
+    d = tmp_path_factory.mktemp("good")
+    for name, field in (("real.fld", real), ("psi.fld", psi)):
+        write_field(field, d / name)
+    return [(d / name).read_bytes() for name in ("real.fld", "psi.fld")]
+
+
+def damage(draw, good: bytes) -> bytes:
+    how = draw(st.sampled_from(["truncate", "flip", "random tail", "random"]))
+    if how == "truncate":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    if how == "flip":
+        bit = draw(st.integers(0, 8 * len(good) - 1))
+        blob = bytearray(good)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        return bytes(blob)
+    if how == "random tail":
+        return good[: draw(st.integers(0, len(good)))] + draw(st.binary(min_size=1, max_size=64))
+    return draw(st.binary(max_size=256))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_damaged_files_raise_only_field_format_errors(tmp_path_factory, good_blobs, data):
+    good = data.draw(st.sampled_from(good_blobs))
+    blob = damage(data.draw, good)
+    # a fresh file per example: a field from an earlier example may still map its file
+    path = tmp_path_factory.mktemp("damaged") / "f.fld"
+    path.write_bytes(blob)
+    try:
+        field = read_field(path)
+    except FieldFormatError:
+        return
+    # a file that still reads has the good file's length: a flip (of a payload value or an axis bound, say)
+    # or a random tail that replaced as many bytes as it added
+    assert len(blob) == len(good) and isinstance(field, (RealField, ComplexField))
+
+
+def test_invalid_fields_behind_valid_headers_are_format_errors(tmp_path):
+    axes = (make_axis("x", 0.0, 1.0, 4), make_axis("v", 0.0, 1.0, 4))
+    path = tmp_path / "f.fld"
+    write_field(RealField(axes, np.arange(16.0).reshape(4, 4)), path)
+    good = path.read_bytes()
+    # axis 0 starts at byte 12 (1 + 1 + 24 bytes), so the second axis name is byte 39
+    assert good[38:40] == b"\x01v"
+    cases = {
+        "duplicate axis names": good[:39] + b"x" + good[40:],
+        "non-finite payload": good[:-8] + struct.pack("<d", float("nan")),
+        "infinite payload": good[:-8] + struct.pack("<d", float("-inf")),
+    }
+    for label, blob in cases.items():
+        with pytest.raises(FieldFormatError):
+            read_field(corrupt(tmp_path / f"{label.replace(' ', '-')}.fld", blob))
+    rank3 = tmp_path / "r3.fld"
+    write_field(RealField(axes + (make_axis("vdot", 0.0, 1.0, 4),), np.zeros((4, 4, 4))), rank3)
+    blob = rank3.read_bytes()
+    # complex payloads are rank 1 or 2 only
+    with pytest.raises(FieldFormatError):
+        read_field(corrupt(tmp_path / "c3.fld", blob[:8] + b"\x01" + blob[9:] + bytes(8 * 64)))
+
+
+def test_empty_file_is_a_format_error(tmp_path):
+    path = tmp_path / "empty.fld"
+    path.write_bytes(b"")
+    with pytest.raises(FieldFormatError):
+        read_field(path)
+
+
+def test_a_mapped_field_outlives_a_rewrite_of_its_file(tmp_path, monkeypatch):
+    path = tmp_path / "w.fld"
+    axes = (make_axis("x", -1.0, 1.0, 8), make_axis("v", -1.0, 1.0, 16))
+    first = RealField(axes, awkward_values((8, 16), seed=3))
+    write_field(first, path)
+    mapped = read_field(path)
+    # a smaller field: rewriting the mapped file in place would cut pages from under `mapped`
+    second = RealField(axes[:1], np.arange(8.0))
+    write_field(second, path)
+    assert mapped.data.tobytes() == first.data.tobytes()
+    assert read_field(path).data.tobytes() == second.data.tobytes()
+    assert os.listdir(tmp_path) == ["w.fld"]
+    with pytest.raises(OSError):
+        write_field(first, tmp_path / "missing" / "w.fld")
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_field(first, path)
+    assert os.listdir(tmp_path) == ["w.fld"]
+    assert read_field(path).data.tobytes() == second.data.tobytes()
 
 
 def test_parse_slice_spec():

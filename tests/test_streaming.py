@@ -336,7 +336,9 @@ def test_rank4_steps_hold_one_dense_field(session32, capsys, step):
     code, peak_mb = _traced_peak_mb(main, argv)
     assert code == 0, capsys.readouterr().err
     w_mb = 8 * 32**4 / 2**20
-    assert peak_mb <= 2 * w_mb, f"{step}: traced peak {peak_mb / w_mb:.2f} x W"
+    # W itself is a read-only file mapping, which tracemalloc does not see; wigner builds W in memory
+    limit = 2 if step == "wigner" else 1
+    assert peak_mb <= limit * w_mb, f"{step}: traced peak {peak_mb / w_mb:.2f} x W"
 
 
 def test_field_io_copies_nothing(session32):
@@ -347,7 +349,7 @@ def test_field_io_copies_nothing(session32):
     _, write_mb = _traced_peak_mb(write_field, field, path)
     back, read_mb = _traced_peak_mb(read_field, path)
     assert write_mb <= payload_mb + 1.0
-    assert read_mb <= payload_mb + 1.0
+    assert read_mb <= 1.0  # the payload views a read-only mapping of the file
     assert same_bits(back.data, field.data)
 
 
