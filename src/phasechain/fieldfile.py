@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -41,8 +42,9 @@ class FieldFormatError(OSError):
 def write_field(field, path):
     """Serialize a RealField or ComplexField; replaces an existing file.
 
-    The bytes go to a sibling temporary file that then replaces `path`, so a
-    field that `read_field` still maps keeps the old file's bytes.
+    The bytes go to a temporary file next to the target that then replaces
+    it, so a field that `read_field` still maps keeps the old file's bytes. A
+    symlinked `path` is followed, so its target is the file replaced.
     """
     if isinstance(field, ComplexField):
         dtype_code, cast = 1, "<c16"
@@ -57,7 +59,7 @@ def write_field(field, path):
         header.append(name)
         header.append(_AXIS_FIXED.pack(a.n, a.min, a.max))
     payload = np.ascontiguousarray(field.data).astype(cast, copy=False)
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL: never truncate a file of that name; mode 0o666 less the umask, as open(path, "wb")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -84,7 +86,10 @@ def read_field(path):
     nothing is copied; the mapping lives as long as the field's data.
     """
     with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses empty files
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise FieldFormatError("field files must be regular files (they are memory-mapped)")
+        if st.st_size == 0:  # mmap refuses empty files
             raise FieldFormatError("truncated field file while reading header")
         buf = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
     raw, off = _take(buf, 0, _HEADER.size, "header")

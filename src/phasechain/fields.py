@@ -263,54 +263,27 @@ def _band_matrix(n: int, coeffs: tuple[float, ...]) -> Array:
 _BLAS_MADDS = 1 << 18
 
 
-_SLAB_BYTES = 1 << 20
-
-
-def _x_slabs(data: Array, lo: int = 0, hi: int | None = None):
-    """Ranges covering [lo, hi) of axis 0 (default: all of it), each about 1 MiB of `data` (at least one row)."""
-    hi = data.shape[0] if hi is None else hi
-    rows = max(1, _SLAB_BYTES // data[0].nbytes)
-    return [(s, min(s + rows, hi)) for s in range(lo, hi, rows)]
-
-
 def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, power: int,
                               lo: int = 0, hi: int | None = None) -> Array:
     """Zero-extended central difference along one array axis, for output indices [lo, hi).
 
     The stencil is a banded matrix product along `axis`: rows [lo, hi) of the
     n x n weight matrix times the on-grid source nodes [lo - w, hi + w) of
-    `data`, read in place, so neither a halo nor a padded copy is made. Along
-    axis 0 of a field of rank 2 or more the output rows are taken in x-slabs,
-    each with its own band, so that a BLAS block never spans the whole field.
-    BLAS orders each sum its own way, so a result matches the zero-padded tap
-    sum within 4 (2w+1) eps sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
+    `data`, read in place, so neither a halo nor a padded copy is made. The
+    free dimensions are cut into batches of BLAS calls of at most
+    _BLAS_MADDS multiply-adds each. BLAS orders each sum its own way, so a
+    result matches the zero-padded tap sum within 4 (2w+1) eps
+    sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
     """
     n = data.shape[axis]
     hi = n if hi is None else hi
-    mat = _band_matrix(n, tuple(coeffs))
-    shape = list(data.shape)
-    shape[axis] = hi - lo
-    out = np.empty(shape, dtype=np.result_type(data, mat))
-    if axis == 0 and data.ndim > 1:
-        for s, e in _x_slabs(data, lo, hi):
-            _band_product(data, 0, mat, w, s, e, out[s - lo : e - lo])
-    else:
-        _band_product(data, axis, mat, w, lo, hi, out)
-    out /= h**power
-    return out
-
-
-def _band_product(data: Array, axis: int, mat: Array, w: int, lo: int, hi: int, out: Array):
-    """Rows [lo, hi) of the weight matrix `mat` times `data` along `axis`, into `out`.
-
-    The free dimensions are cut into batches of BLAS calls of at most
-    _BLAS_MADDS multiply-adds each.
-    """
-    n = data.shape[axis]
     a, b = max(lo - w, 0), min(hi + w, n)
-    band = mat[lo:hi, a:b]
+    band = _band_matrix(n, tuple(coeffs))[lo:hi, a:b]
     pre, post = math.prod(data.shape[:axis]), math.prod(data.shape[axis + 1 :])
     src = data.reshape(pre, n, post)[:, a:b]
+    shape = list(data.shape)
+    shape[axis] = hi - lo
+    out = np.empty(shape, dtype=np.result_type(data, band))
     dst = out.reshape(pre, hi - lo, post)
     per_call = max(1, _BLAS_MADDS // band.size)
     if post > 1:
@@ -332,6 +305,8 @@ def _band_product(data: Array, axis: int, mat: Array, w: int, lo: int, hi: int, 
         np.matmul(src[:cut].reshape(-1, step, b - a), band_t, out=dst[:cut].reshape(-1, step, hi - lo))
         if cut < pre:
             np.matmul(src[cut:], band_t, out=dst[cut:])
+    out /= h**power
+    return out
 
 
 def _max_abs(data: Array) -> float:
@@ -345,6 +320,16 @@ def _stencil(data: Array, k: int, step: float, power: int, scheme: StencilScheme
     h = scheme.h if scheme.h is not None else step
     return _apply_stencil_along_axis(data, k, stencil_coefficients(power, scheme.order),
                                      stencil_halfwidth(power, scheme.order), h, power, lo, hi)
+
+
+_SLAB_BYTES = 1 << 20
+
+
+def _x_slabs(data: Array):
+    """[lo, hi) ranges over axis 0, each holding about 1 MiB of `data` (at least one row)."""
+    n = data.shape[0]
+    rows = max(1, _SLAB_BYTES // data[0].nbytes)
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilScheme) -> RealField:

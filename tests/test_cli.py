@@ -245,6 +245,18 @@ def test_io_errors_exit_2(tmp_path, capsys, w4_path):
     assert capsys.readouterr().err.count("i/o error:") == 3
 
 
+def test_non_finite_payload_is_an_io_error(tmp_path, capsys):
+    axes = tuple(make_axis(n, -1.0, 1.0, 4) for n in ("x", "v", "vdot", "vddot"))
+    path = tmp_path / "nan.fld"
+    write_field(RealField(axes, np.zeros((4, 4, 4, 4))), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8] + np.float64(np.nan).tobytes())
+    # the reader rejects the file, so this is exit 2 (file i/o), not 1 (validation)
+    assert main(["marginal", "--in", str(path), "--axis", "vdot",
+                 "--out", str(tmp_path / "o.fld")]) == 2
+    assert "i/o error:" in capsys.readouterr().err
+
+
 def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["gen-ho", "--m", "-1.0", "--out", str(tmp_path / "x.fld")]) == 1
     # rank-4 commands demand canonical axes

@@ -227,6 +227,33 @@ def test_a_mapped_field_outlives_a_rewrite_of_its_file(tmp_path, monkeypatch):
     assert read_field(path).data.tobytes() == second.data.tobytes()
 
 
+def test_non_regular_files_are_format_errors():
+    r, w = os.pipe()
+    try:
+        # the write end stays open, so opening the read end does not block
+        with pytest.raises(FieldFormatError, match="regular files"):
+            read_field(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_write_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "data" / "w.fld"
+    target.parent.mkdir()
+    link = tmp_path / "w.fld"
+    link.symlink_to(target)
+    axes = (make_axis("x", -1.0, 1.0, 8),)
+    field = RealField(axes, awkward_values((8,), seed=5))
+    write_field(field, link)
+    assert link.is_symlink()
+    assert read_field(target).data.tobytes() == field.data.tobytes()
+    write_field(RealField(axes, np.arange(8.0)), link)
+    assert link.is_symlink()
+    assert read_field(link).data.tobytes() == np.arange(8.0).tobytes()
+    assert sorted(os.listdir(target.parent)) == ["w.fld"]
+
+
 def test_parse_slice_spec():
     assert parse_slice_spec("x=0.5,v=-1") == {"x": 0.5, "v": -1.0}
     assert list(parse_slice_spec("v=1,x=2")) == ["v", "x"]
