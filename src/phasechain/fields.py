@@ -9,6 +9,7 @@ or complex128, row major, last axis fastest.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -421,3 +422,127 @@ class PointwiseField:
         if len(coords) != self.rank:
             raise ValidationError(f"expected {self.rank} coordinate arrays, got {len(coords)}")
         return coords
+
+
+# ---------------------------------------------------------------------------
+# evaluation views
+#
+# moyal and vlasov write each equation once against a view: x-rows [lo, hi) of
+# a grid field (_GridView) or a pointwise field at given points (_PointView).
+# A view has `shape`, axis `names`, coord(name) (broadcastable to shape),
+# values() (never written into), d(**powers) (a fresh mixed partial, e.g.
+# d(vdot=1, vddot=3)), times(flux) (a view of field * flux, for a flux callable
+# on the coordinates or given by samples) and restrict(samples) (samples on the
+# whole support, cut to the view).
+
+def _add_product(out: Array, coef, d: Array):
+    """out += coef * d, multiplying the fresh derivative d in place instead of into a temporary."""
+    np.multiply(d, coef, out=d)
+    out += d
+
+
+class _GridView:
+    """x-rows [lo, hi) of a grid field.
+
+    Only d_x couples rows, and it reads its stencil-halfwidth neighbours in
+    place from the whole field, so d_x is never combined with another axis;
+    other axes chain last axis first. A view equals the same rows of the
+    whole-field evaluation within the stencil rounding bound.
+    """
+
+    def __init__(self, field: RealField, scheme: StencilScheme, lo: int, hi: int, rows: Array | None = None):
+        self.field, self.scheme, self.lo, self.hi = field, scheme, lo, hi
+        self.names = tuple(a.name for a in field.axes)
+        self._rows = field.data[lo:hi] if rows is None else rows
+        # a product from times has no neighbour rows for d_x
+        self._x_source = field.data if rows is None else None
+        self.shape = self._rows.shape
+
+    def coord(self, name: str) -> Array:
+        k = self.names.index(name)
+        pts = self.field.axes[k].points()
+        return (pts[self.lo:self.hi] if k == 0 else pts).reshape((-1,) + (1,) * (len(self.names) - 1 - k))
+
+    def values(self) -> Array:
+        return self._rows
+
+    def d(self, **powers) -> Array:
+        active = sorted(((self.names.index(n), p) for n, p in powers.items() if p), reverse=True)
+        if active[-1][0] == 0:
+            if len(active) > 1 or self._x_source is None:
+                raise ValidationError("a grid view takes d_x alone, and only of the field's own rows")
+            return _stencil(self._x_source, 0, self.field.axes[0].step, active[0][1], self.scheme, self.lo, self.hi)
+        out = self._rows
+        for k, p in active:
+            out = _stencil(out, k, self.field.axes[k].step, p, self.scheme)
+        return out
+
+    def times(self, flux) -> "_GridView":
+        flux = flux(*map(self.coord, self.names)) if callable(flux) else self.restrict(flux)
+        product = self._rows * flux
+        if not (np.isfinite(product.min()) and np.isfinite(product.max())):
+            raise ValidationError("field times flux contains non-finite values")
+        return _GridView(self.field, self.scheme, self.lo, self.hi, product)
+
+    def restrict(self, samples) -> Array:
+        return np.broadcast_to(samples, self.field.data.shape)[self.lo:self.hi]
+
+
+class _PointView:
+    """A pointwise field at given points, its coordinates named by axis_names."""
+
+    def __init__(self, field: PointwiseField, axis_names, points, scheme: StencilScheme):
+        self.field, self.names, self.scheme = field, tuple(axis_names), scheme
+        if points is None or len(points) != len(self.names):
+            raise ValidationError(f"pointwise mode needs {len(self.names)} coordinate arrays for axes {self.names}, "
+                                  f"got {'none' if points is None else len(points)}")
+        if field.rank != len(self.names):
+            raise ValidationError(f"pointwise field of rank {field.rank} cannot have axes {self.names}")
+        self.coords = tuple(np.asarray(c, dtype=np.float64) for c in points)
+        self.shape = np.broadcast(*self.coords).shape
+        self._values = None
+
+    def coord(self, name: str) -> Array:
+        return self.coords[self.names.index(name)]
+
+    def values(self) -> Array:
+        if self._values is None:
+            self._values = self.field.values(self.coords)
+        return self._values
+
+    def d(self, **powers) -> Array:
+        out = self.field.derivative(tuple(powers.get(n, 0) for n in self.names), self.coords, self.scheme)
+        # a stencil sum is made for this call; an exact rule may return an array it keeps
+        return out if self.field.exact_partial is None else np.broadcast_to(out, self.shape).copy()
+
+    def times(self, flux) -> "_PointView":
+        if not (callable(flux) or isinstance(flux, numbers.Real)):
+            raise ValidationError(f"a pointwise flux must be a callable or a real scalar, got {type(flux)!r}")
+        func, scale = self.field.func, flux if callable(flux) else lambda *coords: flux
+        product = PointwiseField(lambda *coords: func(*coords) * scale(*coords), self.field.rank)
+        return _PointView(product, self.names, self.coords, self.scheme)
+
+    def restrict(self, samples) -> Array:
+        return np.asarray(samples)
+
+
+def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
+    """body(view) on each x-slab of a grid field, assembled into one array of the field's shape."""
+    out = np.empty_like(field.data)
+    for lo, hi in _x_slabs(field.data):
+        out[lo:hi] = body(_GridView(field, scheme, lo, hi))
+    return out
+
+
+def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
+    """body at the points of a PointwiseField (an array), or on a grid field's x-slabs (a RealField)."""
+    if isinstance(field, PointwiseField):
+        return body(_PointView(field, axis_names, points, scheme))
+    _require_axes(field, axis_names)
+    return RealField._trusted(field.axes, _over_slabs(field, scheme, body))
+
+
+def _require_axes(field: RealField, axis_names):
+    names = tuple(a.name for a in field.axes)
+    if names != tuple(axis_names):
+        raise ValidationError(f"field must have axes {tuple(axis_names)}, got {names}")

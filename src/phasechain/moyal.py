@@ -24,11 +24,13 @@ import numpy as np
 from .fields import (
     Array,
     KINEMATIC_ORDER,
-    PointwiseField,
     RealField,
     StencilScheme,
     ValidationError,
-    _stencil,
+    _add_product,
+    _evaluate,
+    _GridView,
+    _require_axes,
     _x_slabs,
 )
 
@@ -36,6 +38,7 @@ __all__ = [
     "PolynomialPotential",
     "MoyalTerm",
     "build_term_table",
+    "closure_coefficients",
     "moyal_rhs",
     "transport_lhs",
     "moyal_residual",
@@ -65,10 +68,6 @@ class PolynomialPotential:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _canonical_terms(self.terms))
-
-    @classmethod
-    def from_dict(cls, mapping) -> "PolynomialPotential":
-        return cls(tuple((a, b, c) for (a, b), c in mapping.items()))
 
     @classmethod
     def from_text(cls, text: str) -> "PolynomialPotential":
@@ -154,6 +153,14 @@ class MoyalTerm:
         return 2 * self.l - self.n + 1
 
 
+def _coefficient(l: int, n: int, params) -> float:
+    """(1/m) (-1)^{n+l} (hbar2/2m)^{2l} / (n! (2l-n+1)!), the weight of series entry (l, n)."""
+    ratio = params.hbar2 / (2.0 * params.m)
+    return ((-1.0) ** (n + l)) * ratio ** (2 * l) / (
+        math.factorial(n) * math.factorial(2 * l - n + 1) * params.m
+    )
+
+
 def build_term_table(u: PolynomialPotential, params) -> tuple[MoyalTerm, ...]:
     """Enumerate the non-vanishing corrections for a polynomial potential.
 
@@ -164,100 +171,61 @@ def build_term_table(u: PolynomialPotential, params) -> tuple[MoyalTerm, ...]:
     if not isinstance(u, PolynomialPotential):
         raise ValidationError(f"expected PolynomialPotential, got {type(u)!r}")
     lmax = max((u.degree - 1) // 2, 0)
-    ratio = params.hbar2 / (2.0 * params.m)
     table = []
     for l in range(1, lmax + 1):
         for n in range(0, 2 * l + 2):
             du = u.derivative(dx=n, dv=2 * l - n + 1)
-            if du.is_zero:
-                continue
-            coeff = ((-1.0) ** (n + l)) * ratio ** (2 * l) / (
-                math.factorial(n) * math.factorial(2 * l - n + 1) * params.m
-            )
-            table.append(MoyalTerm(l, n, coeff, du))
+            if not du.is_zero:
+                table.append(MoyalTerm(l, n, _coefficient(l, n, params), du))
     return tuple(table)
 
 
-def _require_rank4(w4: RealField):
-    names = tuple(a.name for a in w4.axes)
-    if names != KINEMATIC_ORDER:
-        raise ValidationError(f"rank-4 field must have axes {KINEMATIC_ORDER}, got {names}")
+def closure_coefficients(u: PolynomialPotential, params, var: str) -> tuple[tuple[int, float, PolynomialPotential], ...]:
+    """(l, coeff, d^{2l+1}U/dvar^{2l+1}) for the non-vanishing terms of a closure series.
 
-
-def _xv_mesh(w4: RealField):
-    x = w4.axes[0].points()[:, None, None, None]
-    v = w4.axes[1].points()[None, :, None, None]
-    return x, v
-
-
-def _add_product(out: Array, coef: Array, d: Array):
-    """out += coef * d, multiplying the fresh derivative d in place instead of into a temporary."""
-    np.multiply(d, coef, out=d)
-    out += d
-
-
-class _GridRows:
-    """Transport part and correction series of a grid W, evaluated on x-rows [lo, hi).
-
-    Only d_x couples rows; it reads its stencil-halfwidth neighbours straight
-    from W, so a slab costs a few slab-sized temporaries. Coefficient arrays
-    are built once on the whole (x, v) grid and sliced, and each derivative is
-    multiplied by its coefficient in place. A slab equals the same rows of the
-    zero-padded tap-sum evaluation within the stencil rounding bound (see
-    fields._apply_stencil_along_axis), whatever the slab height.
+    coeff = (-1)^l (hbar2/2m)^{2l} / (m (2l+1)!) is the n = 0 weight of the
+    correction series, and l runs from 0 to floor((deg_var U - 1)/2). var 'x'
+    gives the mean-flux closures, var 'v' the correction series of the
+    (x, v, vdot) chain member.
     """
-
-    def __init__(self, w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, dt_term=None):
-        _require_rank4(w4)
-        m = params.m
-        x, v = _xv_mesh(w4)
-        vddot = w4.axes[3].points()[None, None, None, :]
-        self.w4, self.scheme = w4, scheme
-        self.steps = [a.step for a in w4.axes]
-        self.v = v
-        self.vdot = w4.axes[2].points()[None, None, :, None]
-        self.drift = vddot - u.derivative(dv=1)(x, v) / m
-        self.force = u.derivative(dx=1)(x, v) / m
-        self.dt = None if dt_term is None else np.broadcast_to(np.asarray(dt_term, dtype=np.float64),
-                                                               w4.data.shape)
-        self.series_terms = [(term, term.coeff * term.du(x, v)) for term in build_term_table(u, params)]
-
-    def _d(self, data: Array, k: int, power: int, lo: int = 0, hi: int | None = None) -> Array:
-        return _stencil(data, k, self.steps[k], power, self.scheme, lo, hi)
-
-    def transport(self, lo: int, hi: int) -> Array:
-        rows = self.w4.data[lo:hi]
-        out = np.zeros(rows.shape)
-        if self.dt is not None:
-            out += self.dt[lo:hi]
-        _add_product(out, self.v, self._d(self.w4.data, 0, 1, lo, hi))
-        _add_product(out, self.vdot, self._d(rows, 1, 1))
-        _add_product(out, self.drift[lo:hi], self._d(rows, 2, 1))
-        _add_product(out, self.force[lo:hi], self._d(rows, 3, 1))
-        return out
-
-    def series(self, lo: int, hi: int) -> Array:
-        rows = self.w4.data[lo:hi]
-        out = np.zeros(rows.shape)
-        for term, coeff in self.series_terms:
-            dw = self._d(rows, 3, term.vddot_power) if term.vddot_power else rows
-            if term.vdot_power:
-                dw = self._d(dw, 2, term.vdot_power)
-            _add_product(out, coeff[lo:hi], dw)
-        return out
-
-    def residual(self, lo: int, hi: int) -> Array:
-        out = self.transport(lo, hi)
-        out -= self.series(lo, hi)
-        return out
+    if not isinstance(u, PolynomialPotential):
+        raise ValidationError(f"expected PolynomialPotential, got {type(u)!r}")
+    if var not in ("x", "v"):
+        raise ValidationError(f"closure series run along 'x' or 'v', got {var!r}")
+    terms = []
+    for l in range(max((u.degree_in(var) - 1) // 2, 0) + 1):
+        du = u.derivative(**{"d" + var: 2 * l + 1})
+        if not du.is_zero:
+            terms.append((l, _coefficient(l, 0, params), du))
+    return tuple(terms)
 
 
-def _fill(w4: RealField, rows_fn) -> RealField:
-    """Dense field assembled from rows_fn(lo, hi) over the x-slabs of w4."""
-    out = np.empty_like(w4.data)
-    for lo, hi in _x_slabs(w4.data):
-        out[lo:hi] = rows_fn(lo, hi)
-    return RealField._trusted(w4.axes, out)
+def _transport(view, u: PolynomialPotential, params, dt_term) -> Array:
+    """[d_t + v d_x + vdot d_v + (vddot - (1/m) dU/dv) d_vdot + (1/m) dU/dx d_vddot] W on a view."""
+    x, v = view.coord("x"), view.coord("v")
+    out = np.zeros(view.shape)
+    if dt_term is not None:
+        out += view.restrict(dt_term)
+    _add_product(out, v, view.d(x=1))
+    _add_product(out, view.coord("vdot"), view.d(v=1))
+    _add_product(out, view.coord("vddot") - u.derivative(dv=1)(x, v) / params.m, view.d(vdot=1))
+    _add_product(out, u.derivative(dx=1)(x, v) / params.m, view.d(vddot=1))
+    return out
+
+
+def _series(view, table) -> Array:
+    """The correction series of the module docstring on a view, from build_term_table."""
+    x, v = view.coord("x"), view.coord("v")
+    out = np.zeros(view.shape)
+    for term in table:
+        _add_product(out, term.coeff * term.du(x, v), view.d(vdot=term.vdot_power, vddot=term.vddot_power))
+    return out
+
+
+def _residual(view, u: PolynomialPotential, params, table, dt_term) -> Array:
+    out = _transport(view, u, params, dt_term)
+    out -= _series(view, table)
+    return out
 
 
 def moyal_rhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *, points=None):
@@ -277,16 +245,7 @@ def moyal_rhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *, poin
     RealField in grid mode, ndarray of values at `points` otherwise.
     """
     table = build_term_table(u, params)
-    if isinstance(w4, PointwiseField):
-        if points is None:
-            raise ValidationError("pointwise mode needs points=(x, v, vdot, vddot)")
-        x, v = np.asarray(points[0]), np.asarray(points[1])
-        out = np.zeros(np.broadcast(*points).shape, dtype=np.float64)
-        for term in table:
-            dw = w4.derivative((0, 0, term.vdot_power, term.vddot_power), points, scheme)
-            out += term.coeff * term.du(x, v) * dw
-        return out
-    return _fill(w4, _GridRows(w4, u, params, scheme).series)
+    return _evaluate(w4, KINEMATIC_ORDER, scheme, points, lambda view: _series(view, table))
 
 
 def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
@@ -296,22 +255,7 @@ def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
     dt_term, when given, supplies d_t W on the same support (grid array or
     values at `points`); stationary fields omit it.
     """
-    if isinstance(w4, PointwiseField):
-        if points is None:
-            raise ValidationError("pointwise mode needs points=(x, v, vdot, vddot)")
-        m = params.m
-        du_dx = u.derivative(dx=1)
-        du_dv = u.derivative(dv=1)
-        x, v, vdot, vddot = (np.asarray(c, dtype=np.float64) for c in points)
-        out = np.zeros(np.broadcast(*points).shape, dtype=np.float64)
-        if dt_term is not None:
-            out += np.asarray(dt_term, dtype=np.float64)
-        out += v * w4.derivative((1, 0, 0, 0), points, scheme)
-        out += vdot * w4.derivative((0, 1, 0, 0), points, scheme)
-        out += (vddot - du_dv(x, v) / m) * w4.derivative((0, 0, 1, 0), points, scheme)
-        out += (du_dx(x, v) / m) * w4.derivative((0, 0, 0, 1), points, scheme)
-        return out
-    return _fill(w4, _GridRows(w4, u, params, scheme, dt_term).transport)
+    return _evaluate(w4, KINEMATIC_ORDER, scheme, points, lambda view: _transport(view, u, params, dt_term))
 
 
 def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, *,
@@ -322,15 +266,15 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     rounding bound, so a caller can reduce the residual (its max, say) without
     a second dense field. The slab height is set from the field's row size.
     """
-    rows = _GridRows(w4, u, params, scheme, dt_term)
+    _require_axes(w4, KINEMATIC_ORDER)
+    table = build_term_table(u, params)
     for lo, hi in _x_slabs(w4.data):
-        yield lo, hi, rows.residual(lo, hi)
+        yield lo, hi, _residual(_GridView(w4, scheme, lo, hi), u, params, table, dt_term)
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
                    points=None, dt_term=None):
     """Transport part minus correction series; zero for an exact solution."""
-    if isinstance(w4, PointwiseField):
-        lhs = transport_lhs(w4, u, params, scheme, points=points, dt_term=dt_term)
-        return lhs - moyal_rhs(w4, u, params, scheme, points=points)
-    return _fill(w4, _GridRows(w4, u, params, scheme, dt_term).residual)
+    table = build_term_table(u, params)
+    return _evaluate(w4, KINEMATIC_ORDER, scheme, points,
+                     lambda view: _residual(view, u, params, table, dt_term))

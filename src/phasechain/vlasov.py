@@ -17,26 +17,31 @@ implemented and compared in the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (
     Array,
+    KINEMATIC_ORDER,
     NumericError,
     PointwiseField,
     RealField,
     StencilScheme,
     ValidationError,
+    _add_product,
+    _evaluate,
+    _GridView,
     _max_abs,
-    _stencil,
+    _over_slabs,
+    _PointView,
+    _require_axes,
     _x_slabs,
     integrate_axis,
     partial_derivative,
     stencil_halfwidth,
 )
-from .moyal import PolynomialPotential
+from .moyal import PolynomialPotential, closure_coefficients
 
 __all__ = [
     "FluxField",
@@ -59,7 +64,13 @@ MOMENT_KINDS = {
     "12-vel": ("vdot", ("vddot",)),
 }
 
-RESIDUAL_KINDS = ("chain4", "w123", "w124", "w12")
+MEMBERS = {
+    # residual kind -> (the member's axes, the axes whose mean flux closes its equation)
+    "chain4": (KINEMATIC_ORDER, ("vddot",)),
+    "w123": (("x", "v", "vdot"), ("vdot",)),
+    "w124": (("x", "v", "vddot"), ("v", "vddot")),
+    "w12": (("x", "v"), ("v",)),
+}
 
 
 @dataclass(frozen=True)
@@ -141,97 +152,70 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
     return _flux_field(which, field.axes[:k] + field.axes[k + 1 :], num, den, mask_threshold)
 
 
-def _series_lmax(u: PolynomialPotential, var: str) -> int:
-    return max((u.degree_in(var) - 1) // 2, 0)
-
-
-def _check_positive(f_data: Array, mask: Array, what: str):
-    bad = mask & (f_data <= 0.0)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise NumericError(f"{what}: density not strictly positive inside mask, first offender at index {idx}")
-
-
-def _closure_series(f, u, params, scheme, axis_name, coeff_sign, points, mask_threshold, kind):
-    """Shared body for the two closure series; differs only in signs and axes."""
-    _check_mask_threshold(mask_threshold)
-    m, hbar2 = params.m, params.hbar2
-    ratio2 = (hbar2 / (2.0 * m)) ** 2
-    lmax = _series_lmax(u, "x")
-    if isinstance(f, PointwiseField):
-        if points is None:
-            raise ValidationError("pointwise mode needs evaluation points")
-        coords = tuple(np.asarray(c, dtype=np.float64) for c in points)
-        x, v = coords[0], (coords[1] if f.rank > 1 else 0.0)
-        fvals = f.values(coords)
-        if np.any(fvals <= 0.0):
-            raise NumericError(f"{kind}: density not strictly positive at the evaluation points")
-        out = np.zeros(np.broadcast(*coords).shape, dtype=np.float64)
-        for l in range(lmax + 1):
-            du = u.derivative(dx=2 * l + 1)
-            if du.is_zero:
-                continue
-            c = coeff_sign(l) * ratio2**l / (m * math.factorial(2 * l + 1))
-            if l == 0:
-                out += c * du(x, v)
-            else:
-                powers = [0] * f.rank
-                powers[-1] = 2 * l
-                out += c * du(x, v) * f.derivative(tuple(powers), coords, scheme) / fvals
-        return out
-    k = f.axis_index(axis_name)
-    mask = _support_mask(f.data, mask_threshold)
-    _check_positive(f.data, mask, kind)
-    xs = f.axes[0].points().reshape((-1,) + (1,) * (f.rank - 1))
-    vi = f.axis_index("v") if any(a.name == "v" for a in f.axes) else None
-    vs = 0.0 if vi is None else f.axes[vi].points().reshape((-1,) + (1,) * (f.rank - 1 - vi))
-    out = np.zeros_like(f.data)
-    for l in range(lmax + 1):
-        du = u.derivative(dx=2 * l + 1)
-        if du.is_zero:
-            continue
-        c = coeff_sign(l) * ratio2**l / (m * math.factorial(2 * l + 1))
+def _closure_series(view, terms, axis: str, mask=True) -> Array:
+    """The closure series on a view, where mask holds: sum over terms (l, c, dU) of c dU (1/f) d^{2l}f/d axis^{2l}."""
+    x, v = view.coord("x"), view.coord("v")
+    out = np.zeros(view.shape)
+    for l, c, du in terms:
         if l == 0:
-            out += c * du(xs, vs)
+            out += c * du(x, v)
         else:
-            dfl = partial_derivative(f, axis_name, 2 * l, scheme).data
-            term = np.zeros_like(out)
-            np.divide(dfl, f.data, out=term, where=mask)
-            out += c * du(xs, vs) * term
+            dfl = view.d(**{axis: 2 * l})
+            np.divide(dfl, view.values(), out=dfl, where=mask)
+            _add_product(out, c * du(x, v), dfl)
+    return out
+
+
+def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
+    """A closure series on a grid density (a FluxField) or at the points of a pointwise one (an array).
+
+    members maps the density's rank to (flux kind, axes).
+    """
+    _check_mask_threshold(mask_threshold)
+    if f.rank not in members:
+        choices = " or ".join(str(axes) for _, axes in members.values())
+        raise ValidationError(f"closure along {axis} needs axes {choices}, got rank {f.rank}")
+    kind, axes = members[f.rank]
+    scheme = StencilScheme() if scheme is None else scheme
+    if isinstance(f, PointwiseField):
+        view = _PointView(f, axes, points, scheme)
+        density, mask = view.values(), True
+    else:
+        _require_axes(f, axes)
+        density, mask = f.data, _support_mask(f.data, mask_threshold)
+    bad = np.argwhere(mask & (density <= 0.0))
+    if len(bad):
+        raise NumericError(f"{kind}: density not strictly positive where the closure is evaluated, "
+                           f"first offender at index {tuple(int(i) for i in bad[0])}")
+    if isinstance(f, PointwiseField):
+        return _closure_series(view, terms, axis)
+    out = _over_slabs(f, scheme, lambda view: _closure_series(view, terms, axis, view.restrict(mask)))
     out[~mask] = 0.0
     return FluxField(kind, RealField._trusted(f.axes, out), mask, mask_threshold)
 
 
 def vlasov_moyal_accel_flux(f, u: PolynomialPotential, params, scheme: StencilScheme | None = None, *,
                             points=None, mask_threshold: float = DEFAULT_MASK_THRESHOLD):
-    """Series closure for the mean vddot flux of a rank-4 or (x, v, vddot) field.
+    """Series closure for the mean vddot flux of a rank-4 or (x, v, vddot) density.
 
-    In grid mode f's derivative axis is 'vddot' and the result is a FluxField
-    on the same axes. In pointwise mode f's last coordinate is the vddot
-    direction and flux values at `points` are returned.
+    f is a RealField on (x, v, vdot, vddot) or (x, v, vddot), and the result
+    is a FluxField on the same axes; or f is a PointwiseField of rank 4 or 3
+    with those coordinates, and the flux values at `points` are returned.
     """
-    if scheme is None:
-        scheme = StencilScheme()
-    if isinstance(f, RealField) and all(a.name != "vddot" for a in f.axes):
-        raise ValidationError("acceleration closure needs a vddot axis")
-    kind = "1234-accel" if f.rank == 4 else "124-accel"
-    return _closure_series(f, u, params, scheme, "vddot", lambda l: (-1.0) ** l,
-                           points, mask_threshold, kind)
+    members = {4: ("1234-accel", MEMBERS["chain4"][0]), 3: ("124-accel", MEMBERS["w124"][0])}
+    return _closure_flux(f, members, closure_coefficients(u, params, "x"), "vddot", scheme, points, mask_threshold)
 
 
 def vlasov_moyal_velocity_flux(f12, u1: PolynomialPotential, params, scheme: StencilScheme | None = None, *,
                                points=None, mask_threshold: float = DEFAULT_MASK_THRESHOLD):
-    """Series closure for the mean vdot flux of a reduced (x, v) density."""
+    """Series closure for the mean vdot flux of an (x, v) density: a RealField, or a rank-2 PointwiseField.
+
+    Its terms are -1 times those of the acceleration closure.
+    """
     if not u1.v_independent:
         raise ValidationError("velocity closure needs a velocity-independent potential U1(x)")
-    if scheme is None:
-        scheme = StencilScheme()
-    if isinstance(f12, RealField):
-        names = tuple(a.name for a in f12.axes)
-        if names != ("x", "v"):
-            raise ValidationError(f"velocity closure needs axes ('x', 'v'), got {names}")
-    return _closure_series(f12, u1, params, scheme, "v", lambda l: (-1.0) ** (l + 1),
-                           points, mask_threshold, "12-vel")
+    terms = tuple((l, -c, du) for l, c, du in closure_coefficients(u1, params, "x"))
+    return _closure_flux(f12, {2: ("12-vel", MEMBERS["w12"][0])}, terms, "v", scheme, points, mask_threshold)
 
 
 def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None = None,
@@ -244,32 +228,20 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
     division by w4 occurs in the numerator. Both integrals are accumulated
     one x-slab at a time.
     """
-    if scheme is None:
-        scheme = StencilScheme()
+    scheme = StencilScheme() if scheme is None else scheme
     _check_mask_threshold(mask_threshold)
-    names = tuple(a.name for a in w4.axes)
-    if names != ("x", "v", "vdot", "vddot"):
-        raise ValidationError(f"integral flux route needs the canonical rank-4 axes, got {names}")
-    m, hbar2 = params.m, params.hbar2
-    ratio2 = (hbar2 / (2.0 * m)) ** 2
-    xs = w4.axes[0].points()[:, None, None, None]
-    vs = w4.axes[1].points()[None, :, None, None]
-    terms = []
-    for l in range(_series_lmax(u, "x") + 1):
-        du = u.derivative(dx=2 * l + 1)
-        if du.is_zero:
-            continue
-        c = ((-1.0) ** l) * ratio2**l / (m * math.factorial(2 * l + 1))
-        terms.append((l, c * du(xs, vs)))
-    scale = m * w4.axes[2].step
+    _require_axes(w4, KINEMATIC_ORDER)
+    xs, vs = w4.mesh()[:2]
+    terms = [(l, c * du(xs, vs)) for l, c, du in closure_coefficients(u, params, "x")]
+    scale = params.m * w4.axes[2].step
     shape = w4.data.shape[:2] + w4.data.shape[3:]
     num, den = np.empty(shape), np.empty(shape)
     for lo, hi in _x_slabs(w4.data):
-        rows = w4.data[lo:hi]
+        view = _GridView(w4, scheme, lo, hi)
+        rows = view.values()
         product = np.zeros_like(rows)
         for l, coeff in terms:
-            dfl = rows if l == 0 else _stencil(rows, 3, w4.axes[3].step, 2 * l, scheme)
-            product += coeff[lo:hi] * dfl
+            product += coeff[lo:hi] * (view.d(vddot=2 * l) if l else rows)
         num[lo:hi] = product.sum(axis=2) * scale
         den[lo:hi] = rows.sum(axis=2) * scale
     return _flux_field("124-accel", w4.axes[:2] + w4.axes[3:], num, den, mask_threshold)
@@ -278,35 +250,36 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
 # ---------------------------------------------------------------------------
 # continuity residuals
 
+def _flux_samples(flux):
+    """The samples of a FluxField or RealField flux; arrays, scalars and callables pass through."""
+    flux = flux.values if isinstance(flux, FluxField) else flux
+    return flux.data if isinstance(flux, RealField) else flux
+
+
 def _flux_values_grid(flux, field: RealField) -> Array:
-    if isinstance(flux, FluxField):
-        return flux.values.data
-    if isinstance(flux, RealField):
-        return flux.data
-    if callable(flux):
-        return np.asarray(flux(*field.mesh()), dtype=np.float64)
-    return np.asarray(flux, dtype=np.float64)
+    flux = _flux_samples(flux)
+    return np.asarray(flux(*field.mesh()) if callable(flux) else flux, dtype=np.float64)
 
 
-def _flux_callable(flux):
-    if callable(flux):
-        return flux
-    val = float(flux)
-    return lambda *coords: np.full(np.broadcast(*coords).shape, val)
+def _continuity(view, fluxes=(), series=(), dt_term=None) -> Array:
+    """d_t f + sum_(a, b) b d_a f + sum_a d_a (flux_a f) - series on a view.
 
-
-def _axis_coord(field: RealField, name: str) -> Array:
-    k = field.axis_index(name)
-    return field.axes[k].points().reshape((-1,) + (1,) * (field.rank - 1 - k))
-
-
-def _expected_axes(kind: str) -> tuple[str, ...]:
-    return {
-        "chain4": ("x", "v", "vdot", "vddot"),
-        "w123": ("x", "v", "vdot"),
-        "w124": ("x", "v", "vddot"),
-        "w12": ("x", "v"),
-    }[kind]
+    (a, b) runs over the consecutive kinematic pairs of the view's axes; fluxes
+    holds (axis, flux) pairs and series the w123 terms (l, c, dU/dv) from
+    closure_coefficients, each subtracted as c dU d_vdot^{2l+1} f.
+    """
+    out = np.zeros(view.shape)
+    if dt_term is not None:
+        out += view.restrict(dt_term)
+    for a, b in zip(KINEMATIC_ORDER, KINEMATIC_ORDER[1:]):
+        if a in view.names and b in view.names:
+            _add_product(out, view.coord(b), view.d(**{a: 1}))
+    for axis, flux in fluxes:
+        out += view.times(flux).d(**{axis: 1})
+    x, v = view.coord("x"), view.coord("v")
+    for l, c, du in series:
+        _add_product(out, -c * du(x, v), view.d(vdot=2 * l + 1))
+    return out
 
 
 def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: PolynomialPotential | None = None, *,
@@ -319,104 +292,25 @@ def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: Poly
     f : RealField on the member's canonical axes, or PointwiseField with the
         same coordinate order (then `points` is required).
     fluxes : mapping from divergence axis name to the closing flux (FluxField,
-        RealField, ndarray, scalar, or callable on the member's coordinates).
+        RealField, ndarray, scalar, or callable on the member's coordinates;
+        pointwise mode takes scalars and callables).
         chain4 needs {'vddot'}, w123 {'vdot'}, w124 {'v', 'vddot'}, w12 {'v'}.
     u : potential; required for 'w123', whose correction series
         sum_l (-1)^l (hbar2/2m)^{2l} / (m (2l+1)!) d_v^{2l+1}U d_vdot^{2l+1}W
         is subtracted from the transport side.
     dt_term : optional time-derivative samples for non-stationary fields.
     """
-    if kind not in RESIDUAL_KINDS:
-        raise ValidationError(f"unknown residual kind {kind!r}; expected one of {RESIDUAL_KINDS}")
+    if kind not in MEMBERS:
+        raise ValidationError(f"unknown residual kind {kind!r}; expected one of {tuple(MEMBERS)}")
     if kind == "w123" and u is None:
         raise ValidationError("'w123' residual needs the potential for its correction series")
-    names = _expected_axes(kind)
-    missing = [a for a in _required_flux_axes(kind) if a not in fluxes]
+    axes, flux_axes = MEMBERS[kind]
+    missing = [a for a in flux_axes if a not in fluxes]
     if missing:
         raise ValidationError(f"{kind}: missing fluxes for axes {missing}")
-    if isinstance(f, PointwiseField):
-        if points is None:
-            raise ValidationError("pointwise mode needs evaluation points")
-        return _residual_pointwise(kind, f, fluxes, params, scheme, u, points, dt_term)
-    got = tuple(a.name for a in f.axes)
-    if got != names:
-        raise ValidationError(f"{kind}: expected axes {names}, got {got}")
-    out = np.zeros_like(f.data)
-    if dt_term is not None:
-        out += np.asarray(dt_term, dtype=np.float64)
-    out += _axis_coord(f, "v") * partial_derivative(f, "x", 1, scheme).data
-    if kind in ("chain4", "w123"):
-        out += _axis_coord(f, "vdot") * partial_derivative(f, "v", 1, scheme).data
-    if kind == "chain4":
-        out += _axis_coord(f, "vddot") * partial_derivative(f, "vdot", 1, scheme).data
-    for axis in _required_flux_axes(kind):
-        g = f.with_data(f.data * _flux_values_grid(fluxes[axis], f))
-        out += partial_derivative(g, axis, 1, scheme).data
-    if kind == "w123":
-        out -= _w123_series_grid(f, u, params, scheme)
-    return RealField._trusted(f.axes, out)
-
-
-def _required_flux_axes(kind: str) -> tuple[str, ...]:
-    return {
-        "chain4": ("vddot",),
-        "w123": ("vdot",),
-        "w124": ("v", "vddot"),
-        "w12": ("v",),
-    }[kind]
-
-
-def _w123_series_grid(f: RealField, u: PolynomialPotential, params, scheme) -> Array:
-    m, hbar2 = params.m, params.hbar2
-    ratio2 = (hbar2 / (2.0 * m)) ** 2
-    xs = _axis_coord(f, "x")
-    vs = _axis_coord(f, "v")
-    out = np.zeros_like(f.data)
-    for l in range(_series_lmax(u, "v") + 1):
-        du = u.derivative(dv=2 * l + 1)
-        if du.is_zero:
-            continue
-        c = ((-1.0) ** l) * ratio2**l / (m * math.factorial(2 * l + 1))
-        out += c * du(xs, vs) * partial_derivative(f, "vdot", 2 * l + 1, scheme).data
-    return out
-
-
-def _residual_pointwise(kind, f, fluxes, params, scheme, u, points, dt_term):
-    names = _expected_axes(kind)
-    if f.rank != len(names):
-        raise ValidationError(f"{kind}: pointwise field rank {f.rank} != {len(names)}")
-    coords = tuple(np.asarray(c, dtype=np.float64) for c in points)
-    pos = {name: i for i, name in enumerate(names)}
-    out = np.zeros(np.broadcast(*coords).shape, dtype=np.float64)
-    if dt_term is not None:
-        out += np.asarray(dt_term, dtype=np.float64)
-
-    def d1(pf, axis_name):
-        powers = [0] * len(names)
-        powers[pos[axis_name]] = 1
-        return pf.derivative(tuple(powers), coords, scheme)
-
-    out += coords[pos["v"]] * d1(f, "x")
-    if kind in ("chain4", "w123"):
-        out += coords[pos["vdot"]] * d1(f, "v")
-    if kind == "chain4":
-        out += coords[pos["vddot"]] * d1(f, "vdot")
-    for axis in _required_flux_axes(kind):
-        flux_fn = _flux_callable(fluxes[axis])
-        product = PointwiseField(lambda *c, _fn=flux_fn: f.func(*c) * _fn(*c), f.rank)
-        out += d1(product, axis)
-    if kind == "w123":
-        m, hbar2 = params.m, params.hbar2
-        ratio2 = (hbar2 / (2.0 * m)) ** 2
-        x, v = coords[0], coords[1]
-        for l in range(_series_lmax(u, "v") + 1):
-            du = u.derivative(dv=2 * l + 1)
-            if du.is_zero:
-                continue
-            c = ((-1.0) ** l) * ratio2**l / (m * math.factorial(2 * l + 1))
-            powers = [0, 0, 2 * l + 1]
-            out -= c * du(x, v) * f.derivative(tuple(powers), coords, scheme)
-    return out
+    closing = [(a, _flux_samples(fluxes[a])) for a in flux_axes]
+    series = closure_coefficients(u, params, "v") if kind == "w123" else ()
+    return _evaluate(f, axes, scheme, points, lambda view: _continuity(view, closing, series, dt_term))
 
 
 # ---------------------------------------------------------------------------
@@ -436,38 +330,26 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     if not u1.v_independent:
         raise ValidationError("closure equivalence is defined for U1(x) only")
     _check_mask_threshold(mask_threshold)
-    names = tuple(a.name for a in f4.axes)
-    if names != ("x", "v", "vdot", "vddot"):
-        raise ValidationError(f"expected canonical rank-4 axes, got {names}")
-    m, hbar2 = params.m, params.hbar2
-    ratio2 = (hbar2 / (2.0 * m)) ** 2
-    lmax = _series_lmax(u1, "x")
+    _require_axes(f4, KINEMATIC_ORDER)
+    terms = closure_coefficients(u1, params, "x")
 
     def d1(arr):
         return partial_derivative(f4.with_data(arr), "vddot", 1, scheme).data
 
     derivs = [f4.data]
-    for _ in range(2 * lmax + 1):
+    for _ in range(2 * max((l for l, _, _ in terms), default=0) + 1):
         derivs.append(d1(derivs[-1]))
-    xs = _axis_coord(f4, "x")
-    transport = (
-        _axis_coord(f4, "v") * partial_derivative(f4, "x", 1, scheme).data
-        + _axis_coord(f4, "vdot") * partial_derivative(f4, "v", 1, scheme).data
-        + _axis_coord(f4, "vddot") * partial_derivative(f4, "vdot", 1, scheme).data
-    )
-    coeff = [((-1.0) ** l) * ratio2**l / (m * math.factorial(2 * l + 1)) for l in range(lmax + 1)]
-    dus = [u1.derivative(dx=2 * l + 1) for l in range(lmax + 1)]
+    xs = f4.mesh()[0]
+    transport = _over_slabs(f4, scheme, _continuity)
     # side A: transport + d_vddot( sum_l c_l U^(2l+1) d^{2l} f )
-    flux_times_f = np.zeros_like(f4.data)
-    for l in range(lmax + 1):
-        if not dus[l].is_zero:
-            flux_times_f += coeff[l] * dus[l](xs) * derivs[2 * l]
-    side_a = transport + d1(flux_times_f)
     # side B: transport + force term - correction series
+    flux_times_f = np.zeros_like(f4.data)
     side_b = transport.copy()
-    for l in range(lmax + 1):
-        if not dus[l].is_zero:
-            side_b += coeff[l] * dus[l](xs) * derivs[2 * l + 1]
+    for l, c, du in terms:
+        coeff = c * du(xs)
+        flux_times_f += coeff * derivs[2 * l]
+        side_b += coeff * derivs[2 * l + 1]
+    side_a = transport + d1(flux_times_f)
     mask = _support_mask(f4.data, mask_threshold)
     scale = max(float(np.abs(side_a[mask]).max()), float(np.abs(side_b[mask]).max()), np.finfo(float).tiny)
     return float(np.abs((side_a - side_b)[mask]).max()) / scale
@@ -558,10 +440,10 @@ def dissipation_report(w12: RealField, w124: RealField, fluxes, params, scheme: 
         return res, valid
 
     pi12, valid12 = entropy_residual(
-        w12, ((_axis_coord(w12, "v"), "x"), (vel12, "v")), ("x", "v"))
+        w12, ((w12.mesh()[w12.axis_index("v")], "x"), (vel12, "v")), ("x", "v"))
     pi124, valid124 = entropy_residual(
         w124,
-        ((_axis_coord(w124, "v"), "x"), (vel124, "v"), (acc124, "vddot")),
+        ((w124.mesh()[w124.axis_index("v")], "x"), (vel124, "v"), (acc124, "vddot")),
         ("x", "v", "vddot"))
     res12 = pi12 + q2_12.data
     res124 = pi124 + q2_124.data + q4_124.data

@@ -142,6 +142,15 @@ def moyal_series_xonly(u1_expr: sp.Expr, w_expr: sp.Expr, m: float, hbar2: float
     return lambdify_field(total, RANK4)
 
 
+def closure_coefficient(l: int, m: float, hbar2: float) -> sp.Expr:
+    """(-1)^l (hbar2/2m)^{2l} / (m (2l+1)!), the weight of term l of the closure series."""
+    return (
+        sp.Integer(-1) ** l
+        * (sp.Float(hbar2) / (2 * sp.Float(m))) ** (2 * l)
+        / (sp.Float(m) * sp.factorial(2 * l + 1))
+    )
+
+
 def accel_closure_series(u_expr: sp.Expr, f_expr: sp.Expr, symbols, m: float, hbar2: float):
     """Mean acceleration closure on a member with a vddot axis (last symbol):
 
@@ -153,12 +162,7 @@ def accel_closure_series(u_expr: sp.Expr, f_expr: sp.Expr, symbols, m: float, hb
         du = sp.diff(u_expr, X, 2 * l + 1)
         if du == 0:
             continue
-        coeff = (
-            sp.Integer(-1) ** l
-            * (sp.Float(hbar2) / (2 * sp.Float(m))) ** (2 * l)
-            / (sp.Float(m) * sp.factorial(2 * l + 1))
-        )
-        total += coeff * du * sp.diff(f_expr, symbols[-1], 2 * l) / f_expr
+        total += closure_coefficient(l, m, hbar2) * du * sp.diff(f_expr, symbols[-1], 2 * l) / f_expr
     return lambdify_field(total, symbols)
 
 
@@ -175,12 +179,7 @@ def velocity_closure_series(u1_expr: sp.Expr, f_expr: sp.Expr, m: float, hbar2: 
         du = sp.diff(u1_expr, X, 2 * l + 1)
         if du == 0:
             continue
-        coeff = (
-            sp.Integer(-1) ** (l + 1)
-            * (sp.Float(hbar2) / (2 * sp.Float(m))) ** (2 * l)
-            / (sp.Float(m) * sp.factorial(2 * l + 1))
-        )
-        total += coeff * du * sp.diff(f_expr, V, 2 * l) / f_expr
+        total -= closure_coefficient(l, m, hbar2) * du * sp.diff(f_expr, V, 2 * l) / f_expr
     return lambdify_field(total, (X, V))
 
 
@@ -195,10 +194,5 @@ def w123_correction_series(u_expr: sp.Expr, w_expr: sp.Expr, m: float, hbar2: fl
         du = sp.diff(u_expr, V, 2 * l + 1)
         if du == 0:
             continue
-        coeff = (
-            sp.Integer(-1) ** l
-            * (sp.Float(hbar2) / (2 * sp.Float(m))) ** (2 * l)
-            / (sp.Float(m) * sp.factorial(2 * l + 1))
-        )
-        total += coeff * du * sp.diff(w_expr, VDOT, 2 * l + 1)
+        total += closure_coefficient(l, m, hbar2) * du * sp.diff(w_expr, VDOT, 2 * l + 1)
     return lambdify_field(total, (X, V, VDOT))

@@ -155,7 +155,7 @@ def damage(draw, good: bytes) -> bytes:
     return draw(st.binary(max_size=256))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_damaged_files_raise_only_field_format_errors(tmp_path_factory, good_blobs, data):
     good = data.draw(st.sampled_from(good_blobs))

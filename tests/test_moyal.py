@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from phasechain import (
     PhysParams,
     PointwiseField,
     StencilScheme,
     ValidationError,
     build_term_table,
+    closure_coefficients,
     make_axis,
     moyal_residual,
     moyal_rhs,
@@ -103,6 +107,26 @@ def test_mixed_quartic_table_signs():
     assert heavy[0].coeff == pytest.approx(0.125 / 8.0)
 
 
+@pytest.mark.parametrize("params", [P, PhysParams(m=1.3, hbar=1.1, omega=0.9, hbar2=0.7)], ids=["unit", "scaled"])
+def test_closure_coefficients_pin_the_oracle_formula_and_the_term_table(params):
+    odd = ((1, 0.7), (3, -0.2), (5, 0.05), (7, 0.01))
+    ux = PolynomialPotential(tuple((k, 0, c) for k, c in odd))
+    got = closure_coefficients(ux, params, "x")
+    assert [l for l, _, _ in got] == [0, 1, 2, 3]
+    for l, coeff, du in got:
+        want = float(oracles.closure_coefficient(l, params.m, params.hbar2))
+        assert coeff == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert du == ux.derivative(dx=2 * l + 1)
+    # along v the closure coefficients are the n = 0 entries of the correction series
+    uv = PolynomialPotential(tuple((0, k, c) for k, c in odd))
+    table = {(t.l, t.n): t for t in build_term_table(uv, params)}
+    for l, coeff, du in closure_coefficients(uv, params, "v")[1:]:
+        assert coeff == table[(l, 0)].coeff
+        assert du == table[(l, 0)].du
+    with pytest.raises(ValidationError):
+        closure_coefficients(ux, params, "vdot")
+
+
 # --- residuals ----------------------------------------------------------------
 
 def test_stationary_solution_solves_its_equation():
@@ -127,19 +151,26 @@ def test_quadratic_series_is_identically_zero_on_grids():
     assert np.all(rhs.data == 0.0)
 
 
-def test_grid_and_pointwise_modes_agree_at_interior_nodes():
-    u = PolynomialPotential(((4, 0, 0.25),))
-    axes = tuple(make_axis(n, -6.0, 6.0, 16) for n in ("x", "v", "vdot", "vddot"))
-    w4 = sample_real(lambda x, v, vd, vdd: w1234_analytic(x, v, vd, vdd, P), axes)
-    h = axes[0].step
-    scheme = StencilScheme(order=4, h=h)
-    grid_res = moyal_residual(w4, u, P, scheme)
+GRID16 = tuple(make_axis(n, -6.0, 6.0, 16) for n in ("x", "v", "vdot", "vddot"))
+W16 = sample_real(lambda x, v, vd, vdd: w1234_analytic(x, v, vd, vdd, P), GRID16)
+# every other interior node, at least 3 nodes (the widest stencil's halfwidth here) from an edge
+INNER = slice(3, -3, 2)
+COEF = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@pytest.mark.parametrize("operator", [transport_lhs, moyal_rhs, moyal_residual], ids=lambda f: f.__name__)
+@settings(max_examples=10)
+@given(a=COEF, b=COEF, c=COEF)
+@example(a=0.0, b=0.0, c=0.25)
+def test_grid_and_pointwise_modes_agree_at_interior_nodes(operator, a, b, c):
+    # mixed x^2 v^2 and x v^3 terms keep several (l, n) entries of the series alive
+    u = PolynomialPotential(u12_polynomial(P).terms + ((2, 2, a), (1, 3, b), (4, 0, c)))
+    scheme = StencilScheme(order=4, h=GRID16[0].step)
+    grid = operator(W16, u, P, scheme).data[(INNER,) * 4].ravel()
+    pts = tuple(g.ravel() for g in np.meshgrid(*[ax.points()[INNER] for ax in GRID16], indexing="ij"))
     field = PointwiseField(lambda x, v, vd, vdd: w1234_analytic(x, v, vd, vdd, P), 4)
-    inner = axes[0].points()[3:-3]
-    pts = tuple(c.ravel() for c in np.meshgrid(*([inner] * 4), indexing="ij"))
-    pw_res = moyal_residual(field, u, P, scheme, points=pts)
-    sl = (slice(3, -3),) * 4
-    assert np.allclose(grid_res.data[sl].ravel(), pw_res, rtol=1e-10, atol=1e-14)
+    pointwise = operator(field, u, P, scheme, points=pts)
+    assert np.abs(grid - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
 
 
 def test_dt_term_shifts_transport():

@@ -150,7 +150,7 @@ def polynomial_cases(draw):
     return shape, axis, power, order, degree, h, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(polynomial_cases())
 def test_stencils_are_exact_on_polynomials_up_to_degree_2w(case):
     shape, k, power, order, degree, h, seed = case

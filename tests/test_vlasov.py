@@ -1,9 +1,12 @@
 """Chain continuity residuals, flux closures, and dissipation diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasechain import (
     FluxField,
@@ -20,20 +23,27 @@ from phasechain import (
     make_axis,
     mean_flux_analytic,
     mean_flux_from_w4,
+    moyal_residual,
+    moyal_rhs,
     sample_real,
+    transport_lhs,
     u12_polynomial,
     vlasov_moyal_accel_flux,
     vlasov_moyal_velocity_flux,
     vlasov_residual,
     w12_analytic,
+    w123_analytic,
     w123_field,
     w124_analytic,
     w1234_analytic,
+    w1234_field,
+    w12_field,
 )
 from phasechain.moyal import PolynomialPotential
 
 P = PhysParams()
 ORDER4 = StencilScheme(order=4)
+FINE = StencilScheme(order=4, h=0.01)
 U_HO = PolynomialPotential(((2, 0, 0.5 * P.m * P.omega**2),))
 
 
@@ -134,6 +144,32 @@ def test_velocity_closure_and_validation():
         vlasov_moyal_velocity_flux(bad, U_HO, P, ORDER4)
 
 
+def test_velocity_closure_is_minus_the_acceleration_closure():
+    u1 = PolynomialPotential(((2, 0, 0.5), (4, 0, 0.25), (6, 0, 0.01)))
+    x, v = np.random.default_rng(5).uniform(-2.0, 2.0, size=(2, 200))
+    f12 = PointwiseField(lambda x, v: w12_analytic(x, v, P), 2)
+    # the same density with v moved to the vddot axis: both closures differentiate the same samples
+    f124 = PointwiseField(lambda x, v, vdd: w12_analytic(x, vdd, P), 3)
+    vel = vlasov_moyal_velocity_flux(f12, u1, P, FINE, points=(x, v))
+    acc = vlasov_moyal_accel_flux(f124, u1, P, FINE, points=(x, np.zeros_like(x), v))
+    assert np.array_equal(vel, -acc)
+
+
+@pytest.mark.parametrize("closure, rank", [
+    (vlasov_moyal_velocity_flux, 1),
+    (vlasov_moyal_velocity_flux, 3),
+    (vlasov_moyal_velocity_flux, 4),
+    (vlasov_moyal_accel_flux, 1),
+    (vlasov_moyal_accel_flux, 2),
+], ids=lambda p: p.__name__ if callable(p) else f"rank{p}")
+def test_pointwise_closures_reject_ranks_without_their_axes(closure, rank):
+    # velocity closures act on (x, v), acceleration closures on (x, v, vdot, vddot) or (x, v, vddot)
+    field = PointwiseField(lambda *c: np.exp(-sum(t**2 for t in c)), rank)
+    pts = (np.linspace(-1.0, 1.0, 5),) * rank
+    with pytest.raises(ValidationError, match="closure along .* needs axes"):
+        closure(field, U_HO, P, FINE, points=pts)
+
+
 def test_closure_rejects_nonpositive_density_inside_mask():
     axes = (make_axis("x", -8.0, 8.0, 32), make_axis("v", -8.0, 8.0, 32))
     data = sample_real(lambda x, v: w12_analytic(x, v, P), axes).data.copy()
@@ -189,6 +225,27 @@ def test_residual_validation(w4):
                         StencilScheme(order=4, h=0.01))  # pointwise without points
 
 
+RANK4_AXES = ("x", "v", "vdot", "vddot")
+WRONG_COORDINATE_COUNTS = {
+    "transport_lhs": (lambda pts: transport_lhs(w1234_field(P), U_HO, P, FINE, points=pts), RANK4_AXES),
+    "moyal_rhs": (lambda pts: moyal_rhs(w1234_field(P), U_HO, P, FINE, points=pts), RANK4_AXES),
+    "moyal_residual": (lambda pts: moyal_residual(w1234_field(P), U_HO, P, FINE, points=pts), RANK4_AXES),
+    "vlasov_residual": (lambda pts: vlasov_residual("w12", w12_field(P), {"v": 0.0}, P, FINE, points=pts),
+                        ("x", "v")),
+    "accel_flux": (lambda pts: vlasov_moyal_accel_flux(w1234_field(P), U_HO, P, FINE, points=pts), RANK4_AXES),
+    "velocity_flux": (lambda pts: vlasov_moyal_velocity_flux(w12_field(P), U_HO, P, FINE, points=pts),
+                      ("x", "v")),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_COORDINATE_COUNTS))
+def test_wrong_number_of_coordinate_arrays_names_the_axes(name):
+    call, axes = WRONG_COORDINATE_COUNTS[name]
+    expected = rf"needs {len(axes)} coordinate arrays for axes {re.escape(str(axes))}, got 3"
+    with pytest.raises(ValidationError, match=expected):
+        call((np.zeros(4),) * 3)
+
+
 def test_reduced_members_are_stationary():
     rng = np.random.default_rng(33)
     scheme = StencilScheme(order=4, h=0.01)
@@ -232,19 +289,57 @@ def test_chain4_on_a_synthetic_stationary_solution():
     assert order > 3.5
 
 
-def test_grid_and_pointwise_residuals_agree_at_interior_nodes():
-    axes = tuple(make_axis(n, -6.0, 6.0, 16) for n in ("x", "v", "vdot", "vddot"))
-    grid = sample_real(lambda x, v, vd, vdd: w1234_analytic(x, v, vd, vdd, P), axes)
-    h = axes[0].step
-    scheme = StencilScheme(order=4, h=h)
-    flux = lambda x, v, vd, vdd: 0.3 * x - 0.1 * vdd
-    grid_res = vlasov_residual("chain4", grid, {"vddot": flux}, P, scheme)
-    field = PointwiseField(lambda x, v, vd, vdd: w1234_analytic(x, v, vd, vdd, P), 4)
-    inner = axes[0].points()[3:-3]
-    pts = tuple(c.ravel() for c in np.meshgrid(*([inner] * 4), indexing="ij"))
-    pw_res = vlasov_residual("chain4", field, {"vddot": flux}, P, scheme, points=pts)
-    sl = (slice(3, -3),) * 4
-    assert np.allclose(grid_res.data[sl].ravel(), pw_res, rtol=1e-10, atol=1e-14)
+AGREEMENT_CASES = {
+    # case -> (axes of the density, its closed form)
+    "chain4": (("x", "v", "vdot", "vddot"), w1234_analytic),
+    "w123": (("x", "v", "vdot"), w123_analytic),
+    "w124": (("x", "v", "vddot"), w124_analytic),
+    "w12": (("x", "v"), w12_analytic),
+    "accel-closure": (("x", "v", "vdot", "vddot"), w1234_analytic),
+    "velocity-closure": (("x", "v"), w12_analytic),
+}
+COEF = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def evaluate_case(case, f, coefs, scheme, points=None):
+    a, b, c = coefs
+    if case.endswith("closure"):
+        # U1 up to x^6: the closure series runs to l = 2
+        u1 = PolynomialPotential(((2, 0, 0.5), (4, 0, a), (5, 0, b), (6, 0, c)))
+        closure = vlasov_moyal_accel_flux if case == "accel-closure" else vlasov_moyal_velocity_flux
+        return closure(f, u1, P, scheme, points=points)
+    fluxes = {
+        "chain4": {"vddot": lambda x, v, vd, vdd: a * x + b * vdd + c},
+        "w123": {"vdot": lambda x, v, vd: a * v + c * x},
+        "w124": {"v": lambda x, v, vdd: a * x + c, "vddot": lambda x, v, vdd: b * x + c * vdd},
+        "w12": {"v": lambda x, v: a * x + b * v + c},
+    }[case]
+    # the v^4 term keeps the l = 1 entry of the w123 correction series alive
+    u = PolynomialPotential(u12_polynomial(P).terms + ((0, 4, 0.5), (1, 3, a), (2, 2, b)))
+    return vlasov_residual(case, f, fluxes, P, scheme, u if case == "w123" else None, points=points)
+
+
+@pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+@settings(max_examples=10)
+@given(coefs=st.tuples(COEF, COEF, COEF))
+@example(coefs=(0.3, -0.1, 0.0))
+def test_grid_and_pointwise_residuals_agree_at_interior_nodes(case, coefs):
+    names, density = AGREEMENT_CASES[case]
+    axes = tuple(make_axis(n, -6.0, 6.0, 16) for n in names)
+    scheme = StencilScheme(order=4, h=axes[0].step)
+    got = evaluate_case(case, sample_real(lambda *c: density(*c, P), axes), coefs, scheme)
+    # every other interior node, at least 3 nodes (the widest stencil's halfwidth here) from an edge
+    inner = (slice(3, -3, 2),) * len(names)
+    if isinstance(got, FluxField):
+        keep = got.mask[inner].ravel()  # a closure is defined on its support mask only
+        got = got.values
+    else:
+        keep = slice(None)
+    grid = got.data[inner].ravel()[keep]
+    pts = tuple(g[inner].ravel()[keep] for g in np.meshgrid(*[a.points() for a in axes], indexing="ij"))
+    field = PointwiseField(lambda *c: density(*c, P), len(names))
+    pointwise = evaluate_case(case, field, coefs, scheme, points=pts)
+    assert np.abs(grid - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
 
 
 def test_flux_argument_forms_are_equivalent():
@@ -256,6 +351,17 @@ def test_flux_argument_forms_are_equivalent():
     as_array = vlasov_residual("w12", w12, {"v": vals}, P, ORDER4)
     assert np.array_equal(as_callable.data, as_field.data)
     assert np.array_equal(as_callable.data, as_array.data)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_grid_flux_is_rejected(bad):
+    axes = (make_axis("x", -8.0, 8.0, 16), make_axis("v", -8.0, 8.0, 16))
+    w12 = sample_real(lambda x, v: w12_analytic(x, v, P), axes)
+    vals = np.zeros(w12.data.shape)
+    vals[3, 5] = bad
+    for flux in (vals, lambda x, v: np.where((x > 0) & (v > 0), bad, 0.0)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            vlasov_residual("w12", w12, {"v": flux}, P, ORDER4)
 
 
 def test_dt_term_enters_additively():
