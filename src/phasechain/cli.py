@@ -2,8 +2,8 @@
 
 Exit codes are part of the contract: 0 success, 1 validation (bad flags or
 inputs that fail a precondition), 2 I/O (missing, truncated, or malformed
-files), 3 numeric failure (imaginary residue, non-positive density, or a
-tolerance miss in the check suite).
+files), 3 numeric failure (imaginary residue, non-positive density, a
+tolerance miss in the check suite, or not enough memory).
 """
 
 from __future__ import annotations
@@ -59,12 +59,21 @@ def _params_from(args) -> PhysParams:
     return PhysParams(m=args.m, hbar=args.hbar, omega=args.omega, hbar2=float(hbar2))
 
 
+def _hbar2(text: str) -> str:
+    if text != "auto":
+        try:
+            float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
+    return text
+
+
 def _add_param_flags(sub, with_hbar2=True):
     sub.add_argument("--m", type=float, default=1.0, help="particle mass (default 1)")
     sub.add_argument("--hbar", type=float, default=1.0, help="first-rank action scale (default 1)")
     sub.add_argument("--omega", type=float, default=1.0, help="oscillator frequency (default 1)")
     if with_hbar2:
-        sub.add_argument("--hbar2", default="auto",
+        sub.add_argument("--hbar2", type=_hbar2, default="auto",
                          help="second-rank action scale, or 'auto' for hbar*omega^2 (default auto)")
 
 
@@ -136,7 +145,10 @@ def _cmd_fluxes(args) -> int:
 def _cmd_residual(args) -> int:
     w4 = _read_rank4(args.in_path)
     p = _params_from(args)
-    u = PolynomialPotential.from_text(Path(args.potential).read_text(encoding="utf-8"))
+    try:
+        u = PolynomialPotential.from_text(Path(args.potential).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ValidationError(f"potential file {args.potential} is not UTF-8 text") from None
     scheme = StencilScheme(order=args.order)
     if args.mode == "psi-moyal":
         # every node counts; reduce slab by slab instead of holding a dense residual
@@ -192,6 +204,16 @@ def _mask_threshold(text: str) -> float:
         return _check_mask_threshold(float(text))
     except ValueError as exc:  # ValidationError is a ValueError
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _cmd_check(args) -> int:
@@ -275,7 +297,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("check", help="run the oscillator verification suite")
     c.add_argument("--suite", choices=("ho",), required=True)
     _add_param_flags(c)
-    c.add_argument("--seed", type=int, default=20260813)
+    c.add_argument("--seed", type=_seed, default=20260813)
     c.set_defaults(func=_cmd_check)
 
     e = sub.add_parser("export-csv", help="write a 1-d or 2-d slice of a field as CSV")
@@ -289,16 +311,22 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's floating-point warnings would add stderr lines; non-finite results
+        # are refused by the fields' own checks instead
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
+    except ArithmeticError as exc:  # NumericError, or a float division or overflow
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"numeric failure: not enough memory ({exc or 'allocation failed'})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

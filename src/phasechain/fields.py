@@ -399,23 +399,24 @@ class PointwiseField:
         if scheme.h is None:
             raise ValidationError("pointwise derivatives need an explicit stencil step h")
         h = scheme.h
-        active = [(k, p) for k, p in enumerate(powers) if p > 0]
-        tables = [(k, stencil_coefficients(p, scheme.order), stencil_halfwidth(p, scheme.order), p)
-                  for k, p in active]
+        active = [(k, stencil_coefficients(p, scheme.order), stencil_halfwidth(p, scheme.order))
+                  for k, p in enumerate(powers) if p > 0]
+        # one shifted-coordinate buffer per active axis, refilled for every tap; the
+        # callable may return one of its inputs, so its result is only read
+        shifted = [np.empty_like(c) if p else c for c, p in zip(coords, powers)]
         out = np.zeros(np.broadcast(*coords).shape, dtype=np.float64)
-        scale = 1.0 / h ** sum(p for _, p in active)
-        for offsets in np.ndindex(*[2 * w + 1 for _, _, w, _ in tables]):
+        for offsets in np.ndindex(*[2 * w + 1 for _, _, w in active]):
             weight = 1.0
-            shifted = list(coords)
-            for (k, coeffs, w, _), o in zip(tables, offsets):
+            for (k, coeffs, w), o in zip(active, offsets):
                 weight *= coeffs[o]
                 if weight == 0.0:
                     break
-                shifted[k] = shifted[k] + (o - w) * h
+                np.add(coords[k], (o - w) * h, out=shifted[k])
             if weight == 0.0:
                 continue
             out += weight * np.asarray(self.func(*shifted), dtype=np.float64)
-        return out * scale
+        out *= 1.0 / h ** sum(powers)
+        return out
 
     def _coerce(self, coords):
         coords = tuple(np.asarray(c, dtype=np.float64) for c in coords)
@@ -435,8 +436,10 @@ class PointwiseField:
 # on the coordinates or given by samples) and restrict(samples) (samples on the
 # whole support, cut to the view).
 
-def _add_product(out: Array, coef, d: Array):
-    """out += coef * d, multiplying the fresh derivative d in place instead of into a temporary."""
+def _add_product(out: Array, d: Array, coef):
+    """out += coef * d, multiplying the fresh derivative d in place instead of into a temporary.
+
+    d comes first, so a caller computes it before coef and the two never share the peak."""
     np.multiply(d, coef, out=d)
     out += d
 

@@ -131,7 +131,9 @@ class PolynomialPotential:
         v = np.asarray(v, dtype=np.float64)
         out = np.zeros(np.broadcast(x, v).shape, dtype=np.float64)
         for a, b, c in self.terms:
-            out += c * x**a * v**b
+            # c * x**0 == c exactly, so skipping a zero power changes no bit
+            term = c * x**a if a else c
+            out += term * v**b if b else term
         return out if out.ndim else float(out)
 
 
@@ -206,10 +208,10 @@ def _transport(view, u: PolynomialPotential, params, dt_term) -> Array:
     out = np.zeros(view.shape)
     if dt_term is not None:
         out += view.restrict(dt_term)
-    _add_product(out, v, view.d(x=1))
-    _add_product(out, view.coord("vdot"), view.d(v=1))
-    _add_product(out, view.coord("vddot") - u.derivative(dv=1)(x, v) / params.m, view.d(vdot=1))
-    _add_product(out, u.derivative(dx=1)(x, v) / params.m, view.d(vddot=1))
+    _add_product(out, view.d(x=1), v)
+    _add_product(out, view.d(v=1), view.coord("vdot"))
+    _add_product(out, view.d(vdot=1), view.coord("vddot") - u.derivative(dv=1)(x, v) / params.m)
+    _add_product(out, view.d(vddot=1), u.derivative(dx=1)(x, v) / params.m)
     return out
 
 
@@ -218,7 +220,7 @@ def _series(view, table) -> Array:
     x, v = view.coord("x"), view.coord("v")
     out = np.zeros(view.shape)
     for term in table:
-        _add_product(out, term.coeff * term.du(x, v), view.d(vdot=term.vdot_power, vddot=term.vddot_power))
+        _add_product(out, view.d(vdot=term.vdot_power, vddot=term.vddot_power), term.coeff * term.du(x, v))
     return out
 
 

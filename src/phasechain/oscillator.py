@@ -124,16 +124,26 @@ class GammaForm:
     d_vddot: Array
 
 
+def _gamma_value(x, v, vdot, vddot, w2):
+    return (v**2 + w2 * x**2) + (w2 * v - vddot) ** 2 / w2**2 + (w2 * x + vdot) ** 2 / w2
+
+
+def _gamma_partial(k: int, x, v, vdot, vddot, w2):
+    """The partial of gamma along axis k of (x, v, vdot, vddot)."""
+    if k == 0:
+        return 4.0 * w2 * x + 2.0 * vdot
+    if k == 1:
+        return 4.0 * v - 2.0 * vddot / w2
+    if k == 2:
+        return 2.0 * x + 2.0 * vdot / w2
+    return -2.0 * v / w2 + 2.0 * vddot / w2**2
+
+
 def gamma_form(x, v, vdot, vddot, omega: float) -> GammaForm:
     """gamma = (v^2 + w^2 x^2) + (w^2 v - vddot)^2 / w^4 + (w^2 x + vdot)^2 / w^2."""
-    x, v, vdot, vddot = (np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot))
+    coords = tuple(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot))
     w2 = omega**2
-    value = (v**2 + w2 * x**2) + (w2 * v - vddot) ** 2 / w2**2 + (w2 * x + vdot) ** 2 / w2
-    d_x = 4.0 * w2 * x + 2.0 * vdot
-    d_v = 4.0 * v - 2.0 * vddot / w2
-    d_vdot = 2.0 * x + 2.0 * vdot / w2
-    d_vddot = -2.0 * v / w2 + 2.0 * vddot / w2**2
-    return GammaForm(value, d_x, d_v, d_vdot, d_vddot)
+    return GammaForm(_gamma_value(*coords, w2), *(_gamma_partial(k, *coords, w2) for k in range(4)))
 
 
 def gamma_transport_residual(x, v, vdot, vddot, omega: float) -> Array:
@@ -154,8 +164,8 @@ def gamma_transport_residual(x, v, vdot, vddot, omega: float) -> Array:
 def w1234_analytic(x, v, vdot, vddot, p: PhysParams) -> Array:
     """Joint quasi-probability over (x, v, vdot, vddot); peak 1/pi^2 at the origin."""
     _require_consistent(p)
-    g = gamma_form(x, v, vdot, vddot, p.omega)
-    return np.exp(-(p.m / (p.hbar * p.omega)) * g.value) / (math.pi * p.hbar2) ** 2
+    value = _gamma_value(*(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot)), p.omega**2)
+    return np.exp(-(p.m / (p.hbar * p.omega)) * value) / (math.pi * p.hbar2) ** 2
 
 
 def w123_analytic(x, v, vdot, p: PhysParams) -> Array:
@@ -235,10 +245,8 @@ def w1234_field(p: PhysParams, exact_derivatives: bool = True) -> PointwiseField
     def exact_partial(powers, x, v, vdot, vddot):
         if sorted(powers) != [0, 0, 0, 1]:
             return None
-        g = gamma_form(x, v, vdot, vddot, p.omega)
-        grad = (g.d_x, g.d_v, g.d_vdot, g.d_vddot)[powers.index(1)]
-        w = np.exp(-scale * g.value) / (math.pi * p.hbar2) ** 2
-        return -scale * grad * w
+        grad = _gamma_partial(powers.index(1), x, v, vdot, vddot, p.omega**2)
+        return -scale * grad * w1234_analytic(x, v, vdot, vddot, p)
 
     return PointwiseField(func, 4, exact_partial=exact_partial)
 

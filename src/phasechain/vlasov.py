@@ -162,7 +162,7 @@ def _closure_series(view, terms, axis: str, mask=True) -> Array:
         else:
             dfl = view.d(**{axis: 2 * l})
             np.divide(dfl, view.values(), out=dfl, where=mask)
-            _add_product(out, c * du(x, v), dfl)
+            _add_product(out, dfl, c * du(x, v))
     return out
 
 
@@ -273,12 +273,12 @@ def _continuity(view, fluxes=(), series=(), dt_term=None) -> Array:
         out += view.restrict(dt_term)
     for a, b in zip(KINEMATIC_ORDER, KINEMATIC_ORDER[1:]):
         if a in view.names and b in view.names:
-            _add_product(out, view.coord(b), view.d(**{a: 1}))
+            _add_product(out, view.d(**{a: 1}), view.coord(b))
     for axis, flux in fluxes:
         out += view.times(flux).d(**{axis: 1})
     x, v = view.coord("x"), view.coord("v")
     for l, c, du in series:
-        _add_product(out, -c * du(x, v), view.d(vdot=2 * l + 1))
+        _add_product(out, view.d(vdot=2 * l + 1), -c * du(x, v))
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
-from phasechain.fields import PointwiseField
+from phasechain.fields import PointwiseField, stencil_coefficients, stencil_halfwidth
 
 X, V, VDOT, VDDOT = sp.symbols("x v vdot vddot", real=True)
 PDOT, PDDOT = sp.symbols("pdot pddot", real=True)
@@ -196,3 +196,30 @@ def w123_correction_series(u_expr: sp.Expr, w_expr: sp.Expr, m: float, hbar2: fl
             continue
         total += closure_coefficient(l, m, hbar2) * du * sp.diff(w_expr, VDOT, 2 * l + 1)
     return lambdify_field(total, (X, V, VDOT))
+
+
+def pointwise_stencil_sum(func, powers, coords, scheme) -> np.ndarray:
+    """The tensor-product stencil sum of PointwiseField.derivative, one offset at a time.
+
+    This is the evaluator as first written: every offset gets freshly shifted
+    coordinate arrays and a fresh weighted term. The package reuses its shift
+    buffers and must still agree with this loop bit for bit. Only the stencil
+    weights come from the package.
+    """
+    h = scheme.h
+    active = [(k, p) for k, p in enumerate(powers) if p > 0]
+    tables = [(k, stencil_coefficients(p, scheme.order), stencil_halfwidth(p, scheme.order)) for k, p in active]
+    out = np.zeros(np.broadcast(*coords).shape, dtype=np.float64)
+    scale = 1.0 / h ** sum(p for _, p in active)
+    for offsets in np.ndindex(*[2 * w + 1 for _, _, w in tables]):
+        weight = 1.0
+        shifted = list(coords)
+        for (k, coeffs, w), o in zip(tables, offsets):
+            weight *= coeffs[o]
+            if weight == 0.0:
+                break
+            shifted[k] = shifted[k] + (o - w) * h
+        if weight == 0.0:
+            continue
+        out += weight * np.asarray(func(*shifted), dtype=np.float64)
+    return out * scale

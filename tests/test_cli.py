@@ -1,11 +1,19 @@
 """Command-line interface: subcommands, printed contracts, exit codes."""
 
+import contextlib
+import io
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasechain import RealField, make_axis, read_field, sample_real, write_field
+from phasechain import cli
+from phasechain.checks import SuiteReport
 from phasechain.cli import main
 from phasechain.fields import ComplexField
 
@@ -267,3 +275,139 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["fluxes", "--in", str(path), "--which", "123",
                  "--out", str(tmp_path / "f.fld")]) == 1
     assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_negative_seed_is_a_flag_error(capsys):
+    for seed in ("-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "ho", "--seed", seed])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err and "non-negative integer" in err
+
+
+def test_non_numeric_hbar2_is_a_flag_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-ho", "--hbar2", "abc", "--out", "unused.fld"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--hbar2" in err
+
+
+def test_field_file_as_potential_is_a_validation_error(w4_path, capsys):
+    assert main(["residual", "--in", str(w4_path), "--potential", str(w4_path), "--mode", "psi-moyal"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: potential file {w4_path} is not UTF-8 text\n"
+
+
+def test_float_underflow_is_a_numeric_failure(psi_path, tmp_path, capsys):
+    # (2 pi hbar2)^2 underflows to 0 and the transform prefactor divides by it
+    assert main(["wigner", "--in", str(psi_path), "--hbar2", "1e-300", "--out", str(tmp_path / "w.fld")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_3(monkeypatch, tmp_path, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(cli, "_cmd_gen_ho", exhausted)
+    assert main(["gen-ho", "--out", str(tmp_path / "psi.fld")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: not enough memory (Unable to allocate 74.5 GiB")
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the whole flag grammar: every argv ends in exit 0-3 with at most one stderr line
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """8^2 psi, its 8^4 W and rank-3 marginal, a potential, a non-text file and bad paths."""
+    root = tmp_path_factory.mktemp("grammar")
+    files = {"psi": root / "psi.fld", "w4": root / "w4.fld", "w3": root / "w3.fld", "u": root / "u.txt",
+             "binary": root / "binary.txt", "missing": root / "absent" / "x.fld", "dir": root}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-ho", "--nx", "8", "--nv", "8", "--out", str(files["psi"])]) == 0
+        assert main(["wigner", "--in", str(files["psi"]), "--out", str(files["w4"])]) == 0
+        assert main(["marginal", "--in", str(files["w4"]), "--axis", "vddot", "--out", str(files["w3"])]) == 0
+    files["u"].write_text("0 2 1.5\n2 0 -0.5\n4 0 0.01\n", encoding="utf-8")
+    files["binary"].write_bytes(b"0 2 1.5\n\xff\xfe\x00\x80")
+    (root / "out").mkdir()
+    return root, {k: str(v) for k, v in files.items()}
+
+
+# each flag: (values that should work, values that should not); files are keys of `tiny`
+NUMBER = (["1", "0.5", "2"], ["0", "-1", "nan", "inf", "-inf", "1e400", "1e-300", "1e300", "abc", ""])
+COUNT = (["8", "4", "16"], ["3", "0", "-2", "1e3", "x", ""])
+PARAMS = {"--m": NUMBER, "--hbar": NUMBER, "--omega": NUMBER,
+          "--hbar2": (["auto", "1", "2.0"], ["0", "-1", "nan", "1e-300", "1e300", "abc"])}
+THRESHOLD = (["1e-3", "0.5", "0"], ["1", "-1", "nan", "inf", "abc"])
+BAD_FILES = ["u", "binary", "missing", "dir"]
+OUT = (["out/o.fld"], ["absent/o.fld", "out"])
+GRAMMAR = {
+    "gen-ho": {**PARAMS, "--t": NUMBER, "--nx": COUNT, "--nv": COUNT, "--xmin": (["-8", "-1"], NUMBER[1]),
+               "--xmax": (["8", "1"], NUMBER[1]), "--vmin": (["-8"], NUMBER[1]), "--vmax": (["8"], NUMBER[1]),
+               "--out": OUT},
+    "wigner": {"--in": (["psi"], ["w4"] + BAD_FILES), "--rank": (["4", "3", "24"], ["5"]), **PARAMS,
+               "--out": OUT},
+    "marginal": {"--in": (["w4", "w3"], ["psi"] + BAD_FILES), "--axis": (["vdot", "vddot"], ["x"]),
+                 "--m": NUMBER, "--out": OUT},
+    "fluxes": {"--in": (["w4"], ["w3", "psi"] + BAD_FILES), "--which": (["123", "124", "12"], ["9"]), **PARAMS,
+               "--mask-threshold": THRESHOLD, "--out": OUT},
+    "residual": {"--in": (["w4"], ["w3", "psi"] + BAD_FILES), "--potential": (["u"], ["w4"] + BAD_FILES),
+                 "--mode": (["psi-moyal", "vlasov12", "vlasov123", "vlasov124"], ["moyal"]), **PARAMS,
+                 "--order": (["2", "4", "6"], ["5"]), "--mask-threshold": THRESHOLD,
+                 "--report": (["out/r.txt"], OUT[1])},
+    "check": {"--suite": (["ho"], ["xy"]), **PARAMS,
+              "--seed": (["0", "7"], ["-1", "-7", "abc", "1e3", "18446744073709551616"])},
+    "export-csv": {"--in": (["w4", "w3"], ["psi"] + BAD_FILES),
+                   "--slice": (["vdot=0,vddot=0", "x=0,v=0", "vddot=0"], ["x=nan,v=0", "x=abc", "q=1", "x=0,x=1", ""]),
+                   "--out": (["out/o.csv"], OUT[1])},
+}
+REQUIRED = {"--in", "--out", "--potential", "--mode", "--axis", "--which", "--suite", "--slice"}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its flags and at most one bad part: a bad value, a missing flag or a stray token."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags = GRAMMAR[command]
+    bad = draw(st.sampled_from([None, None, "drop", "stray", *flags]))
+    present = [f for f in flags if f in REQUIRED or f == bad or draw(st.integers(0, 2)) == 0]
+    if bad == "drop":
+        present.remove(draw(st.sampled_from(present)))
+    argv = [command]
+    for flag in present:
+        argv += [flag, draw(st.sampled_from(flags[flag][flag == bad]))]
+    return argv + (["--bogus"] if bad == "stray" else [])
+
+
+def _quick_suite(seed=0, progress=None):
+    np.random.default_rng(seed)  # the suite's first use of its seed
+    return SuiteReport((), 0.0, 0.0)
+
+
+@settings(max_examples=120)
+@given(argv=argvs())
+@example(argv=["check", "--suite", "ho", "--seed", "-1"])
+@example(argv=["gen-ho", "--hbar2", "abc", "--out", "out/o.fld"])
+@example(argv=["residual", "--in", "w4", "--potential", "w4", "--mode", "psi-moyal"])
+@example(argv=["wigner", "--in", "psi", "--hbar2", "1e-300", "--out", "out/o.fld"])
+@example(argv=["gen-ho", "--vmax", "1e300", "--out", "out/o.fld"])
+def test_every_flag_combination_ends_in_a_contract_exit(tiny, argv):
+    root, files = tiny
+    argv = [files[a] if a in files else str(root / a) if a.startswith(("out", "absent/")) else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "run_ho_suite", _quick_suite), warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])
