@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -47,9 +48,21 @@ RANK4_AXES = ("x", "v", "vdot", "vddot")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" as an option, not as a flag's value; take every negative decimal as a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # argparse exits 2 on bad flags by default; the contract reserves 2 for I/O
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _SuiteParam(argparse.Action):
+    """A physics flag that `check` refuses by name (rather than reading --hbar as an abbreviation of --hbar2)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(self, "not taken: the oscillator suite runs at m = hbar = omega = 1")
 
 
 def _params_from(args) -> PhysParams:
@@ -68,13 +81,16 @@ def _hbar2(text: str) -> str:
     return text
 
 
-def _add_param_flags(sub, with_hbar2=True):
+def _add_param_flags(sub):
     sub.add_argument("--m", type=float, default=1.0, help="particle mass (default 1)")
     sub.add_argument("--hbar", type=float, default=1.0, help="first-rank action scale (default 1)")
     sub.add_argument("--omega", type=float, default=1.0, help="oscillator frequency (default 1)")
-    if with_hbar2:
-        sub.add_argument("--hbar2", type=_hbar2, default="auto",
-                         help="second-rank action scale, or 'auto' for hbar*omega^2 (default auto)")
+    _add_hbar2_flag(sub)
+
+
+def _add_hbar2_flag(sub):
+    sub.add_argument("--hbar2", type=_hbar2, default="auto",
+                     help="second-rank action scale, or 'auto' for hbar*omega^2 (default auto)")
 
 
 def _read_rank4(path) -> RealField:
@@ -218,7 +234,7 @@ def _seed(text: str) -> int:
 
 def _cmd_check(args) -> int:
     if args.hbar2 != "auto":
-        p = PhysParams(m=args.m, hbar=args.hbar, omega=args.omega)
+        p = PhysParams()
         if not math.isclose(float(args.hbar2), p.hbar2, rel_tol=1e-12):
             print(f"warning: --hbar2 {args.hbar2} is not the consistent value "
                   f"hbar*omega^2 = {p.hbar2:g}; the suite runs with the consistent one",
@@ -247,7 +263,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-ho", help="sample the oscillator wave function onto a grid")
-    _add_param_flags(g, with_hbar2=True)
+    _add_param_flags(g)
     g.add_argument("--t", type=float, default=0.0, help="evaluation time (default 0)")
     g.add_argument("--nx", type=int, default=64)
     g.add_argument("--nv", type=int, default=64)
@@ -296,7 +312,9 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("check", help="run the oscillator verification suite")
     c.add_argument("--suite", choices=("ho",), required=True)
-    _add_param_flags(c)
+    for flag in ("--m", "--hbar", "--omega"):
+        c.add_argument(flag, action=_SuiteParam, nargs="?", help=argparse.SUPPRESS)
+    _add_hbar2_flag(c)
     c.add_argument("--seed", type=_seed, default=20260813)
     c.set_defaults(func=_cmd_check)
 

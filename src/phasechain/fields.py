@@ -8,8 +8,11 @@ or complex128, row major, last axis fastest.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -116,9 +119,11 @@ class _BaseField:
         if data.shape != shape:
             raise ValidationError(f"data shape {data.shape} does not match axes {shape}")
         data = np.ascontiguousarray(data)
-        # min and max propagate NaN and surface +-inf without a boolean temporary
+        # min and max propagate NaN and surface +-inf without a boolean temporary. One x-slab at a time,
+        # max reads what min left in cache; the scan is bound by memory bandwidth, and on 2 cores two
+        # slab workers were slower than this thread alone
         flat = data.view(np.float64)
-        if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+        if not all(np.isfinite(flat[lo:hi].min()) and np.isfinite(flat[lo:hi].max()) for lo, hi in _x_slabs(flat)):
             raise ValidationError("field data contains non-finite values")
         data.flags.writeable = False
         self.data = data
@@ -260,7 +265,8 @@ def _band_matrix(n: int, coeffs: tuple[float, ...]) -> Array:
     return mat
 
 
-# OpenBLAS keeps gemm calls of <= 64^3 multiply-adds on one thread; bigger ones on 2 cores: 0.58 s pool start, 2x CPU
+# OpenBLAS runs a gemm call of <= 64^3 multiply-adds on its calling thread, so each slab worker does its
+# own BLAS calls; bigger calls start OpenBLAS's own pool on 2 cores: 0.58 s pool start, 2x CPU
 _BLAS_MADDS = 1 << 18
 
 
@@ -275,6 +281,10 @@ def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, 
     _BLAS_MADDS multiply-adds each. BLAS orders each sum its own way, so a
     result matches the zero-padded tap sum within 4 (2w+1) eps
     sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
+
+    matmul copies a source that is not aligned (the payload of a mapped field
+    file) before BLAS reads it, so the batches go to matmul in chunks that
+    each read about _SLAB_BYTES of `data`; the BLAS calls are the same.
     """
     n = data.shape[axis]
     hi = n if hi is None else hi
@@ -287,27 +297,39 @@ def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, 
     out = np.empty(shape, dtype=np.result_type(data, band))
     dst = out.reshape(pre, hi - lo, post)
     per_call = max(1, _BLAS_MADDS // band.size)
+    cells = _SLAB_BYTES // ((b - a) * data.itemsize)  # positions along the free dimensions per chunk
     if post > 1:
-        # out[p, :, cols] = band @ src[p, :, cols], batched over p and blocks of `step` columns
         step = min(per_call, post)
-        cut = post - post % step
-
-        def blocks(x):
-            return x[..., :cut].reshape(pre, x.shape[1], cut // step, step).transpose(0, 2, 1, 3)
-
-        np.matmul(band, blocks(src), out=blocks(dst))
-        if cut < post:
-            np.matmul(band, src[..., cut:], out=dst[..., cut:])
+        lines, cols = (max(1, cells // post), post) if post <= cells else (1, step * max(1, cells // step))
+        for p in range(0, pre, lines):
+            for c in range(0, post, cols):
+                _band_columns(band, src[p : p + lines, :, c : c + cols], dst[p : p + lines, :, c : c + cols], step)
     else:
         # the last axis: out[rows] = src[rows] @ band.T, batched over blocks of `step` rows
         src, dst, step = src[..., 0], dst[..., 0], min(per_call, pre)
-        cut = pre - pre % step
         band_t = band.T.copy()  # gemm on the transposed view ran 1.6x slower at 64^4
-        np.matmul(src[:cut].reshape(-1, step, b - a), band_t, out=dst[:cut].reshape(-1, step, hi - lo))
-        if cut < pre:
-            np.matmul(src[cut:], band_t, out=dst[cut:])
+        rows = step * max(1, cells // step)
+        for r in range(0, pre, rows):
+            src_r, dst_r = src[r : r + rows], dst[r : r + rows]
+            cut = len(src_r) - len(src_r) % step
+            np.matmul(src_r[:cut].reshape(-1, step, b - a), band_t, out=dst_r[:cut].reshape(-1, step, hi - lo))
+            if cut < len(src_r):
+                np.matmul(src_r[cut:], band_t, out=dst_r[cut:])
     out /= h**power
     return out
+
+
+def _band_columns(band: Array, src: Array, dst: Array, step: int) -> None:
+    """dst[p, :, cols] = band @ src[p, :, cols], batched over p and blocks of `step` columns (the last one shorter)."""
+    pre, _, cols = src.shape
+    cut = cols - cols % step
+
+    def blocks(x):
+        return x[..., :cut].reshape(pre, x.shape[1], cut // step, step).transpose(0, 2, 1, 3)
+
+    np.matmul(band, blocks(src), out=blocks(dst))
+    if cut < cols:
+        np.matmul(band, src[..., cut:], out=dst[..., cut:])
 
 
 def _max_abs(data: Array) -> float:
@@ -323,14 +345,112 @@ def _stencil(data: Array, k: int, step: float, power: int, scheme: StencilScheme
                                      stencil_halfwidth(power, scheme.order), h, power, lo, hi)
 
 
+# ---------------------------------------------------------------------------
+# x-slabs and the slab pool
+#
+# x-rows are independent for everything but d_x, which reads its neighbours in
+# place, so slab loops run on a thread pool: NumPy and BLAS release the GIL
+# while they work. A slab task calls only private code (the benchmark's span
+# recorder keeps one span stack per process) and writes only its own rows.
+
 _SLAB_BYTES = 1 << 20
 
 
+@lru_cache(maxsize=None)
+def _workers() -> int:
+    """Slab workers: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _x_slabs(data: Array):
-    """[lo, hi) ranges over axis 0, each holding about 1 MiB of `data` (at least one row)."""
+    """[lo, hi) ranges over axis 0; the workers' slabs together hold about 1 MiB of `data` (at least a row each)."""
     n = data.shape[0]
-    rows = max(1, _SLAB_BYTES // data[0].nbytes)
+    rows = max(1, _SLAB_BYTES // (_workers() * data[0].nbytes))
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+class _Job:
+    """One slab task in flight: a worker runs it in the submitter's context, then releases `done`."""
+
+    def __init__(self, task, lo: int, hi: int):
+        self.context, self.task, self.lo, self.hi = contextvars.copy_context(), task, lo, hi
+        self.cancelled, self.value, self.error = False, None, None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def result(self):
+        self.done.acquire()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _work(jobs) -> None:
+    while True:
+        job = jobs.get()
+        if not job.cancelled:
+            try:
+                job.value = job.context.run(job.task, job.lo, job.hi)
+            except BaseException as exc:  # raised again in the caller
+                job.error = exc
+        job.done.release()
+        del job  # an idle worker holds nothing of the last task
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int):
+    """The job queue of `workers` daemon threads, started at first use.
+
+    Plain threads and a queue, not concurrent.futures: its import (and that of
+    logging) took 5-8 ms in every CLI step and 0.6 MiB of traced memory.
+    """
+    from queue import SimpleQueue
+
+    jobs = SimpleQueue()
+    for i in range(workers):
+        threading.Thread(target=_work, args=(jobs,), name=f"phasechain-slab-{i}", daemon=True).start()
+    return jobs
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of the threads
+
+
+def _map_slabs(task, ranges):
+    """Yield task(lo, hi) for each [lo, hi) of ranges, in order, computed on the slab pool.
+
+    At most _workers() tasks are in flight. Each runs in a copy of the caller's
+    context, so np.errstate carries into the workers. One range, or one worker,
+    runs inline and starts no thread. A task's exception is raised here
+    unchanged, after the tasks still in flight have finished.
+    """
+    workers = _workers()
+    if workers == 1 or len(ranges) == 1:
+        for lo, hi in ranges:
+            yield task(lo, hi)
+        return
+    jobs, pending = _pool(workers), []
+    try:
+        for lo, hi in ranges:
+            if len(pending) == workers:
+                yield pending.pop(0).result()
+            pending.append(_Job(task, lo, hi))
+            jobs.put(pending[-1])
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        for job in pending:
+            job.cancelled = True
+        for job in pending:
+            job.done.acquire()
+
+
+def _run_slabs(task, ranges) -> None:
+    """task(lo, hi) for each [lo, hi) of ranges on the slab pool, for its side effects."""
+    for _ in _map_slabs(task, ranges):
+        pass
 
 
 def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilScheme) -> RealField:
@@ -353,7 +473,16 @@ def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
     or a float when the last axis is integrated away.
     """
     k = field.axis_index(axis)
-    total = field.data.sum(axis=k) * (weight * field.axes[k].step)
+    data, scale = field.data, weight * field.axes[k].step
+    if k == 0:
+        total = data.sum(axis=0) * scale
+    else:
+        total = np.empty(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype)
+
+        def slab(lo, hi):
+            total[lo:hi] = data[lo:hi].sum(axis=k) * scale
+
+        _run_slabs(slab, _x_slabs(data))
     rest = field.axes[:k] + field.axes[k + 1 :]
     if not rest:
         return float(total)
@@ -532,8 +661,11 @@ class _PointView:
 def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
     """body(view) on each x-slab of a grid field, assembled into one array of the field's shape."""
     out = np.empty_like(field.data)
-    for lo, hi in _x_slabs(field.data):
+
+    def slab(lo, hi):
         out[lo:hi] = body(_GridView(field, scheme, lo, hi))
+
+    _run_slabs(slab, _x_slabs(field.data))
     return out
 
 

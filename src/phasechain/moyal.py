@@ -30,6 +30,7 @@ from .fields import (
     _add_product,
     _evaluate,
     _GridView,
+    _map_slabs,
     _require_axes,
     _x_slabs,
 )
@@ -266,12 +267,16 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
 
     Each block equals the same rows of the dense residual within the stencil
     rounding bound, so a caller can reduce the residual (its max, say) without
-    a second dense field. The slab height is set from the field's row size.
+    a second dense field. The slab height is set from the field's row size,
+    and the slabs are computed on the slab pool, a few ahead of the caller.
     """
     _require_axes(w4, KINEMATIC_ORDER)
     table = build_term_table(u, params)
-    for lo, hi in _x_slabs(w4.data):
-        yield lo, hi, _residual(_GridView(w4, scheme, lo, hi), u, params, table, dt_term)
+
+    def slab(lo, hi):
+        return lo, hi, _residual(_GridView(w4, scheme, lo, hi), u, params, table, dt_term)
+
+    yield from _map_slabs(slab, _x_slabs(w4.data))
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,

@@ -36,6 +36,7 @@ from .fields import (
     _over_slabs,
     _PointView,
     _require_axes,
+    _run_slabs,
     _x_slabs,
     integrate_axis,
     partial_derivative,
@@ -144,11 +145,14 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
     scale = params.m * field.axes[k].step
     shape = field.data.shape[:k] + field.data.shape[k + 1 :]
     num, den = np.empty(shape), np.empty(shape)
-    # slabs run along axis 0, so they need an axis 0 that is not reduced
-    for lo, hi in _x_slabs(field.data) if k else [(0, field.data.shape[0])]:
+
+    def slab(lo, hi):
         rows = field.data[lo:hi]
         num[lo:hi] = (rows * coord).sum(axis=k) * scale
         den[lo:hi] = rows.sum(axis=k) * scale
+
+    # slabs run along axis 0, so they need an axis 0 that is not reduced
+    _run_slabs(slab, _x_slabs(field.data) if k else [(0, field.data.shape[0])])
     return _flux_field(which, field.axes[:k] + field.axes[k + 1 :], num, den, mask_threshold)
 
 
@@ -236,7 +240,8 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
     scale = params.m * w4.axes[2].step
     shape = w4.data.shape[:2] + w4.data.shape[3:]
     num, den = np.empty(shape), np.empty(shape)
-    for lo, hi in _x_slabs(w4.data):
+
+    def slab(lo, hi):
         view = _GridView(w4, scheme, lo, hi)
         rows = view.values()
         product = np.zeros_like(rows)
@@ -244,6 +249,8 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
             product += coeff[lo:hi] * (view.d(vddot=2 * l) if l else rows)
         num[lo:hi] = product.sum(axis=2) * scale
         den[lo:hi] = rows.sum(axis=2) * scale
+
+    _run_slabs(slab, _x_slabs(w4.data))
     return _flux_field("124-accel", w4.axes[:2] + w4.axes[3:], num, den, mask_threshold)
 
 

@@ -32,7 +32,10 @@ from .fields import (
     NumericError,
     RealField,
     ValidationError,
+    _map_slabs,
     _max_abs,
+    _workers,
+    _x_slabs,
     integrate_axis,
 )
 
@@ -143,31 +146,51 @@ def wigner4(psi: ComplexField, params) -> RealField:
     colm, colp = (c[:, cols] for c in _window_columns(nv))
     minus = np.ascontiguousarray(np.moveaxis(np.conj(padded[:, colm]), 0, 2))
     plus = np.ascontiguousarray(np.moveaxis(padded[:, colp], 0, 2))
-    ker = np.empty((nv, nv, nx), dtype=np.complex128)
     out = np.empty((nx, nv, nv, nx), dtype=np.float64)
-    max_imag = 0.0
-    for i in range(nx):
-        # ker[j, r, q] = minus[j, r, i-k] plus[j, r, i+k] with k = q for q < nx/2 and q - nx above;
-        # rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
-        m = min(i, nx - 1 - i)
-        np.multiply(minus[..., i::-1][..., : m + 1], plus[..., i : i + m + 1], out=ker[..., : m + 1])
-        ker[..., m + 1 : nx - m] = 0.0
-        if m:
-            np.multiply(minus[..., i + m : i : -1], plus[..., i - m : i], out=ker[..., nx - m :])
-        np.fft.ifft(ker, axis=2, norm="forward", out=ker)
-        np.fft.fft(ker, axis=1, out=ker)
-        max_imag = max(max_imag, _max_abs(ker.imag))
-        # ker is (v, vdot, vddot), the last two in FFT order; fftshift is a swap of quadrants
-        re = ker.real
-        for src_r, dst_r in _swapped_halves(nv):
-            for src_q, dst_q in _swapped_halves(nx):
-                np.multiply(pref, re[:, src_r, src_q], out=out[i][:, dst_r, dst_q])
-    peak = _max_abs(out)
+    # one kernel buffer per task in flight, for a share of the v-rows at a time, so together they hold
+    # about one row's kernel; both FFTs overwrite it in place
+    share = -(-nv // _workers())
+    kernels = [np.empty((share, nv, nx), dtype=np.complex128) for _ in range(_workers())]
+
+    def rows(lo, hi):
+        """Fill out[lo:hi]; return the rows' max |imaginary residue|, min and max."""
+        ker = kernels.pop()
+        max_imag = 0.0
+        for i in range(lo, hi):
+            m = min(i, nx - 1 - i)
+            for j in range(0, nv, share):
+                # part[j', r, q] = minus[j+j', r, i-k] plus[j+j', r, i+k] with k = q for q < nx/2 and q - nx
+                # above; rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
+                mi, pl, part = minus[j : j + share], plus[j : j + share], ker[: min(share, nv - j)]
+                np.multiply(mi[..., i::-1][..., : m + 1], pl[..., i : i + m + 1], out=part[..., : m + 1])
+                part[..., m + 1 : nx - m] = 0.0
+                if m:
+                    np.multiply(mi[..., i + m : i : -1], pl[..., i - m : i], out=part[..., nx - m :])
+                np.fft.ifft(part, axis=2, norm="forward", out=part)
+                np.fft.fft(part, axis=1, out=part)
+                max_imag = max(max_imag, _max_abs(part.imag))
+                # part is (v, vdot, vddot), the last two in FFT order; fftshift is a swap of quadrants
+                re = part.real
+                for src_r, dst_r in _swapped_halves(nv):
+                    for src_q, dst_q in _swapped_halves(nx):
+                        np.multiply(pref, re[:, src_r, src_q], out=out[i, j : j + share][:, dst_r, dst_q])
+        kernels.append(ker)
+        block = out[lo:hi]
+        return max_imag, float(block.min()), float(block.max())
+
+    max_imag, peak, finite = 0.0, 0.0, True
+    for imag, low, high in _map_slabs(rows, _x_slabs(out)):
+        max_imag = max(max_imag, imag)
+        peak = max(peak, high, -low)
+        finite = finite and math.isfinite(low) and math.isfinite(high)
+    # finite row minima and maxima mean finite rows, so W needs no second scan
+    if not finite:
+        raise ValidationError("field data contains non-finite values")
     if max_imag * pref > IMAG_RESIDUE_LIMIT * peak:
         raise NumericError(
             f"imaginary residue {max_imag * pref:.3e} exceeds {IMAG_RESIDUE_LIMIT:.1e} x peak {peak:.3e}"
         )
-    return RealField((ax, av, plan.vdot, plan.vddot), out)
+    return RealField._trusted((ax, av, plan.vdot, plan.vddot), out)
 
 
 def wigner3(psi: ComplexField, params) -> RealField:

@@ -226,6 +226,28 @@ def test_check_suite_passes_and_warns_on_odd_hbar2(capsys):
     assert "all checks passed: 7/7" in lines[-1]
 
 
+@pytest.mark.parametrize("flag", ["--m", "--hbar", "--omega"])
+@pytest.mark.parametrize("value", ["0", "1", None])
+def test_check_refuses_the_physics_flags(capsys, monkeypatch, flag, value):
+    # the suite runs at m = hbar = omega = 1; --hbar must not pass as an abbreviation of --hbar2
+    monkeypatch.setattr(cli, "run_ho_suite", _quick_suite)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "ho", flag] + ([value] if value else []))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"argument {flag}: not taken" in err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e1", "-2.5e+0", "-1e0", "-3"])
+def test_float_flags_take_negative_exponent_values(tmp_path, capsys, value):
+    path = tmp_path / "psi.fld"
+    assert main(["gen-ho", "--nx", "8", "--nv", "8", "--xmin", value, "--xmax", "8", "--vmin", value,
+                 "--t", value, "--out", str(path)]) == 0
+    field = read_field(path)
+    assert field.axes[0].min == float(value) and field.axes[1].min == float(value)
+    assert f"t = {float(value):g}" in capsys.readouterr().out
+
+
 def test_flag_errors_exit_1(capsys):
     for argv in (
         [],
@@ -347,9 +369,9 @@ THRESHOLD = (["1e-3", "0.5", "0"], ["1", "-1", "nan", "inf", "abc"])
 BAD_FILES = ["u", "binary", "missing", "dir"]
 OUT = (["out/o.fld"], ["absent/o.fld", "out"])
 GRAMMAR = {
-    "gen-ho": {**PARAMS, "--t": NUMBER, "--nx": COUNT, "--nv": COUNT, "--xmin": (["-8", "-1"], NUMBER[1]),
-               "--xmax": (["8", "1"], NUMBER[1]), "--vmin": (["-8"], NUMBER[1]), "--vmax": (["8"], NUMBER[1]),
-               "--out": OUT},
+    "gen-ho": {**PARAMS, "--t": (NUMBER[0] + ["-1e-3", "-2.5E+0"], NUMBER[1]), "--nx": COUNT, "--nv": COUNT,
+               "--xmin": (["-8", "-1", "-1e-3", "-.5e1"], NUMBER[1]), "--xmax": (["8", "1"], NUMBER[1]),
+               "--vmin": (["-8", "-8e0"], NUMBER[1]), "--vmax": (["8"], NUMBER[1]), "--out": OUT},
     "wigner": {"--in": (["psi"], ["w4"] + BAD_FILES), "--rank": (["4", "3", "24"], ["5"]), **PARAMS,
                "--out": OUT},
     "marginal": {"--in": (["w4", "w3"], ["psi"] + BAD_FILES), "--axis": (["vdot", "vddot"], ["x"]),
@@ -360,7 +382,7 @@ GRAMMAR = {
                  "--mode": (["psi-moyal", "vlasov12", "vlasov123", "vlasov124"], ["moyal"]), **PARAMS,
                  "--order": (["2", "4", "6"], ["5"]), "--mask-threshold": THRESHOLD,
                  "--report": (["out/r.txt"], OUT[1])},
-    "check": {"--suite": (["ho"], ["xy"]), **PARAMS,
+    "check": {"--suite": (["ho"], ["xy"]), "--hbar2": PARAMS["--hbar2"],
               "--seed": (["0", "7"], ["-1", "-7", "abc", "1e3", "18446744073709551616"])},
     "export-csv": {"--in": (["w4", "w3"], ["psi"] + BAD_FILES),
                    "--slice": (["vdot=0,vddot=0", "x=0,v=0", "vddot=0"], ["x=nan,v=0", "x=abc", "q=1", "x=0,x=1", ""]),

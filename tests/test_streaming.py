@@ -92,7 +92,8 @@ def positive_w4(w4):
 
 
 def set_slab_rows(monkeypatch, rows):
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", rows * 8 * math.prod(SHAPE[1:]))
+    # the slab budget is split among the workers
+    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", rows * 8 * math.prod(SHAPE[1:]) * fields_mod._workers())
 
 
 @pytest.fixture(params=[1, 3, "n"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasechain import (
     ComplexField,
@@ -134,6 +136,31 @@ def test_translation_covariance_is_exact(psi):
     base = wigner4(ComplexField(AXES, data), P)
     rolled = wigner4(ComplexField(AXES, np.roll(data, (2, 1), axis=(0, 1))), P)
     assert np.array_equal(rolled.data, np.roll(base.data, (2, 1), axis=(0, 1)))
+
+
+@st.composite
+def shifted_psis(draw):
+    """(psi on a zero margin, x shift, v shift): random complex samples, shifts no wider than the margin."""
+    nx, nv = draw(st.sampled_from([8, 16, 32])), draw(st.sampled_from([8, 16, 32]))
+    sx, sv = draw(st.integers(-nx // 4, nx // 4)), draw(st.integers(-nv // 4, nv // 4))
+    mx, mv = draw(st.integers(abs(sx), nx // 4)), draw(st.integers(abs(sv), nv // 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = np.zeros((nx, nv), dtype=complex)
+    inner = (nx - 2 * mx, nv - 2 * mv)
+    data[mx : nx - mx, mv : nv - mv] = rng.standard_normal(inner) + 1j * rng.standard_normal(inner)
+    axes = (make_axis("x", -3.0, 3.0, nx), make_axis("v", -2.0, 2.0, nv))
+    return ComplexField(axes, data), sx, sv
+
+
+@settings(max_examples=20)
+@given(shifted_psis())
+def test_translation_covariance_on_generated_psi(case):
+    # a whole-node shift of psi over its zero margin permutes the autocorrelation windows, so W
+    # shifts with it exactly (np.array_equal: a zero may change sign)
+    psi, sx, sv = case
+    base = wigner4(psi, P)
+    moved = wigner4(psi.with_data(np.roll(psi.data, (sx, sv), axis=(0, 1))), P)
+    assert np.array_equal(moved.data, np.roll(base.data, (sx, sv), axis=(0, 1)))
 
 
 def test_probability_survives_detuned_hbar2(psi):
