@@ -167,16 +167,18 @@ def _cmd_residual(args) -> int:
         raise ValidationError(f"potential file {args.potential} is not UTF-8 text") from None
     scheme = StencilScheme(order=args.order)
     if args.mode == "psi-moyal":
-        # every node counts; reduce slab by slab instead of holding a dense residual
-        rmax = max(_max_abs(block) for _, _, block in moyal_residual_slabs(w4, u, p, scheme))
-        density, masked = w4, 0.0
+        # every node counts; reduce slab by slab, and take W's peak from the rows each slab has just read
+        rmax = peak = -math.inf
+        for lo, hi, block in moyal_residual_slabs(w4, u, p, scheme):
+            rmax, peak = max(rmax, _max_abs(block)), max(peak, _max_abs(w4.data[lo:hi]))
+        masked = 0.0
     else:
         res, density, valid = _chain_residual(args.mode, w4, u, p, scheme, args.mask_threshold)
         if not valid.any():
             raise NumericError("no valid points left after masking")
         rmax = float(np.abs(res.data[valid]).max())
         masked = 1.0 - float(valid.sum()) / valid.size
-    peak = _max_abs(density.data)
+        peak = _max_abs(density.data)
     lines = [
         f"max|residual|       = {rmax:.9e}",
         f"max|residual|/peak  = {rmax / peak:.9e}",

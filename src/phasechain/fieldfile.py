@@ -1,10 +1,11 @@
 """Binary field persistence and CSV slicing.
 
-Field files are little-endian throughout: magic 'PSIF', u32 version (1), u8
+Field files are little-endian throughout: magic 'PSIF', u32 version (2), u8
 payload dtype (0 real float64, 1 complex128 with interleaved re/im), u8 rank,
 two reserved zero bytes, then per axis a u8 name length, the UTF-8 name, u64
-sample count and f64 min/max, followed by the row-major payload. Values round
-trip bit exactly.
+sample count and f64 min/max, then zero bytes up to a multiple of 64 (so a
+mapped payload is aligned, as in NumPy's .npy format), then the row-major
+payload. Version 1 had no padding and still reads. Values round trip bit exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import AxisGrid, ComplexField, RealField, ValidationError, make_axis
+from .fields import ComplexField, RealField, ValidationError, make_axis
 
 __all__ = [
     "FieldFormatError",
@@ -29,7 +30,8 @@ __all__ = [
 ]
 
 MAGIC = b"PSIF"
-VERSION = 1
+VERSION = 2
+_ALIGN = 64  # from version 2 on, the payload starts at a multiple of this offset
 
 _HEADER = struct.Struct("<4sIBB2s")
 _AXIS_FIXED = struct.Struct("<Qdd")
@@ -54,10 +56,12 @@ def write_field(field, path):
         raise ValidationError(f"cannot serialize {type(field)!r}")
     header = [_HEADER.pack(MAGIC, VERSION, dtype_code, field.rank, b"\x00\x00")]
     for a in field.axes:
+        a = make_axis(a.name, a.min, a.max, a.n)  # never write an axis that read_field refuses
         name = a.name.encode("utf-8")
         header.append(struct.pack("<B", len(name)))
         header.append(name)
         header.append(_AXIS_FIXED.pack(a.n, a.min, a.max))
+    header.append(bytes(-sum(map(len, header)) % _ALIGN))
     payload = np.ascontiguousarray(field.data).astype(cast, copy=False)
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
@@ -96,7 +100,7 @@ def read_field(path):
     magic, version, dtype_code, rank, reserved = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise FieldFormatError(f"bad magic {magic!r}, not a field file")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise FieldFormatError(f"unsupported field file version {version}")
     if dtype_code not in (0, 1):
         raise FieldFormatError(f"unknown payload dtype code {dtype_code}")
@@ -119,11 +123,12 @@ def read_field(path):
             axes.append(make_axis(name, lo, hi, n))
         except ValidationError as exc:
             raise FieldFormatError(f"invalid axis in field file: {exc}") from exc
-    count = 1
-    for a in axes:
-        count *= a.n
+    if version > 1:
+        raw, off = _take(buf, off, -off % _ALIGN, "header padding")
+        if any(raw):
+            raise FieldFormatError("header padding bytes are not zero")
     itemsize = 16 if dtype_code else 8
-    raw, off = _take(buf, off, count * itemsize, "payload")
+    raw, off = _take(buf, off, math.prod(a.n for a in axes) * itemsize, "payload")
     if off != len(buf):
         raise FieldFormatError(f"{len(buf) - off} trailing bytes after payload")
     kind, dtype = (ComplexField, "<c16") if dtype_code else (RealField, "<f8")

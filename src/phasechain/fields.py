@@ -281,10 +281,6 @@ def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, 
     _BLAS_MADDS multiply-adds each. BLAS orders each sum its own way, so a
     result matches the zero-padded tap sum within 4 (2w+1) eps
     sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
-
-    matmul copies a source that is not aligned (the payload of a mapped field
-    file) before BLAS reads it, so the batches go to matmul in chunks that
-    each read about _SLAB_BYTES of `data`; the BLAS calls are the same.
     """
     n = data.shape[axis]
     hi = n if hi is None else hi
@@ -297,24 +293,16 @@ def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, 
     out = np.empty(shape, dtype=np.result_type(data, band))
     dst = out.reshape(pre, hi - lo, post)
     per_call = max(1, _BLAS_MADDS // band.size)
-    cells = _SLAB_BYTES // ((b - a) * data.itemsize)  # positions along the free dimensions per chunk
     if post > 1:
-        step = min(per_call, post)
-        lines, cols = (max(1, cells // post), post) if post <= cells else (1, step * max(1, cells // step))
-        for p in range(0, pre, lines):
-            for c in range(0, post, cols):
-                _band_columns(band, src[p : p + lines, :, c : c + cols], dst[p : p + lines, :, c : c + cols], step)
+        _band_columns(band, src, dst, min(per_call, post))
     else:
-        # the last axis: out[rows] = src[rows] @ band.T, batched over blocks of `step` rows
+        # the last axis: out = src @ band.T, batched over blocks of `step` rows
         src, dst, step = src[..., 0], dst[..., 0], min(per_call, pre)
         band_t = band.T.copy()  # gemm on the transposed view ran 1.6x slower at 64^4
-        rows = step * max(1, cells // step)
-        for r in range(0, pre, rows):
-            src_r, dst_r = src[r : r + rows], dst[r : r + rows]
-            cut = len(src_r) - len(src_r) % step
-            np.matmul(src_r[:cut].reshape(-1, step, b - a), band_t, out=dst_r[:cut].reshape(-1, step, hi - lo))
-            if cut < len(src_r):
-                np.matmul(src_r[cut:], band_t, out=dst_r[cut:])
+        cut = pre - pre % step
+        np.matmul(src[:cut].reshape(-1, step, b - a), band_t, out=dst[:cut].reshape(-1, step, hi - lo))
+        if cut < pre:
+            np.matmul(src[cut:], band_t, out=dst[cut:])
     out /= h**power
     return out
 

@@ -1,5 +1,6 @@
 """Binary field persistence and CSV slicing."""
 
+import itertools
 import os
 import struct
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasechain import (
+    AxisGrid,
     ComplexField,
     FieldFormatError,
     PhysParams,
@@ -73,6 +75,72 @@ def test_write_rejects_non_fields(tmp_path):
         write_field(np.zeros(4), tmp_path / "nope.fld")
 
 
+@pytest.mark.parametrize("axis", [AxisGrid("x", 5, 0.0, 1.0), AxisGrid("q", 4, 0.0, 1.0), AxisGrid("x", 4, 1.0, 0.0)],
+                         ids=["odd n", "unknown name", "max below min"])
+def test_write_refuses_axes_that_read_refuses(tmp_path, axis):
+    field = RealField((axis,), np.arange(float(axis.n)))  # a container does not validate its axes
+    with pytest.raises(ValidationError):
+        write_field(field, tmp_path / "f.fld")
+    assert os.listdir(tmp_path) == []  # neither the file nor its temporary
+
+
+def axis_block(a) -> bytes:
+    name = a.name.encode("utf-8")
+    return struct.pack("<B", len(name)) + name + struct.pack("<Qdd", a.n, a.min, a.max)
+
+
+def header_size(field) -> int:
+    """Bytes before the padding: the fixed 12-byte part and the axis blocks."""
+    return 12 + sum(len(axis_block(a)) for a in field.axes)
+
+
+def pack_v1(field) -> bytes:
+    """A version-1 file, packed by hand: the payload follows the last axis block with no padding."""
+    dtype_code = 1 if isinstance(field, ComplexField) else 0
+    blob = b"PSIF" + struct.pack("<IBB2s", 1, dtype_code, field.rank, b"\x00\x00")
+    return blob + b"".join(axis_block(a) for a in field.axes) + field.data.tobytes()
+
+
+# every axis-name combination the CLI writes: the rank-4 W, its transforms, marginals and fluxes, and psi
+CLI_AXIS_SETS = [names for r in range(1, 5) for names in itertools.combinations(("x", "v", "vdot", "vddot"), r)]
+
+
+@pytest.mark.parametrize("kind, names", [(RealField, names) for names in CLI_AXIS_SETS]
+                         + [(ComplexField, names) for names in CLI_AXIS_SETS if len(names) <= 2],
+                         ids=lambda v: "-".join(v) if isinstance(v, tuple) else v.__name__)
+def test_payloads_start_on_64_byte_boundaries(tmp_path, kind, names):
+    axes = tuple(make_axis(name, -1.0, 1.0, 4 + 2 * i) for i, name in enumerate(names))
+    data = awkward_values(tuple(a.n for a in axes), seed=len(names))
+    field = kind(axes, data + 1j * data[::-1] if kind is ComplexField else data)
+    path = tmp_path / "f.fld"
+    write_field(field, path)
+    blob = path.read_bytes()
+    end = header_size(field)
+    offset = -(-end // 64) * 64
+    assert blob[4:8] == struct.pack("<I", 2)
+    assert blob[end:offset] == bytes(offset - end)
+    assert blob[offset:] == field.data.tobytes()
+    again = read_field(path)
+    assert again.data.flags.aligned and again.data.ctypes.data % 64 == 0
+    assert again.data.tobytes() == field.data.tobytes()
+
+
+def test_version_1_files_read_bit_exactly(tmp_path):
+    w4 = RealField(tuple(make_axis(n, -2.0, 2.0, 4) for n in ("x", "v", "vdot", "vddot")),
+                   awkward_values((4, 4, 4, 4), seed=7))
+    psi = sample_complex(lambda x, v: psi12(x, v, 0.3, P), (make_axis("x", -8.0, 8.0, 8), make_axis("v", -8.0, 8.0, 6)))
+    line = RealField((make_axis("vddot", 0.5, 9.0, 10),), awkward_values((10,), seed=8))
+    assert header_size(w4) == 123  # the payload of a version-1 W was not 8-byte aligned
+    for i, field in enumerate((w4, psi, line)):
+        path = tmp_path / f"v1-{i}.fld"
+        path.write_bytes(pack_v1(field))
+        again = read_field(path)
+        assert type(again) is type(field) and again.axes == field.axes
+        assert again.data.tobytes() == field.data.tobytes()
+        write_field(again, path)  # rewritten as version 2
+        assert len(path.read_bytes()) == -(-header_size(field) // 64) * 64 + field.data.nbytes
+
+
 def test_read_missing_file_is_oserror(tmp_path):
     assert issubclass(FieldFormatError, OSError)
     with pytest.raises(OSError):
@@ -94,6 +162,7 @@ def test_malformed_headers_are_rejected(tmp_path):
     cases = {
         "bad magic": b"JUNK" + good[4:],
         "bad version": good[:4] + struct.pack("<I", 9) + good[8:],
+        "version 3": good[:4] + struct.pack("<I", 3) + good[8:],
         "bad dtype": good[:8] + b"\x07" + good[9:],
         "bad rank": good[:9] + b"\x05" + good[10:],
         "reserved set": good[:10] + b"\x01\x00" + good[12:],
@@ -101,6 +170,9 @@ def test_malformed_headers_are_rejected(tmp_path):
         "truncated payload": good[:-4],
         "trailing bytes": good + b"\x00",
         "bad axis name": good[:12] + b"\x02zz" + good[15:],
+        # the rank-1 header ends at byte 38 and is padded with zeros up to the payload at byte 64
+        "non-zero padding": good[:50] + b"\x01" + good[51:],
+        "truncated padding": good[:50],
     }
     for label, blob in cases.items():
         with pytest.raises(FieldFormatError):
@@ -128,17 +200,23 @@ def test_axis_bounds_validation_maps_to_format_error(tmp_path):
 
 @pytest.fixture(scope="module")
 def good_blobs(tmp_path_factory):
-    """Valid files of both dtypes: a real rank-3 field and a complex rank-2 one."""
+    """Valid files of both dtypes: a real rank-3 field, a complex rank-2 one and a real rank-4 one.
+
+    The rank-3 and rank-4 headers (93 and 123 bytes) are padded to 128; the rank-2 one is 64 bytes already.
+    """
     real = RealField(
         (make_axis("x", -1.0, 1.0, 4), make_axis("v", 0.0, 2.0, 4), make_axis("vdot", -3.0, 3.0, 6)),
         awkward_values((4, 4, 6), seed=2),
     )
     psi_axes = (make_axis("x", -2.0, 2.0, 4), make_axis("v", -2.0, 2.0, 4))
     psi = sample_complex(lambda x, v: np.exp(-x * x) * (1.0 + 1j * v), psi_axes)
+    w4 = RealField(tuple(make_axis(n, -1.0, 1.0, 4) for n in ("x", "v", "vdot", "vddot")),
+                   awkward_values((4, 4, 4, 4), seed=4))
     d = tmp_path_factory.mktemp("good")
-    for name, field in (("real.fld", real), ("psi.fld", psi)):
+    names = ("real.fld", "psi.fld", "w4.fld")
+    for name, field in zip(names, (real, psi, w4)):
         write_field(field, d / name)
-    return [(d / name).read_bytes() for name in ("real.fld", "psi.fld")]
+    return [(d / name).read_bytes() for name in names]
 
 
 def damage(draw, good: bytes) -> bytes:
