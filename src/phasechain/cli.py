@@ -29,7 +29,7 @@ from .fields import (
     sample_complex,
     stencil_halfwidth,
 )
-from .fieldfile import export_csv, parse_slice_spec, read_field, write_field
+from .fieldfile import _write_rows, export_csv, parse_slice_spec, read_field, write_field
 from .moyal import PolynomialPotential, moyal_residual_slabs
 from .oscillator import PhysParams, psi12
 from .vlasov import (
@@ -40,7 +40,15 @@ from .vlasov import (
     mean_flux_from_w4,
     vlasov_residual,
 )
-from .wigner import TransformPlan, marginal_to_2, wigner4, wigner4_marginal_to_3, wigner4_marginal_to_24, wigner24, wigner3
+from .wigner import (
+    TransformPlan,
+    _wigner4_rows,
+    marginal_to_2,
+    wigner4_marginal_to_3,
+    wigner4_marginal_to_24,
+    wigner24,
+    wigner3,
+)
 
 __all__ = ["main"]
 
@@ -124,11 +132,16 @@ def _cmd_wigner(args) -> int:
     plan = TransformPlan.for_psi(psi, p)
     for dual in (plan.vdot, plan.vddot):
         print(f"dual axis {dual.name}: [{dual.min:.9g}, {dual.max:.9g}) step {dual.step:.9g}, n = {dual.n}")
-    transform = {"4": wigner4, "3": wigner3, "24": wigner24}[args.rank]
-    out = transform(psi, p)
-    write_field(out, args.out)
-    names = " x ".join(a.name for a in out.axes)
-    print(f"wrote {args.out}: real rank-{out.rank} field on ({names}), peak {_max_abs(out.data):.9g}")
+    if args.rank == "4":
+        # W goes to the file block by block as the transform makes it, and the transform returns its peak
+        axes, rows = _wigner4_rows(psi, p)
+        peak = _write_rows(RealField, axes, rows, args.out)
+    else:
+        out = {"3": wigner3, "24": wigner24}[args.rank](psi, p)
+        write_field(out, args.out)
+        axes, peak = out.axes, _max_abs(out.data)
+    names = " x ".join(a.name for a in axes)
+    print(f"wrote {args.out}: real rank-{len(axes)} field on ({names}), peak {peak:.9g}")
     return 0
 
 

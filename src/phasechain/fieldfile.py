@@ -11,7 +11,6 @@ payload. Version 1 had no padding and still reads. Values round trip bit exactly
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import stat
 import struct
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ComplexField, RealField, ValidationError, make_axis
+from .fields import ComplexField, RealField, ValidationError, _FileMap, make_axis
 
 __all__ = [
     "FieldFormatError",
@@ -48,21 +47,28 @@ def write_field(field, path):
     it, so a field that `read_field` still maps keeps the old file's bytes. A
     symlinked `path` is followed, so its target is the file replaced.
     """
-    if isinstance(field, ComplexField):
-        dtype_code, cast = 1, "<c16"
-    elif isinstance(field, RealField):
-        dtype_code, cast = 0, "<f8"
-    else:
+    if not isinstance(field, (RealField, ComplexField)):
         raise ValidationError(f"cannot serialize {type(field)!r}")
-    header = [_HEADER.pack(MAGIC, VERSION, dtype_code, field.rank, b"\x00\x00")]
-    for a in field.axes:
+    _write_rows(type(field), field.axes, iter([field.data]), path)
+
+
+def _write_rows(kind, axes, rows, path):
+    """Write a field of `kind` on `axes` whose x-row blocks `rows` yields in order; return what `rows` returns.
+
+    The header is built, and the axes checked, before any file is made. The
+    temporary file replaces the target only after `rows` is exhausted, so a
+    transform that raises after its last block leaves the target as it was.
+    """
+    dtype_code, cast = (1, "<c16") if kind is ComplexField else (0, "<f8")
+    header = [_HEADER.pack(MAGIC, VERSION, dtype_code, len(axes), b"\x00\x00")]
+    for a in axes:
         a = make_axis(a.name, a.min, a.max, a.n)  # never write an axis that read_field refuses
         name = a.name.encode("utf-8")
         header.append(struct.pack("<B", len(name)))
         header.append(name)
         header.append(_AXIS_FIXED.pack(a.n, a.min, a.max))
     header.append(bytes(-sum(map(len, header)) % _ALIGN))
-    payload = np.ascontiguousarray(field.data).astype(cast, copy=False)
+    size, written = math.prod(a.n for a in axes) * np.dtype(cast).itemsize, 0
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL: never truncate a file of that name; mode 0o666 less the umask, as open(path, "wb")
@@ -70,11 +76,21 @@ def write_field(field, path):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(header)
-            fh.write(memoryview(payload).cast("B"))
+            while True:
+                try:
+                    block = next(rows)
+                except StopIteration as stop:
+                    result = stop.value
+                    break
+                payload = np.ascontiguousarray(block).astype(cast, copy=False)
+                written += fh.write(memoryview(payload).cast("B"))
+        if written != size:
+            raise ValidationError(f"payload of {written} bytes, where the axes take {size}")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return result
 
 
 def _take(buf: memoryview, offset: int, size: int, what: str):
@@ -87,7 +103,9 @@ def read_field(path):
     """Deserialize a field file; raises FieldFormatError on malformed bytes.
 
     The file is mapped read-only and the payload array views the mapping, so
-    nothing is copied; the mapping lives as long as the field's data.
+    nothing is copied; the mapping lives as long as the field's data. The
+    x-slab loops over the field drop the mapped rows they have passed from
+    the process, and a later read maps them again from the page cache.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
@@ -95,7 +113,7 @@ def read_field(path):
             raise FieldFormatError("field files must be regular files (they are memory-mapped)")
         if st.st_size == 0:  # mmap refuses empty files
             raise FieldFormatError("truncated field file while reading header")
-        buf = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+        buf = memoryview(_FileMap(fh.fileno()))
     raw, off = _take(buf, 0, _HEADER.size, "header")
     magic, version, dtype_code, rank, reserved = _HEADER.unpack(raw)
     if magic != MAGIC:

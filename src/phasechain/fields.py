@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import mmap
 import numbers
 import os
 import threading
@@ -94,15 +95,17 @@ def make_axis(name: str, lo: float, hi: float, n: int) -> AxisGrid:
 
 
 def _check_axes(axes, lo_rank, hi_rank):
+    """The axes as a tuple, if each is one that make_axis builds and no name repeats; else ValidationError."""
     axes = tuple(axes)
     if not (lo_rank <= len(axes) <= hi_rank):
         raise ValidationError(f"rank {len(axes)} outside [{lo_rank}, {hi_rank}]")
-    names = [a.name for a in axes]
-    if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate axis names {names}")
     for a in axes:
         if not isinstance(a, AxisGrid):
             raise ValidationError(f"axes must be AxisGrid, got {type(a)!r}")
+        make_axis(a.name, a.min, a.max, a.n)
+    names = [a.name for a in axes]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"duplicate axis names {names}")
     return axes
 
 
@@ -123,8 +126,10 @@ class _BaseField:
         # max reads what min left in cache; the scan is bound by memory bandwidth, and on 2 cores two
         # slab workers were slower than this thread alone
         flat = data.view(np.float64)
-        if not all(np.isfinite(flat[lo:hi].min()) and np.isfinite(flat[lo:hi].max()) for lo, hi in _x_slabs(flat)):
-            raise ValidationError("field data contains non-finite values")
+        for lo, hi in _x_slabs(flat):
+            if not (np.isfinite(flat[lo:hi].min()) and np.isfinite(flat[lo:hi].max())):
+                raise ValidationError("field data contains non-finite values")
+            _drop_rows(flat, lo, hi)
         data.flags.writeable = False
         self.data = data
 
@@ -250,6 +255,10 @@ def stencil_halfwidth(power: int, order: int) -> int:
     return (power + 1) // 2 + order // 2 - 1
 
 
+# no stencil reads further than this many rows beyond the rows it writes
+_X_HALO = stencil_halfwidth(MAX_DERIVATIVE_POWER, max(_STENCIL_ORDERS))
+
+
 @lru_cache(maxsize=None)
 def _band_matrix(n: int, coeffs: tuple[float, ...]) -> Array:
     """n x n stencil weights: row i (output node) holds c_j in column i + j (source node).
@@ -354,9 +363,48 @@ def _workers() -> int:
 
 def _x_slabs(data: Array):
     """[lo, hi) ranges over axis 0; the workers' slabs together hold about 1 MiB of `data` (at least a row each)."""
-    n = data.shape[0]
-    rows = max(1, _SLAB_BYTES // (_workers() * data[0].nbytes))
+    return _row_slabs(data.shape[0], data[0].nbytes)
+
+
+def _row_slabs(n: int, row_bytes: int):
+    """_x_slabs of an array of n rows of row_bytes each."""
+    rows = max(1, _SLAB_BYTES // (_workers() * row_bytes))
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+class _FileMap(mmap.mmap):
+    """A read-only shared mapping of a whole file, as read_field maps a field file: all that _drop_rows touches."""
+
+    def __new__(cls, fileno: int):
+        return super().__new__(cls, fileno, 0, access=mmap.ACCESS_READ)
+
+
+def _drop_rows(data: Array, lo: int, hi: int) -> None:
+    """Drop the pages of the rows [lo, hi) of a C-contiguous `data` from the process, if `data` views a _FileMap.
+
+    The page that row lo starts in goes and the one that row hi starts in
+    stays, so calls over consecutive ranges leave no page behind. Mapped pages
+    count toward the process's RSS. A dropped page is mapped again from the
+    page cache when next read, with the file's bytes: the mapping is
+    read-only, and field files are replaced by rename, never rewritten in
+    place. Any other array (in memory, an np.memmap, a writable or private
+    mapping) is left alone, and so is everything where madvise has no
+    MADV_DONTNEED.
+    """
+    base = data
+    while isinstance(base, np.ndarray):
+        base = base.base
+    mapping = base.obj if isinstance(base, memoryview) else base
+    if _MADV_DONTNEED is None or not isinstance(mapping, _FileMap):
+        return
+    offset = data.__array_interface__["data"][0] - np.frombuffer(mapping, np.uint8).__array_interface__["data"][0]
+    page = mmap.PAGESIZE
+    first, last = ((offset + i * data.strides[0]) // page * page for i in (lo, hi))
+    if last > first:
+        mapping.madvise(_MADV_DONTNEED, first, last - first)
 
 
 class _Job:
@@ -435,9 +483,26 @@ def _map_slabs(task, ranges):
             job.done.acquire()
 
 
-def _run_slabs(task, ranges) -> None:
-    """task(lo, hi) for each [lo, hi) of ranges on the slab pool, for its side effects."""
-    for _ in _map_slabs(task, ranges):
+def _map_rows(task, data: Array, ranges=None):
+    """Yield task(lo, hi) for each x-slab of `data` (or each [lo, hi) of ranges), in order, from _map_slabs.
+
+    When the caller asks for the next result, the rows no later slab reads (those
+    more than _X_HALO rows before its end) are dropped with _drop_rows, and once
+    the loop ends all of them, so a loop over a mapped field keeps a few rows of
+    it resident.
+    """
+    ranges = _x_slabs(data) if ranges is None else ranges
+    done = 0
+    for (_, hi), value in zip(ranges, _map_slabs(task, ranges)):
+        yield value
+        _drop_rows(data, done, hi - _X_HALO)
+        done = max(done, hi - _X_HALO)
+    _drop_rows(data, done, len(data))
+
+
+def _run_slabs(task, data: Array, ranges=None) -> None:
+    """_map_rows for the tasks' side effects."""
+    for _ in _map_rows(task, data, ranges):
         pass
 
 
@@ -470,7 +535,7 @@ def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
         def slab(lo, hi):
             total[lo:hi] = data[lo:hi].sum(axis=k) * scale
 
-        _run_slabs(slab, _x_slabs(data))
+        _run_slabs(slab, data)
     rest = field.axes[:k] + field.axes[k + 1 :]
     if not rest:
         return float(total)
@@ -653,7 +718,7 @@ def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
     def slab(lo, hi):
         out[lo:hi] = body(_GridView(field, scheme, lo, hi))
 
-    _run_slabs(slab, _x_slabs(field.data))
+    _run_slabs(slab, field.data)
     return out
 
 

@@ -30,9 +30,8 @@ from .fields import (
     _add_product,
     _evaluate,
     _GridView,
-    _map_slabs,
+    _map_rows,
     _require_axes,
-    _x_slabs,
 )
 
 __all__ = [
@@ -269,6 +268,7 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     rounding bound, so a caller can reduce the residual (its max, say) without
     a second dense field. The slab height is set from the field's row size,
     and the slabs are computed on the slab pool, a few ahead of the caller.
+    The rows of a W read from a file are dropped from memory behind the caller.
     """
     _require_axes(w4, KINEMATIC_ORDER)
     table = build_term_table(u, params)
@@ -276,7 +276,7 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     def slab(lo, hi):
         return lo, hi, _residual(_GridView(w4, scheme, lo, hi), u, params, table, dt_term)
 
-    yield from _map_slabs(slab, _x_slabs(w4.data))
+    yield from _map_rows(slab, w4.data)
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,

@@ -37,7 +37,6 @@ from .fields import (
     _PointView,
     _require_axes,
     _run_slabs,
-    _x_slabs,
     integrate_axis,
     partial_derivative,
     stencil_halfwidth,
@@ -152,7 +151,7 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
         den[lo:hi] = rows.sum(axis=k) * scale
 
     # slabs run along axis 0, so they need an axis 0 that is not reduced
-    _run_slabs(slab, _x_slabs(field.data) if k else [(0, field.data.shape[0])])
+    _run_slabs(slab, field.data, None if k else [(0, field.data.shape[0])])
     return _flux_field(which, field.axes[:k] + field.axes[k + 1 :], num, den, mask_threshold)
 
 
@@ -250,7 +249,7 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
         num[lo:hi] = product.sum(axis=2) * scale
         den[lo:hi] = rows.sum(axis=2) * scale
 
-    _run_slabs(slab, _x_slabs(w4.data))
+    _run_slabs(slab, w4.data)
     return _flux_field("124-accel", w4.axes[:2] + w4.axes[3:], num, den, mask_threshold)
 
 

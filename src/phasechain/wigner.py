@@ -34,8 +34,8 @@ from .fields import (
     ValidationError,
     _map_slabs,
     _max_abs,
+    _row_slabs,
     _workers,
-    _x_slabs,
     integrate_axis,
 )
 
@@ -135,6 +135,22 @@ def wigner4(psi: ComplexField, params) -> RealField:
     ------
     NumericError if the imaginary residue exceeds 1e-10 of the output peak.
     """
+    axes, rows = _wigner4_rows(psi, params)
+    out = np.empty(tuple(a.n for a in axes))
+    lo = 0
+    for block in rows:
+        out[lo : lo + len(block)] = block
+        lo += len(block)
+    return RealField._trusted(axes, out)
+
+
+def _wigner4_rows(psi: ComplexField, params):
+    """W's axes, and a generator of W's x-rows in order, in blocks computed on the slab pool.
+
+    A block is valid until the next one is asked for: the workers' buffers are
+    reused. After the last block the generator raises what wigner4 raises, or
+    returns max |W|, taken from the blocks' minima and maxima.
+    """
     plan = TransformPlan.for_psi(psi, params)
     ax, av = psi.axes
     nx, nv = ax.n, av.n
@@ -146,15 +162,18 @@ def wigner4(psi: ComplexField, params) -> RealField:
     colm, colp = (c[:, cols] for c in _window_columns(nv))
     minus = np.ascontiguousarray(np.moveaxis(np.conj(padded[:, colm]), 0, 2))
     plus = np.ascontiguousarray(np.moveaxis(padded[:, colp], 0, 2))
-    out = np.empty((nx, nv, nv, nx), dtype=np.float64)
     # one kernel buffer per task in flight, for a share of the v-rows at a time, so together they hold
     # about one row's kernel; both FFTs overwrite it in place
     share = -(-nv // _workers())
     kernels = [np.empty((share, nv, nx), dtype=np.complex128) for _ in range(_workers())]
+    # one block buffer per task in flight, the caller's block counting as one
+    ranges = _row_slabs(nx, nv * nv * nx * 8)
+    height = ranges[0][1] - ranges[0][0]
+    buffers = [np.empty((height, nv, nv, nx)) for _ in range(min(_workers(), len(ranges)))]
 
     def rows(lo, hi):
-        """Fill out[lo:hi]; return the rows' max |imaginary residue|, min and max."""
-        ker = kernels.pop()
+        """Fill a free buffer with rows [lo, hi); return them with their max |imaginary residue|, min and max."""
+        ker, block = kernels.pop(), buffers.pop()[: hi - lo]
         max_imag = 0.0
         for i in range(lo, hi):
             m = min(i, nx - 1 - i)
@@ -173,24 +192,28 @@ def wigner4(psi: ComplexField, params) -> RealField:
                 re = part.real
                 for src_r, dst_r in _swapped_halves(nv):
                     for src_q, dst_q in _swapped_halves(nx):
-                        np.multiply(pref, re[:, src_r, src_q], out=out[i, j : j + share][:, dst_r, dst_q])
+                        np.multiply(pref, re[:, src_r, src_q], out=block[i - lo, j : j + share][:, dst_r, dst_q])
         kernels.append(ker)
-        block = out[lo:hi]
-        return max_imag, float(block.min()), float(block.max())
+        return block, max_imag, float(block.min()), float(block.max())
 
-    max_imag, peak, finite = 0.0, 0.0, True
-    for imag, low, high in _map_slabs(rows, _x_slabs(out)):
-        max_imag = max(max_imag, imag)
-        peak = max(peak, high, -low)
-        finite = finite and math.isfinite(low) and math.isfinite(high)
-    # finite row minima and maxima mean finite rows, so W needs no second scan
-    if not finite:
-        raise ValidationError("field data contains non-finite values")
-    if max_imag * pref > IMAG_RESIDUE_LIMIT * peak:
-        raise NumericError(
-            f"imaginary residue {max_imag * pref:.3e} exceeds {IMAG_RESIDUE_LIMIT:.1e} x peak {peak:.3e}"
-        )
-    return RealField._trusted((ax, av, plan.vdot, plan.vddot), out)
+    def blocks():
+        max_imag, peak, finite = 0.0, 0.0, True
+        for block, imag, low, high in _map_slabs(rows, ranges):
+            max_imag = max(max_imag, imag)
+            peak = max(peak, high, -low)
+            finite = finite and math.isfinite(low) and math.isfinite(high)
+            yield block
+            buffers.append(block.base)
+        # finite row minima and maxima mean finite rows, so W needs no second scan
+        if not finite:
+            raise ValidationError("field data contains non-finite values")
+        if max_imag * pref > IMAG_RESIDUE_LIMIT * peak:
+            raise NumericError(
+                f"imaginary residue {max_imag * pref:.3e} exceeds {IMAG_RESIDUE_LIMIT:.1e} x peak {peak:.3e}"
+            )
+        return peak
+
+    return (ax, av, plan.vdot, plan.vddot), blocks()
 
 
 def wigner3(psi: ComplexField, params) -> RealField:

@@ -78,7 +78,8 @@ def test_write_rejects_non_fields(tmp_path):
 @pytest.mark.parametrize("axis", [AxisGrid("x", 5, 0.0, 1.0), AxisGrid("q", 4, 0.0, 1.0), AxisGrid("x", 4, 1.0, 0.0)],
                          ids=["odd n", "unknown name", "max below min"])
 def test_write_refuses_axes_that_read_refuses(tmp_path, axis):
-    field = RealField((axis,), np.arange(float(axis.n)))  # a container does not validate its axes
+    # the containers refuse these axes too, so build one past their checks; write_field checks on its own
+    field = RealField._trusted((axis,), np.arange(float(axis.n)))
     with pytest.raises(ValidationError):
         write_field(field, tmp_path / "f.fld")
     assert os.listdir(tmp_path) == []  # neither the file nor its temporary

@@ -84,6 +84,22 @@ def test_fields_are_immutable_and_shape_checked():
         RealField((a, a), np.zeros((8, 8)))  # duplicate axis names
 
 
+@pytest.mark.parametrize("axis", [AxisGrid("x", 8, 1.0, 0.0), AxisGrid("x", 7, 0.0, 1.0), AxisGrid("q", 8, 0.0, 1.0),
+                                  AxisGrid("x", 8, 0.0, math.inf)],
+                         ids=["reversed bounds", "odd n", "unknown name", "infinite bound"])
+def test_containers_refuse_axes_that_make_axis_refuses(axis):
+    # on reversed bounds the step is negative, so a derivative or an integral comes out with the wrong sign
+    axes = (axis, make_axis("v", 0.0, 1.0, 4))
+    with pytest.raises(ValidationError):
+        RealField(axes, np.zeros((axis.n, 4)))
+    with pytest.raises(ValidationError):
+        ComplexField(axes, np.zeros((axis.n, 4), dtype=complex))
+    with pytest.raises(ValidationError):
+        sample_real(lambda x, v: x + v, axes)
+    with pytest.raises(ValidationError):
+        sample_complex(lambda x, v: x + 1j * v, axes)
+
+
 def test_complex_field_rank_limit():
     axes = tuple(make_axis(n, 0.0, 1.0, 4) for n in ("x", "v", "vdot"))
     with pytest.raises(ValidationError):
