@@ -18,12 +18,14 @@ import numpy as np
 
 from .checks import run_ho_suite
 from .fields import (
+    KINEMATIC_ORDER,
     ComplexField,
     NumericError,
     RealField,
     StencilScheme,
     ValidationError,
     _max_abs,
+    _require_axes,
     integrate_axis,
     make_axis,
     sample_complex,
@@ -51,8 +53,6 @@ from .wigner import (
 )
 
 __all__ = ["main"]
-
-RANK4_AXES = ("x", "v", "vdot", "vddot")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,11 +103,7 @@ def _add_hbar2_flag(sub):
 
 def _read_rank4(path) -> RealField:
     field = read_field(path)
-    if not isinstance(field, RealField):
-        raise ValidationError("expected a real field file")
-    names = tuple(a.name for a in field.axes)
-    if names != RANK4_AXES:
-        raise ValidationError(f"expected axes {RANK4_AXES}, got {names}")
+    _require_axes(field, KINEMATIC_ORDER)  # refuses a ComplexField too: its rank is at most 2
     return field
 
 

@@ -32,11 +32,13 @@ from .fields import (
     _add_product,
     _evaluate,
     _GridView,
+    _map_rows,
     _max_abs,
     _over_slabs,
     _PointView,
     _require_axes,
     _run_slabs,
+    _stencil,
     integrate_axis,
     partial_derivative,
     stencil_halfwidth,
@@ -330,51 +332,48 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     independently, the transport-plus-correction-series form, using one shared
     discrete derivative (repeated first differences along vddot) so the two
     sides are algebraically identical. Returns max |difference| over the
-    support mask, relative to the larger side. Requires a velocity-independent
-    potential.
+    support mask, relative to the larger side, reduced one x-slab at a time.
+    Requires a velocity-independent potential.
     """
     if not u1.v_independent:
         raise ValidationError("closure equivalence is defined for U1(x) only")
     _check_mask_threshold(mask_threshold)
     _require_axes(f4, KINEMATIC_ORDER)
     terms = closure_coefficients(u1, params, "x")
+    cut = mask_threshold * _max_abs(f4.data)  # the support mask of _support_mask
 
-    def d1(arr):
-        return partial_derivative(f4.with_data(arr), "vddot", 1, scheme).data
+    def slab(lo, hi):
+        view = _GridView(f4, scheme, lo, hi)
+        derivs = [view.values()]
+        for _ in range(2 * max((l for l, _, _ in terms), default=0) + 1):
+            derivs.append(_stencil(derivs[-1], 3, f4.axes[3].step, 1, scheme))
+        # side A: transport + d_vddot( sum_l c_l U^(2l+1) d^{2l} f )
+        # side B: transport + force term - correction series
+        side_a = _continuity(view)
+        side_b = side_a.copy()
+        flux_times_f = np.zeros(view.shape)
+        for l, c, du in terms:
+            coeff = c * du(view.coord("x"))
+            flux_times_f += coeff * derivs[2 * l]
+            side_b += coeff * derivs[2 * l + 1]
+        side_a += _stencil(flux_times_f, 3, f4.axes[3].step, 1, scheme)
+        mask = np.abs(derivs[0]) >= cut
+        return [np.max(np.abs(s), where=mask, initial=0.0) for s in (side_a - side_b, side_a, side_b)]
 
-    derivs = [f4.data]
-    for _ in range(2 * max((l for l, _, _ in terms), default=0) + 1):
-        derivs.append(d1(derivs[-1]))
-    xs = f4.mesh()[0]
-    transport = _over_slabs(f4, scheme, _continuity)
-    # side A: transport + d_vddot( sum_l c_l U^(2l+1) d^{2l} f )
-    # side B: transport + force term - correction series
-    flux_times_f = np.zeros_like(f4.data)
-    side_b = transport.copy()
-    for l, c, du in terms:
-        coeff = c * du(xs)
-        flux_times_f += coeff * derivs[2 * l]
-        side_b += coeff * derivs[2 * l + 1]
-    side_a = transport + d1(flux_times_f)
-    mask = _support_mask(f4.data, mask_threshold)
-    scale = max(float(np.abs(side_a[mask]).max()), float(np.abs(side_b[mask]).max()), np.finfo(float).tiny)
-    return float(np.abs((side_a - side_b)[mask]).max()) / scale
+    # np.max, unlike Python's max, keeps a NaN
+    gap, a, b = np.max(list(_map_rows(slab, f4.data)), axis=0)
+    return float(gap) / max(float(a), float(b), np.finfo(float).tiny)
 
 
 def _erode(mask: Array, axis: int, w: int) -> Array:
+    """mask, False wherever a point within w steps along axis is False or off the grid (w <= the axis length)."""
     out = mask.copy()
-    n = mask.shape[axis]
+    src, dst = np.moveaxis(mask, axis, 0), np.moveaxis(out, axis, 0)
+    n = len(dst)
     for off in range(1, w + 1):
-        for sign in (1, -1):
-            shifted = np.zeros_like(mask)
-            dst = [slice(None)] * mask.ndim
-            src = [slice(None)] * mask.ndim
-            if sign > 0:
-                dst[axis], src[axis] = slice(off, None), slice(None, n - off)
-            else:
-                dst[axis], src[axis] = slice(None, n - off), slice(off, None)
-            shifted[tuple(dst)] = mask[tuple(src)]
-            out &= shifted
+        dst[off:] &= src[: n - off]
+        dst[: n - off] &= src[off:]
+    dst[:w] = dst[n - w :] = False
     return out
 
 

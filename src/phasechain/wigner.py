@@ -99,12 +99,6 @@ class TransformPlan:
         return plan
 
 
-def _pad(data: Array, before_after: tuple[int, int], axis: int) -> Array:
-    pad = [(0, 0)] * data.ndim
-    pad[axis] = before_after
-    return np.pad(data, pad)
-
-
 def _window_columns(n: int):
     # colp[j, l'] = j + l', colm[j, l'] = j + n - l' for centered shift index l'
     j = np.arange(n)[:, None]
@@ -157,7 +151,7 @@ def _wigner4_rows(psi: ComplexField, params):
     pref = (2.0 * ax.step) * (2.0 * av.step) / (2.0 * math.pi * plan.hbar2) ** 2
     # column windows, gathered once: minus[j, r, x] = conj(psi[x, j-l]), plus[j, r, x] = psi[x, j+l],
     # with shift l = r for r < nv/2 and r - nv above (ifftshift folded in), zero off the grid
-    padded = _pad(psi.data, (nv // 2, nv // 2), 1)
+    padded = np.pad(psi.data, ((0, 0), (nv // 2, nv // 2)))
     cols = (np.arange(nv) + nv // 2) % nv
     colm, colp = (c[:, cols] for c in _window_columns(nv))
     minus = np.ascontiguousarray(np.moveaxis(np.conj(padded[:, colm]), 0, 2))
@@ -218,31 +212,27 @@ def _wigner4_rows(psi: ComplexField, params):
 
 def wigner3(psi: ComplexField, params) -> RealField:
     """Single transform over the v-shift, to (x, v, vdot)."""
-    plan = TransformPlan.for_psi(psi, params)
-    ax, av = psi.axes
-    nv = av.n
-    pref = 2.0 * av.step / (2.0 * math.pi * plan.hbar2)
-    padded = _pad(psi.data, (nv // 2, nv // 2), 1)
-    colm, colp = _window_columns(nv)
-    ker = np.conj(padded[:, colm]) * padded[:, colp]
-    ker = np.fft.ifftshift(ker, axes=2)
-    spec = np.fft.fftshift(np.fft.fft(ker, axis=2), axes=2)
-    return _realize(spec * pref, (ax, av, plan.vdot), "vdot")
+    return _single_transform(psi, params, 1)
 
 
 def wigner24(psi: ComplexField, params) -> RealField:
     """Single transform over the x-shift, to (x, v, vddot)."""
+    return _single_transform(psi, params, 0)
+
+
+def _single_transform(psi: ComplexField, params, axis: int) -> RealField:
+    """Single transform over the shift of psi's axis 1 (v, by fft, to vdot) or 0 (x, by n ifft, to vddot)."""
     plan = TransformPlan.for_psi(psi, params)
-    ax, av = psi.axes
-    nx = ax.n
-    pref = 2.0 * ax.step / (2.0 * math.pi * plan.hbar2)
-    padded = _pad(psi.data, (nx // 2, nx // 2), 0)
-    rowm, rowp = _window_columns(nx)
-    ker = np.conj(padded[rowm, :]) * padded[rowp, :]  # (x, k', v)
-    ker = np.fft.ifftshift(ker, axes=1)
-    spec = np.fft.fftshift(np.fft.ifft(ker, axis=1) * nx, axes=1)
-    spec = np.moveaxis(spec, 1, 2)  # (x, v, vddot)
-    return _realize(spec * pref, (ax, av, plan.vddot), "vddot")
+    shifted, dual = psi.axes[axis], (plan.vddot, plan.vdot)[axis]
+    n = shifted.n
+    pref = 2.0 * shifted.step / (2.0 * math.pi * plan.hbar2)
+    # the shifted axis last: ker[other, j, l'] = conj(psi[j - l']) psi[j + l'] along it, for centered shift l'
+    padded = np.pad(np.moveaxis(psi.data, axis, 1), ((0, 0), (n // 2, n // 2)))
+    colm, colp = _window_columns(n)
+    ker = np.fft.ifftshift(np.conj(padded[:, colm]) * padded[:, colp], axes=2)
+    spec = np.fft.fft(ker, axis=2) if axis else np.fft.ifft(ker, axis=2) * n
+    spec = np.moveaxis(np.fft.fftshift(spec, axes=2), 1, axis)  # (x, v, dual)
+    return _realize(spec * pref, (*psi.axes, dual), dual.name)
 
 
 def _realize(spec: Array, axes, dual_name: str) -> RealField:

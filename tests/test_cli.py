@@ -299,6 +299,17 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+@pytest.mark.parametrize("command", [["fluxes", "--which", "123", "--out", "f.fld"],
+                                     ["residual", "--potential", "u.txt", "--mode", "vlasov12"]])
+def test_rank4_commands_refuse_a_wave_function(psi_path, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.txt").write_text("2 0 0.5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([command[0], "--in", str(psi_path), *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: field must have axes ('x', 'v', 'vdot', 'vddot'), got ('x', 'v')\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.txt"]
+
+
 def test_negative_seed_is_a_flag_error(capsys):
     for seed in ("-1", "abc"):
         with pytest.raises(SystemExit) as exc:

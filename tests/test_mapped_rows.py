@@ -27,6 +27,7 @@ from phasechain import (
     StencilScheme,
     ValidationError,
     accel_flux_124_from_w4,
+    divergence_series_gap,
     integrate_axis,
     make_axis,
     mean_flux_from_w4,
@@ -93,6 +94,8 @@ LOOPS = {
     "_over_slabs": lambda w4: np.concatenate([
         transport_lhs(w4, QUARTIC, P, StencilScheme(order=2)).data,
         vlasov_residual("chain4", w4, {"vddot": lambda x, v, vd, vdd: -x * v}, P, StencilScheme()).data]),
+    "divergence_series_gap": lambda w4: np.array([divergence_series_gap(
+        PolynomialPotential(((2, 0, 0.5), (4, 0, 0.01))), w4, P, StencilScheme())]),
 }
 
 

@@ -7,6 +7,7 @@ the same slabs, and compare bytes.
 """
 
 import contextlib
+import inspect
 import io
 import math
 import os
@@ -38,6 +39,7 @@ from phasechain import (
     integrate_axis,
     make_axis,
     mean_flux_from_w4,
+    moyal_residual,
     moyal_residual_slabs,
     moyal_rhs,
     read_field,
@@ -393,3 +395,60 @@ def test_import_gen_ho_and_export_csv_start_no_thread(tmp_path):
     done = subprocess.run([sys.executable, "-c", GUARD, *argvs], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0 and done.stdout.endswith("ok\n"), done.stderr
+
+
+# --- slab tasks call only private code ---------------------------------------------
+
+@pytest.fixture
+def calls_off_the_main_thread(monkeypatch):
+    """The names of the public functions called on any thread but the main one.
+
+    Every function in each library module's __all__ is wrapped on every module
+    that binds it, as benchmarks/tracer.py wraps its targets; that recorder
+    keeps one span stack per process, so a slab task must call none of them.
+    Only plain functions are wrapped: the lru_cache object stencil_coefficients,
+    which every stencil looks up, is not one.
+    """
+    modules = [m for n, m in sorted(sys.modules.items()) if n == "phasechain" or n.startswith("phasechain.")]
+    calls = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner in modules:
+        for name in getattr(owner, "__all__", ()):
+            original = getattr(owner, name)
+            if inspect.isfunction(original) and original.__module__ == owner.__name__:
+                wrapped = wrap(f"{owner.__name__}.{name}", original)
+                for mod in modules:
+                    if getattr(mod, name, None) is original:
+                        monkeypatch.setattr(mod, name, wrapped)
+    return calls
+
+
+def test_slab_tasks_call_no_public_function(monkeypatch, w4, calls_off_the_main_thread):
+    set_workers(monkeypatch, 2)
+    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 1)  # one row a slab, the last one too
+    scheme = StencilScheme(order=4)
+    u1 = PolynomialPotential(((2, 0, 0.5), (4, 0, 0.02)))
+    axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 8))
+    psi = ComplexField(axes, np.random.default_rng(4).standard_normal((16, 8)) + 0j)
+    divergence_series_gap(u1, w4, P, scheme)
+    moyal_residual(w4, QUARTIC, P, scheme)
+    list(moyal_residual_slabs(w4, QUARTIC, P, scheme))
+    vlasov_residual("chain4", w4, {"vddot": lambda x, v, vd, vdd: -x * v}, P, scheme)
+    vlasov_moyal_accel_flux(w4, u1, P, scheme, mask_threshold=0.05)
+    for kind in ("123-accel", "124-vel", "12-vel"):
+        mean_flux_from_w4(w4, kind, P, 0.2)
+    accel_flux_124_from_w4(w4, QUARTIC, P, scheme, 0.2)
+    for axis in ("v", "vdot", "vddot"):
+        integrate_axis(w4, axis)
+    wigner4(psi, P)
+    assert calls_off_the_main_thread == []
+    # the recorder sees a public call made in a slab task
+    list(_map_slabs(lambda lo, hi: fields_mod.make_axis("x", lo, hi, 4), [(0, 1), (1, 2)]))
+    assert calls_off_the_main_thread == ["phasechain.fields.make_axis"] * 2

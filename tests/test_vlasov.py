@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,11 @@ from phasechain import (
     w1234_field,
     w12_field,
 )
-from phasechain.moyal import PolynomialPotential
+import phasechain.fields as fields_mod
+import phasechain.vlasov as vlasov_mod
+from phasechain.fields import partial_derivative
+from phasechain.moyal import PolynomialPotential, closure_coefficients
+from phasechain.vlasov import _erode
 
 P = PhysParams()
 ORDER4 = StencilScheme(order=4)
@@ -386,6 +391,87 @@ def test_divergence_series_gap_validation(w4):
         divergence_series_gap(PolynomialPotential(((1, 1, 1.0),)), w4, P, ORDER4)
     with pytest.raises(ValidationError):
         divergence_series_gap(U_HO, integrate_axis(w4, "vddot"), P, ORDER4)
+
+
+def whole_field_gap(u1, f4, params, scheme, threshold):
+    """The closure-equivalence gap from whole-field derivatives: every repeated vddot difference at once."""
+    terms = closure_coefficients(u1, params, "x")
+    derivs = [f4.data]
+    for _ in range(2 * max(l for l, _, _ in terms) + 1):
+        derivs.append(partial_derivative(f4.with_data(derivs[-1]), "vddot", 1, scheme).data)
+    xs = f4.mesh()[0]
+    transport = vlasov_residual("chain4", f4, {"vddot": 0.0}, params, scheme).data
+    flux_times_f, side_b = np.zeros_like(f4.data), transport.copy()
+    for l, c, du in terms:
+        coeff = c * du(xs)
+        flux_times_f += coeff * derivs[2 * l]
+        side_b += coeff * derivs[2 * l + 1]
+    side_a = transport + partial_derivative(f4.with_data(flux_times_f), "vddot", 1, scheme).data
+    mask = np.abs(f4.data) >= threshold * np.abs(f4.data).max()
+    scale = max(np.abs(side_a[mask]).max(), np.abs(side_b[mask]).max())
+    return float(np.abs(side_a - side_b)[mask].max() / scale)
+
+
+def one_worker_slabs(monkeypatch, rows, row_bytes):
+    monkeypatch.setattr(fields_mod, "_workers", lambda: 1)
+    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", rows * row_bytes)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_the_gap_is_reduced_slab_by_slab_as_the_whole_field_gives_it(monkeypatch, order):
+    shape = (12, 6, 10, 14)
+    axes = tuple(make_axis(n, -3.0, 3.0, k) for n, k in zip(("x", "v", "vdot", "vddot"), shape))
+    f4 = RealField(axes, np.random.default_rng(order).standard_normal(shape))
+    u1 = PolynomialPotential(((2, 0, 0.5), (4, 0, 0.01)))
+    scheme = StencilScheme(order=order)
+    want = whole_field_gap(u1, f4, P, scheme, 0.05)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the gap built a whole-field derivative")
+
+    monkeypatch.setattr(vlasov_mod, "partial_derivative", refused)
+    monkeypatch.setattr(RealField, "with_data", refused)
+    one_worker_slabs(monkeypatch, 5, f4.data[0].nbytes)  # three slabs, the last one shorter
+    got = divergence_series_gap(u1, f4, P, scheme, 0.05)
+    assert 0.0 < want < 1e-12
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_the_gap_keeps_no_whole_field_temporary(monkeypatch):
+    n = 24
+    axes = tuple(make_axis(name, -3.0, 3.0, n) for name in ("x", "v", "vdot", "vddot"))
+    f4 = RealField(axes, np.random.default_rng(2).standard_normal((n,) * 4))
+    one_worker_slabs(monkeypatch, 1, f4.data[0].nbytes)
+    tracemalloc.start()
+    try:
+        divergence_series_gap(PolynomialPotential(((2, 0, 0.5), (4, 0, 0.01))), f4, P, ORDER4)
+        peak = tracemalloc.get_traced_memory()[1] / f4.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5, f"traced peak {peak:.2f} W"
+
+
+def erode_by_shifts(mask, axis, w):
+    """mask and each of its shifts by -w..w along axis, False shifted in."""
+    n = mask.shape[axis]
+    pad = [(0, 0)] * mask.ndim
+    pad[axis] = (w, w)
+    padded = np.pad(mask, pad, constant_values=False)
+    out = mask.copy()
+    for off in range(-w, w + 1):
+        out &= np.take(padded, range(w + off, w + off + n), axis=axis)
+    return out
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("axis", range(4))
+def test_erode_drops_every_node_near_a_hole_or_an_edge(axis, w):
+    rng = np.random.default_rng(10 * axis + w)
+    for density in (0.5, 0.9, 1.0):
+        mask = rng.random(tuple(rng.integers(w, 9, size=4))) < density
+        got = _erode(mask, axis, w)
+        assert got.dtype == bool and np.array_equal(got, erode_by_shifts(mask, axis, w))
+        assert not np.shares_memory(got, mask)
 
 
 def test_dissipation_vanishes_for_the_oscillator():
