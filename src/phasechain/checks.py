@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RealField, StencilScheme, make_axis, sample_complex, sample_real
+from .fields import RealField, StencilScheme, _max_abs, make_axis, sample_complex, sample_real
 from .moyal import PolynomialPotential, moyal_residual
 from .oscillator import (
     PhysParams,
@@ -139,7 +139,8 @@ def _transform_fidelity(ctx):
     for block in rows:
         hi = lo + len(block)
         for i, xi in enumerate(ax.points()[lo:hi]):
-            err = max(err, float(np.abs(block[i] - w1234_analytic(xi, mv, mvd, mvdd, p)).max()))
+            ref = w1234_analytic(xi, mv, mvd, mvdd, p)
+            err = max(err, _max_abs(np.subtract(block[i], ref, out=ref)))
         if lo <= half < hi:
             peak_err = abs(float(block[half - lo, half, half, half]) - 1.0 / math.pi**2)
         w123[lo:hi] = block.sum(axis=3) * (p.m * vddot.step)

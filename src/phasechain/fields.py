@@ -218,7 +218,6 @@ class StencilScheme:
             raise ValidationError(f"stencil step must be positive, got {self.h}")
 
 
-@lru_cache(maxsize=None)
 def stencil_coefficients(power: int, order: int) -> tuple[float, ...]:
     """Symmetric central-difference weights for d^power/dx^power, given accuracy order.
 
@@ -230,7 +229,13 @@ def stencil_coefficients(power: int, order: int) -> tuple[float, ...]:
         raise ValidationError(f"derivative power must be in [1, {MAX_DERIVATIVE_POWER}], got {power}")
     if order not in _STENCIL_ORDERS:
         raise ValidationError(f"stencil order must be one of {_STENCIL_ORDERS}, got {order}")
-    w = (power + 1) // 2 + order // 2 - 1
+    return _stencil_weights(power, order)
+
+
+@lru_cache(maxsize=None)
+def _stencil_weights(power: int, order: int) -> tuple[float, ...]:
+    """stencil_coefficients for a valid power and order, solved once per pair."""
+    w = stencil_halfwidth(power, order)
     size = 2 * w + 1
     # rows: moment conditions sum_j c_j j^k = power! delta_{k,power}
     mat = [[Fraction(j) ** k for j in range(-w, w + 1)] for k in range(size)]
@@ -253,10 +258,6 @@ def stencil_coefficients(power: int, order: int) -> tuple[float, ...]:
 
 def stencil_halfwidth(power: int, order: int) -> int:
     return (power + 1) // 2 + order // 2 - 1
-
-
-# no stencil reads further than this many rows beyond the rows it writes
-_X_HALO = stencil_halfwidth(MAX_DERIVATIVE_POWER, max(_STENCIL_ORDERS))
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +339,7 @@ def _stencil(data: Array, k: int, step: float, power: int, scheme: StencilScheme
              lo: int = 0, hi: int | None = None) -> Array:
     """Partial along array axis k (grid step `step`) on index range [lo, hi) of that axis."""
     h = scheme.h if scheme.h is not None else step
-    return _apply_stencil_along_axis(data, k, stencil_coefficients(power, scheme.order),
+    return _apply_stencil_along_axis(data, k, _stencil_weights(power, scheme.order),
                                      stencil_halfwidth(power, scheme.order), h, power, lo, hi)
 
 
@@ -423,7 +424,11 @@ class _Job:
         return self.value
 
 
+_worker_thread = threading.local()  # `active` is set on the pool's own threads
+
+
 def _work(jobs) -> None:
+    _worker_thread.active = True
     while True:
         job = jobs.get()
         if not job.cancelled:
@@ -459,11 +464,12 @@ def _map_slabs(task, ranges):
 
     At most _workers() tasks are in flight. Each runs in a copy of the caller's
     context, so np.errstate carries into the workers. One range, or one worker,
-    runs inline and starts no thread. A task's exception is raised here
-    unchanged, after the tasks still in flight have finished.
+    runs inline and starts no thread, and so does a call from a slab task: its
+    jobs would wait behind the tasks that wait for them. A task's exception is
+    raised here unchanged, after the tasks still in flight have finished.
     """
     workers = _workers()
-    if workers == 1 or len(ranges) == 1:
+    if workers == 1 or len(ranges) == 1 or getattr(_worker_thread, "active", False):
         for lo, hi in ranges:
             yield task(lo, hi)
         return
@@ -483,26 +489,28 @@ def _map_slabs(task, ranges):
             job.done.acquire()
 
 
-def _map_rows(task, data: Array, ranges=None):
+def _map_rows(task, data: Array, halo: int, ranges=None):
     """Yield task(lo, hi) for each x-slab of `data` (or each [lo, hi) of ranges), in order, from _map_slabs.
 
-    When the caller asks for the next result, the rows no later slab reads (those
-    more than _X_HALO rows before its end) are dropped with _drop_rows, and once
-    the loop ends all of them, so a loop over a mapped field keeps a few rows of
-    it resident.
+    halo is the number of rows beyond [lo, hi) on either side that a task reads
+    from `data`. When the caller asks for the next result, the rows no later
+    slab reads (those more than halo rows before the end of the slab just
+    taken) are dropped with _drop_rows, and once the loop ends all of them, so
+    a loop over a mapped field keeps only the rows in flight and their halo
+    resident.
     """
     ranges = _x_slabs(data) if ranges is None else ranges
     done = 0
     for (_, hi), value in zip(ranges, _map_slabs(task, ranges)):
         yield value
-        _drop_rows(data, done, hi - _X_HALO)
-        done = max(done, hi - _X_HALO)
+        _drop_rows(data, done, hi - halo)
+        done = max(done, hi - halo)
     _drop_rows(data, done, len(data))
 
 
-def _run_slabs(task, data: Array, ranges=None) -> None:
+def _run_slabs(task, data: Array, halo: int, ranges=None) -> None:
     """_map_rows for the tasks' side effects."""
-    for _ in _map_rows(task, data, ranges):
+    for _ in _map_rows(task, data, halo, ranges):
         pass
 
 
@@ -535,7 +543,7 @@ def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
         def slab(lo, hi):
             total[lo:hi] = data[lo:hi].sum(axis=k) * scale
 
-        _run_slabs(slab, data)
+        _run_slabs(slab, data, 0)
     rest = field.axes[:k] + field.axes[k + 1 :]
     if not rest:
         return float(total)
@@ -718,7 +726,7 @@ def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
     def slab(lo, hi):
         out[lo:hi] = body(_GridView(field, scheme, lo, hi))
 
-    _run_slabs(slab, field.data)
+    _run_slabs(slab, field.data, stencil_halfwidth(1, scheme.order))  # the body's only x-stencil is d/dx
     return out
 
 

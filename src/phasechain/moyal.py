@@ -32,6 +32,7 @@ from .fields import (
     _GridView,
     _map_rows,
     _require_axes,
+    stencil_halfwidth,
 )
 
 __all__ = [
@@ -215,19 +216,16 @@ def _transport(view, u: PolynomialPotential, params, dt_term) -> Array:
     return out
 
 
-def _series(view, table) -> Array:
-    """The correction series of the module docstring on a view, from build_term_table."""
+def _add_series(out: Array, view, table, sign: float) -> Array:
+    """out + sign * (the correction series of the module docstring) on a view, from build_term_table, in out."""
     x, v = view.coord("x"), view.coord("v")
-    out = np.zeros(view.shape)
     for term in table:
-        _add_product(out, view.d(vdot=term.vdot_power, vddot=term.vddot_power), term.coeff * term.du(x, v))
+        _add_product(out, view.d(vdot=term.vdot_power, vddot=term.vddot_power), sign * term.coeff * term.du(x, v))
     return out
 
 
 def _residual(view, u: PolynomialPotential, params, table, dt_term) -> Array:
-    out = _transport(view, u, params, dt_term)
-    out -= _series(view, table)
-    return out
+    return _add_series(_transport(view, u, params, dt_term), view, table, -1.0)
 
 
 def moyal_rhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *, points=None):
@@ -247,7 +245,8 @@ def moyal_rhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *, poin
     RealField in grid mode, ndarray of values at `points` otherwise.
     """
     table = build_term_table(u, params)
-    return _evaluate(w4, KINEMATIC_ORDER, scheme, points, lambda view: _series(view, table))
+    return _evaluate(w4, KINEMATIC_ORDER, scheme, points,
+                     lambda view: _add_series(np.zeros(view.shape), view, table, 1.0))
 
 
 def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
@@ -276,7 +275,7 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     def slab(lo, hi):
         return lo, hi, _residual(_GridView(w4, scheme, lo, hi), u, params, table, dt_term)
 
-    yield from _map_rows(slab, w4.data)
+    yield from _map_rows(slab, w4.data, stencil_halfwidth(1, scheme.order))  # _transport's d/dx
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,

@@ -164,8 +164,12 @@ def gamma_transport_residual(x, v, vdot, vddot, omega: float) -> Array:
 def w1234_analytic(x, v, vdot, vddot, p: PhysParams) -> Array:
     """Joint quasi-probability over (x, v, vdot, vddot); peak 1/pi^2 at the origin."""
     _require_consistent(p)
-    value = _gamma_value(*(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot)), p.omega**2)
-    return np.exp(-(p.m / (p.hbar * p.omega)) * value) / (math.pi * p.hbar2) ** 2
+    value = np.asarray(_gamma_value(*(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot)), p.omega**2))
+    # exp(-(s) value) / (pi hbar2)^2, each step in place on the fresh value array
+    np.multiply(value, -(p.m / (p.hbar * p.omega)), out=value)
+    np.exp(value, out=value)
+    value /= (math.pi * p.hbar2) ** 2
+    return value if value.ndim else value[()]
 
 
 def w123_analytic(x, v, vdot, p: PhysParams) -> Array:

@@ -153,7 +153,7 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
         den[lo:hi] = rows.sum(axis=k) * scale
 
     # slabs run along axis 0, so they need an axis 0 that is not reduced
-    _run_slabs(slab, field.data, None if k else [(0, field.data.shape[0])])
+    _run_slabs(slab, field.data, 0, None if k else [(0, field.data.shape[0])])
     return _flux_field(which, field.axes[:k] + field.axes[k + 1 :], num, den, mask_threshold)
 
 
@@ -251,7 +251,7 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
         num[lo:hi] = product.sum(axis=2) * scale
         den[lo:hi] = rows.sum(axis=2) * scale
 
-    _run_slabs(slab, w4.data)
+    _run_slabs(slab, w4.data, 0)
     return _flux_field("124-accel", w4.axes[:2] + w4.axes[3:], num, den, mask_threshold)
 
 
@@ -361,7 +361,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
         return [np.max(np.abs(s), where=mask, initial=0.0) for s in (side_a - side_b, side_a, side_b)]
 
     # np.max, unlike Python's max, keeps a NaN
-    gap, a, b = np.max(list(_map_rows(slab, f4.data)), axis=0)
+    gap, a, b = np.max(list(_map_rows(slab, f4.data, stencil_halfwidth(1, scheme.order))), axis=0)
     return float(gap) / max(float(a), float(b), np.finfo(float).tiny)
 
 

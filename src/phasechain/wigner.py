@@ -51,6 +51,9 @@ __all__ = [
 
 IMAG_RESIDUE_LIMIT = 1e-10
 
+# about the bytes of each worker's kernel buffer: wigner4 transforms a row's kernel in chunks of v-rows this big
+_KERNEL_BYTES = 1 << 19
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 4 and (n & (n - 1)) == 0
@@ -156,10 +159,10 @@ def _wigner4_rows(psi: ComplexField, params):
     colm, colp = (c[:, cols] for c in _window_columns(nv))
     minus = np.ascontiguousarray(np.moveaxis(np.conj(padded[:, colm]), 0, 2))
     plus = np.ascontiguousarray(np.moveaxis(padded[:, colp], 0, 2))
-    # one kernel buffer per task in flight, for a share of the v-rows at a time, so together they hold
-    # about one row's kernel; both FFTs overwrite it in place
-    share = -(-nv // _workers())
-    kernels = [np.empty((share, nv, nx), dtype=np.complex128) for _ in range(_workers())]
+    # one kernel buffer per task in flight, for a chunk of about _KERNEL_BYTES of v-rows at a time (at
+    # least one, at most all); both FFTs overwrite it in place, and each v-row's FFT lines are its own
+    chunk = min(nv, max(1, _KERNEL_BYTES // (16 * nv * nx)))
+    kernels = [np.empty((chunk, nv, nx), dtype=np.complex128) for _ in range(_workers())]
     # one block buffer per task in flight, the caller's block counting as one
     ranges = _row_slabs(nx, nv * nv * nx * 8)
     height = ranges[0][1] - ranges[0][0]
@@ -171,10 +174,10 @@ def _wigner4_rows(psi: ComplexField, params):
         max_imag = 0.0
         for i in range(lo, hi):
             m = min(i, nx - 1 - i)
-            for j in range(0, nv, share):
+            for j in range(0, nv, chunk):
                 # part[j', r, q] = minus[j+j', r, i-k] plus[j+j', r, i+k] with k = q for q < nx/2 and q - nx
                 # above; rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
-                mi, pl, part = minus[j : j + share], plus[j : j + share], ker[: min(share, nv - j)]
+                mi, pl, part = minus[j : j + chunk], plus[j : j + chunk], ker[: min(chunk, nv - j)]
                 np.multiply(mi[..., i::-1][..., : m + 1], pl[..., i : i + m + 1], out=part[..., : m + 1])
                 part[..., m + 1 : nx - m] = 0.0
                 if m:
@@ -186,7 +189,7 @@ def _wigner4_rows(psi: ComplexField, params):
                 re = part.real
                 for src_r, dst_r in _swapped_halves(nv):
                     for src_q, dst_q in _swapped_halves(nx):
-                        np.multiply(pref, re[:, src_r, src_q], out=block[i - lo, j : j + share][:, dst_r, dst_q])
+                        np.multiply(pref, re[:, src_r, src_q], out=block[i - lo, j : j + chunk][:, dst_r, dst_q])
         kernels.append(ker)
         return block, max_imag, float(block.min()), float(block.max())
 

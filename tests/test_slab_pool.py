@@ -7,6 +7,7 @@ the same slabs, and compare bytes.
 """
 
 import contextlib
+import functools
 import inspect
 import io
 import math
@@ -166,6 +167,28 @@ def test_one_worker_or_one_range_runs_inline(monkeypatch, n, ranges):
     set_workers(monkeypatch, n)
     names = list(_map_slabs(lambda lo, hi: threading.current_thread(), ranges))
     assert names == [threading.main_thread()] * len(ranges)
+
+
+def test_a_slab_task_may_start_a_slab_loop(monkeypatch, w4):
+    # the inner loop runs on the worker that asked for it: queued on the pool, its jobs would wait behind
+    # the outer tasks, which wait for them
+    set_workers(monkeypatch, 2)
+    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 1)  # one row a slab, inner and outer
+    want = integrate_axis(w4, "vddot").data
+    got = []
+
+    def task(lo, hi):
+        return threading.current_thread(), integrate_axis(w4, "vddot").data
+
+    outer = threading.Thread(target=lambda: got.extend(_map_slabs(task, [(i, i + 1) for i in range(4)])), daemon=True)
+    outer.start()
+    outer.join(timeout=60)
+    if outer.is_alive():
+        fields_mod._pool.cache_clear()  # the hung workers stay blocked; later tests get a pool of their own
+        pytest.fail("a slab loop started in a slab task never finished")
+    assert len(got) == 4
+    assert all(thread.name.startswith("phasechain-slab") for thread, _ in got)
+    assert all(same_bits(inner, want) for _, inner in got)
 
 
 def test_tasks_run_in_the_callers_errstate(monkeypatch):
@@ -406,9 +429,14 @@ def calls_off_the_main_thread(monkeypatch):
     Every function in each library module's __all__ is wrapped on every module
     that binds it, as benchmarks/tracer.py wraps its targets; that recorder
     keeps one span stack per process, so a slab task must call none of them.
-    Only plain functions are wrapped: the lru_cache object stencil_coefficients,
-    which every stencil looks up, is not one.
+    A function behind a decorator that keeps __wrapped__ (functools.lru_cache,
+    say) is wrapped too.
     """
+    return wrap_public_functions(monkeypatch)
+
+
+def wrap_public_functions(monkeypatch):
+    """The calls_off_the_main_thread fixture, for a test that patches a module before the wrapping."""
     modules = [m for n, m in sorted(sys.modules.items()) if n == "phasechain" or n.startswith("phasechain.")]
     calls = []
 
@@ -422,7 +450,7 @@ def calls_off_the_main_thread(monkeypatch):
     for owner in modules:
         for name in getattr(owner, "__all__", ()):
             original = getattr(owner, name)
-            if inspect.isfunction(original) and original.__module__ == owner.__name__:
+            if inspect.isfunction(inspect.unwrap(original)) and original.__module__ == owner.__name__:
                 wrapped = wrap(f"{owner.__name__}.{name}", original)
                 for mod in modules:
                     if getattr(mod, name, None) is original:
@@ -452,3 +480,11 @@ def test_slab_tasks_call_no_public_function(monkeypatch, w4, calls_off_the_main_
     # the recorder sees a public call made in a slab task
     list(_map_slabs(lambda lo, hi: fields_mod.make_axis("x", lo, hi, 4), [(0, 1), (1, 2)]))
     assert calls_off_the_main_thread == ["phasechain.fields.make_axis"] * 2
+
+
+def test_the_guard_wraps_a_cached_public_function(monkeypatch):
+    set_workers(monkeypatch, 2)
+    monkeypatch.setattr(fields_mod, "make_axis", functools.lru_cache(fields_mod.make_axis))
+    calls = wrap_public_functions(monkeypatch)
+    list(_map_slabs(lambda lo, hi: fields_mod.make_axis("x", lo, hi, 4), [(0, 1), (1, 2)]))
+    assert calls == ["phasechain.fields.make_axis"] * 2

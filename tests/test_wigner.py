@@ -1,12 +1,15 @@
 """Shifted-autocorrelation transforms and their marginals."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasechain.fields as fields_mod
+import phasechain.wigner as wigner_mod
 from phasechain import (
     ComplexField,
     NumericError,
@@ -217,6 +220,23 @@ def test_wigner4_equals_the_gather_oracle_bit_for_bit(shape):
     ref, residue = gather_wigner4(psi, P)
     assert residue <= 1e-10 * _max_abs(ref)
     assert wigner4(psi, P).data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("v_rows", [1, 3, 32], ids=["one-v-row", "3-of-32-v-rows", "whole-row"])
+def test_any_kernel_chunk_gives_the_gather_oracle_bit_for_bit(monkeypatch, workers, v_rows):
+    # each v-row's FFT lines are transformed alone whatever the chunk, and 3 leaves a short last chunk
+    axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 32))
+    rng = np.random.default_rng(1632)
+    psi = ComplexField(axes, rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
+    monkeypatch.setattr(wigner_mod, "_KERNEL_BYTES", v_rows * 16 * 32 * 16)  # a v-row: 32 x 16 complex
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    fields_mod._workers.cache_clear()
+    try:
+        got = wigner4(psi, P).data
+    finally:
+        fields_mod._workers.cache_clear()
+    assert got.tobytes() == gather_wigner4(psi, P)[0].tobytes()
 
 
 def test_wigner4_of_the_oscillator_equals_the_gather_oracle_bit_for_bit(psi, w4):
