@@ -13,6 +13,7 @@ import math
 import mmap
 import numbers
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -485,8 +486,11 @@ def _map_slabs(task, ranges):
     finally:
         for job in pending:
             job.cancelled = True
-        for job in pending:
-            job.done.acquire()
+        # a generator left part-way is closed at interpreter exit, when the daemon workers can no
+        # longer run: a job still in flight there never finishes, and waiting for it would hang the exit
+        if not sys.is_finalizing():
+            for job in pending:
+                job.done.acquire()
 
 
 def _map_rows(task, data: Array, halo: int, ranges=None):
@@ -595,6 +599,7 @@ class PointwiseField:
         # callable may return one of its inputs, so its result is only read
         shifted = [np.empty_like(c) if p else c for c, p in zip(coords, powers)]
         out = np.zeros(np.broadcast(*coords).shape, dtype=np.float64)
+        tap = np.empty_like(out)  # each tap's weighted value, added into out
         for offsets in np.ndindex(*[2 * w + 1 for _, _, w in active]):
             weight = 1.0
             for (k, coeffs, w), o in zip(active, offsets):
@@ -604,7 +609,7 @@ class PointwiseField:
                 np.add(coords[k], (o - w) * h, out=shifted[k])
             if weight == 0.0:
                 continue
-            out += weight * np.asarray(self.func(*shifted), dtype=np.float64)
+            out += np.multiply(np.asarray(self.func(*shifted), dtype=np.float64), weight, out=tap)
         out *= 1.0 / h ** sum(powers)
         return out
 

@@ -17,7 +17,7 @@ floor((deg - 1)/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,25 @@ def _canonical_terms(pairs):
     return tuple((a, b, c) for (a, b), c in sorted(acc.items()) if c != 0.0)
 
 
+def _powers(x: Array, n: int) -> list:
+    """[1, x, x x, x x x, ...] up to x^n, each power the product of the one before it and x.
+
+    x x is bit for bit the np.square(x) that x**2 takes. A higher power rounds
+    once per product, so it may differ from x**a (a libm pow, some fifty times
+    slower) in the last bit.
+    """
+    out = [1.0, x]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
 @dataclass(frozen=True)
 class PolynomialPotential:
     """Finite sum  U(x, v) = sum_ab c_ab x^a v^b  with exact differentiation."""
 
     terms: tuple[tuple[int, int, float], ...]
+    _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _canonical_terms(self.terms))
@@ -114,7 +128,13 @@ class PolynomialPotential:
         return not self.terms
 
     def derivative(self, dx: int = 0, dv: int = 0) -> "PolynomialPotential":
-        """Exact d^dx/dx^dx d^dv/dv^dv applied termwise (falling factorials)."""
+        """Exact d^dx/dx^dx d^dv/dv^dv applied termwise (falling factorials), made once per (dx, dv)."""
+        known = self._derivatives.get((dx, dv))
+        if known is None:
+            known = self._derivatives[(dx, dv)] = self._differentiate(dx, dv)
+        return known
+
+    def _differentiate(self, dx: int, dv: int) -> "PolynomialPotential":
         out = []
         for a, b, c in self.terms:
             if a < dx or b < dv:
@@ -130,11 +150,21 @@ class PolynomialPotential:
     def __call__(self, x, v=0.0):
         x = np.asarray(x, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
+        xs, vs = _powers(x, self.degree_in("x")), _powers(v, self.degree_in("v"))
         out = np.zeros(np.broadcast(x, v).shape, dtype=np.float64)
+        term = np.empty_like(out)
         for a, b, c in self.terms:
-            # c * x**0 == c exactly, so skipping a zero power changes no bit
-            term = c * x**a if a else c
-            out += term * v**b if b else term
+            # (c * x^a) * v^b, each factor skipped at a zero power (c * x^0 == c exactly)
+            if a:
+                np.multiply(xs[a], c, out=term)
+                if b:
+                    term *= vs[b]
+            elif b:
+                np.multiply(vs[b], c, out=term)
+            else:
+                out += c
+                continue
+            out += term
         return out if out.ndim else float(out)
 
 

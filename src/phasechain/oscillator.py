@@ -124,8 +124,49 @@ class GammaForm:
     d_vddot: Array
 
 
-def _gamma_value(x, v, vdot, vddot, w2):
-    return (v**2 + w2 * x**2) + (w2 * v - vddot) ** 2 / w2**2 + (w2 * x + vdot) ** 2 / w2
+# The closed forms build each group of their exponent in one fresh array of the broadcast shape of
+# that group's operands and finish it in place, with the written formula's operations in its order.
+# Squares are products (np.square), never pow. Only the sum of the groups takes the full shape.
+
+def _fresh(*operands) -> Array:
+    return np.empty(np.broadcast(*operands).shape)
+
+
+def _add(a: Array, b: Array) -> Array:
+    """a + b, written into whichever of the fresh arrays a, b already has the sum's shape."""
+    shape = np.broadcast(a, b).shape
+    return np.add(a, b, out=a if a.shape == shape else b if b.shape == shape else None)
+
+
+def _energy(x, v, w2) -> Array:
+    """v^2 + w2 x^2."""
+    out = np.square(x, out=_fresh(x, v))
+    out *= w2
+    out += np.square(v)
+    return out
+
+
+def _group(w2, a, combine, b, scale) -> Array:
+    """combine(w2 a, b)^2 / scale, for combine np.add or np.subtract."""
+    out = np.multiply(w2, a, out=_fresh(a, b))
+    combine(out, b, out=out)
+    np.square(out, out=out)
+    out /= scale
+    return out
+
+
+def _gaussian(expo: Array, rate: float, amp: float) -> Array:
+    """amp * exp(-rate * expo), in place on the fresh expo; a 0-d result as a NumPy scalar."""
+    np.multiply(expo, -rate, out=expo)
+    np.exp(expo, out=expo)
+    expo *= amp
+    return expo if expo.ndim else expo[()]
+
+
+def _gamma_value(x, v, vdot, vddot, w2) -> Array:
+    """(v^2 + w2 x^2) + (w2 v - vddot)^2 / w2^2 + (w2 x + vdot)^2 / w2, as a fresh array."""
+    return _add(_add(_energy(x, v, w2), _group(w2, v, np.subtract, vddot, w2**2)),
+                _group(w2, x, np.add, vdot, w2))
 
 
 def _gamma_partial(k: int, x, v, vdot, vddot, w2):
@@ -143,7 +184,8 @@ def gamma_form(x, v, vdot, vddot, omega: float) -> GammaForm:
     """gamma = (v^2 + w^2 x^2) + (w^2 v - vddot)^2 / w^4 + (w^2 x + vdot)^2 / w^2."""
     coords = tuple(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot))
     w2 = omega**2
-    return GammaForm(_gamma_value(*coords, w2), *(_gamma_partial(k, *coords, w2) for k in range(4)))
+    value = _gamma_value(*coords, w2)
+    return GammaForm(value if value.ndim else value[()], *(_gamma_partial(k, *coords, w2) for k in range(4)))
 
 
 def gamma_transport_residual(x, v, vdot, vddot, omega: float) -> Array:
@@ -164,7 +206,7 @@ def gamma_transport_residual(x, v, vdot, vddot, omega: float) -> Array:
 def w1234_analytic(x, v, vdot, vddot, p: PhysParams) -> Array:
     """Joint quasi-probability over (x, v, vdot, vddot); peak 1/pi^2 at the origin."""
     _require_consistent(p)
-    value = np.asarray(_gamma_value(*(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot)), p.omega**2))
+    value = _gamma_value(*(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot)), p.omega**2)
     # exp(-(s) value) / (pi hbar2)^2, each step in place on the fresh value array
     np.multiply(value, -(p.m / (p.hbar * p.omega)), out=value)
     np.exp(value, out=value)
@@ -177,9 +219,8 @@ def w123_analytic(x, v, vdot, p: PhysParams) -> Array:
     _require_consistent(p)
     x, v, vdot = (np.asarray(c, dtype=np.float64) for c in (x, v, vdot))
     w2 = p.omega**2
-    expo = v**2 + w2 * x**2 + (w2 * x + vdot) ** 2 / w2
-    amp = math.sqrt(p.m / (math.pi**3 * p.hbar**3 * p.omega**3))
-    return amp * np.exp(-(p.m / (p.hbar * p.omega)) * expo)
+    expo = _add(_energy(x, v, w2), _group(w2, x, np.add, vdot, w2))
+    return _gaussian(expo, p.m / (p.hbar * p.omega), math.sqrt(p.m / (math.pi**3 * p.hbar**3 * p.omega**3)))
 
 
 def w124_analytic(x, v, vddot, p: PhysParams) -> Array:
@@ -187,16 +228,15 @@ def w124_analytic(x, v, vddot, p: PhysParams) -> Array:
     _require_consistent(p)
     x, v, vddot = (np.asarray(c, dtype=np.float64) for c in (x, v, vddot))
     w2 = p.omega**2
-    expo = v**2 + w2 * x**2 + (vddot - w2 * v) ** 2 / w2**2
-    amp = math.sqrt(p.m * p.omega / (math.pi**3 * p.hbar2**3))
-    return amp * np.exp(-(p.m / (p.hbar * p.omega)) * expo)
+    # (w2 v - vddot)^2 is (vddot - w2 v)^2 bit for bit: a rounded difference only changes sign when swapped
+    expo = _add(_energy(x, v, w2), _group(w2, v, np.subtract, vddot, w2**2))
+    return _gaussian(expo, p.m / (p.hbar * p.omega), math.sqrt(p.m * p.omega / (math.pi**3 * p.hbar2**3)))
 
 
 def w12_analytic(x, v, p: PhysParams) -> Array:
     """Fully reduced density |psi|^2 = (m / pi hbar) exp[-(m/hbar omega)(v^2 + w^2 x^2)]."""
     x, v = (np.asarray(c, dtype=np.float64) for c in (x, v))
-    expo = v**2 + p.omega**2 * x**2
-    return (p.m / (math.pi * p.hbar)) * np.exp(-(p.m / (p.hbar * p.omega)) * expo)
+    return _gaussian(_energy(x, v, p.omega**2), p.m / (p.hbar * p.omega), p.m / (math.pi * p.hbar))
 
 
 def mean_flux_analytic(which: str, x, v, p: PhysParams) -> Array:

@@ -7,6 +7,10 @@ at a time, and nothing is shared with the evaluators under test except the
 input expressions. Agreement is expected at the 1e-12 relative level when the
 evaluators are fed the same exact derivatives.
 
+The oscillator's closed forms are kept here too, as the one-line NumPy
+expressions they were first written as, so that a change to the package's
+in-place evaluation is compared with something it does not call.
+
 Two structurally different enumerations of the rank-4 correction series exist
 on purpose: the velocity-variable form and the momentum-variable form (related
 by pdot = m vdot, pddot = m vddot). Their mutual agreement pins down the
@@ -14,6 +18,9 @@ m-factor bookkeeping.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import sympy as sp
@@ -223,3 +230,54 @@ def pointwise_stencil_sum(func, powers, coords, scheme) -> np.ndarray:
             continue
         out += weight * np.asarray(func(*shifted), dtype=np.float64)
     return out * scale
+
+
+# ---------------------------------------------------------------------------
+# the oscillator's closed forms as one-line expressions
+
+def _on_arrays(expr):
+    """expr(*coords, param) on coordinates of at least one dimension, shaped back to their broadcast.
+
+    On a NumPy scalar, t ** 2 is a libm pow, which misrounds about one square
+    in a thousand; on an array it is t * t. The package squares by multiplying
+    at every shape, so the expressions are evaluated as arrays, and a 0-d
+    result comes back as a NumPy scalar.
+    """
+
+    @functools.wraps(expr)
+    def call(*args):
+        *coords, param = args
+        coords = [np.asarray(c, dtype=np.float64) for c in coords]
+        value = np.asarray(expr(*(np.atleast_1d(c) for c in coords), param)).reshape(np.broadcast(*coords).shape)
+        return value if value.ndim else value[()]
+
+    return call
+
+
+@_on_arrays
+def gamma_oneline(x, v, vdot, vddot, w2):
+    return (v**2 + w2 * x**2) + (w2 * v - vddot) ** 2 / w2**2 + (w2 * x + vdot) ** 2 / w2
+
+
+@_on_arrays
+def w1234_oneline(x, v, vdot, vddot, p):
+    return np.exp(-(p.m / (p.hbar * p.omega)) * gamma_oneline(x, v, vdot, vddot, p.omega**2)) / (math.pi * p.hbar2) ** 2
+
+
+@_on_arrays
+def w123_oneline(x, v, vdot, p):
+    w2 = p.omega**2
+    amp = math.sqrt(p.m / (math.pi**3 * p.hbar**3 * p.omega**3))
+    return amp * np.exp(-(p.m / (p.hbar * p.omega)) * (v**2 + w2 * x**2 + (w2 * x + vdot) ** 2 / w2))
+
+
+@_on_arrays
+def w124_oneline(x, v, vddot, p):
+    w2 = p.omega**2
+    amp = math.sqrt(p.m * p.omega / (math.pi**3 * p.hbar2**3))
+    return amp * np.exp(-(p.m / (p.hbar * p.omega)) * (v**2 + w2 * x**2 + (vddot - w2 * v) ** 2 / w2**2))
+
+
+@_on_arrays
+def w12_oneline(x, v, p):
+    return (p.m / (math.pi * p.hbar)) * np.exp(-(p.m / (p.hbar * p.omega)) * (v**2 + p.omega**2 * x**2))

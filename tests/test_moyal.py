@@ -75,6 +75,66 @@ def test_potential_queries_and_derivatives():
     assert np.allclose(got, [0.0, 2.0 * 4.0 - 1.0])
 
 
+TERM_SETS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.floats(-10.0, 10.0)), min_size=1, max_size=8)
+# no coordinate near the underflow range, where a power's relative rounding is unbounded
+NONZERO = st.floats(1e-3, 3.0)
+COORDS = st.one_of(st.just(0.0), NONZERO, NONZERO.map(lambda t: -t))
+
+
+def _power_sum(u, x, v):
+    """(sum c * x**a * v**b, sum |c * x**a * v**b|) over u's terms in order, each power a NumPy pow."""
+    x, v = np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    total, size = np.zeros(np.broadcast(x, v).shape), np.zeros(np.broadcast(x, v).shape)
+    for a, b, c in u.terms:
+        term = c * x**a * v**b
+        total += term
+        size += np.abs(term)
+    return total, size
+
+
+@settings(max_examples=80)
+@given(terms=TERM_SETS, x=st.lists(COORDS, min_size=1, max_size=12), v=st.lists(COORDS, min_size=1, max_size=12),
+       mesh=st.booleans())
+def test_potential_is_its_power_sum(terms, x, v, mesh):
+    u = PolynomialPotential(tuple(terms))
+    x, v = np.array(x), np.array(v)
+    if mesh:
+        x, v = x[:, None], v[None, :]
+    else:
+        x, v = x[: min(len(x), len(v))], v[: min(len(x), len(v))]
+    got = u(x, v)
+    want, size = _power_sum(u, x, v)
+    assert got.shape == want.shape and got.dtype == np.float64
+    if max(u.degree_in("x"), u.degree_in("v")) <= 2:
+        # x x is the np.square that x**2 takes
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 1e-15 * size)
+    scalar = u(float(x.flat[0]), float(v.flat[0]))
+    assert type(scalar) is float and type(u(np.float64(x.flat[0]), np.asarray(v.flat[0]))) is float
+    assert np.float64(scalar).tobytes() == got.flat[0].tobytes()
+
+
+@settings(max_examples=40)
+@given(terms=TERM_SETS, dx=st.integers(0, 3), dv=st.integers(0, 3))
+def test_a_derivative_is_made_once_and_is_the_termwise_rule(terms, dx, dv):
+    u = PolynomialPotential(tuple(terms))
+    d = u.derivative(dx=dx, dv=dv)
+    assert u.derivative(dx=dx, dv=dv) is d
+    falling = []
+    for a, b, c in u.terms:
+        if a >= dx and b >= dv:
+            for k in [*range(a, a - dx, -1), *range(b, b - dv, -1)]:
+                c *= k
+            falling.append((a - dx, b - dv, c))
+    assert d == PolynomialPotential(tuple(falling))
+    # the same products in the same order
+    assert u.derivative(dx=1).derivative(dv=dv) == u.derivative(dx=1, dv=dv)
+    # the memo is no part of the value: equality, hash and repr see the terms alone
+    fresh = PolynomialPotential(tuple(terms))
+    assert fresh == u and hash(fresh) == hash(u) and repr(fresh) == repr(u)
+
+
 # --- term table ---------------------------------------------------------------
 
 def test_quadratic_potentials_have_no_corrections():

@@ -1,14 +1,32 @@
 """Pointwise evaluation stays bit-identical to its first, one-offset-at-a-time form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pointwise_stencil_sum
-from phasechain import PhysParams, PointwiseField, StencilScheme, gamma_form, w1234_analytic, w1234_field
+from oracles import (
+    gamma_oneline,
+    pointwise_stencil_sum,
+    w12_oneline,
+    w123_oneline,
+    w124_oneline,
+    w1234_oneline,
+)
+from phasechain import (
+    PhysParams,
+    PointwiseField,
+    StencilScheme,
+    gamma_form,
+    w12_analytic,
+    w123_analytic,
+    w124_analytic,
+    w1234_analytic,
+    w1234_field,
+)
 
 COORD = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -32,6 +50,19 @@ def point_sets(draw, rank):
         shape[k] = n
         coords.append(np.array(draw(st.lists(COORD, min_size=n, max_size=n))).reshape(shape))
     return tuple(coords)
+
+
+@st.composite
+def closed_form_points(draw, rank):
+    """point_sets, Python floats, 0-d arrays, or check 1's mix: a 0-d first coordinate on a mesh of the rest."""
+    kind = draw(st.sampled_from(("points", "floats", "0-d", "mixed")))
+    if kind == "points":
+        return draw(point_sets(rank))
+    if kind == "floats":
+        return tuple(draw(COORD) for _ in range(rank))
+    if kind == "0-d":
+        return tuple(np.array(draw(COORD)) for _ in range(rank))
+    return (np.array(draw(COORD)), *draw(point_sets(rank - 1)))
 
 
 @st.composite
@@ -61,6 +92,45 @@ PARAMS = st.builds(PhysParams, m=st.sampled_from((1.0, 0.7, 2.5)), hbar=st.sampl
 def test_w1234_is_the_exponential_of_the_gamma_form_bit_for_bit(p, coords):
     want = np.exp(-(p.m / (p.hbar * p.omega)) * gamma_form(*coords, p.omega).value) / (math.pi * p.hbar2) ** 2
     assert w1234_analytic(*coords, p).tobytes() == want.tobytes()
+
+
+CLOSED_FORMS = {
+    "gamma": (4, lambda x, v, vd, vdd, p: gamma_form(x, v, vd, vdd, p.omega).value,
+              lambda x, v, vd, vdd, p: gamma_oneline(x, v, vd, vdd, p.omega**2)),
+    "w1234": (4, w1234_analytic, w1234_oneline),
+    "w123": (3, w123_analytic, w123_oneline),
+    "w124": (3, w124_analytic, w124_oneline),
+    "w12": (2, w12_analytic, w12_oneline),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@settings(max_examples=40)
+@given(p=PARAMS, data=st.data())
+def test_closed_forms_equal_their_one_line_expressions_bit_for_bit(name, p, data):
+    rank, form, oneline = CLOSED_FORMS[name]
+    coords = data.draw(closed_form_points(rank))
+    got, want = form(*coords, p), oneline(*coords, p)
+    shape = np.broadcast(*coords).shape
+    assert type(got) is type(want) is (np.ndarray if shape else np.float64)
+    assert np.shape(got) == shape and np.asarray(got).dtype == np.float64
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_w1234_on_a_broadcast_mesh_holds_at_most_two_full_arrays():
+    # check 1's call: a 0-d x on a sparse (v, vdot, vddot) mesh; each group of gamma keeps its operands' shape
+    n = 64
+    mesh = np.meshgrid(*(np.linspace(-3.0, 3.0, n),) * 3, indexing="ij", sparse=True)
+    p = PhysParams()
+    w1234_analytic(np.float64(0.3), *mesh, p)
+    tracemalloc.start()
+    try:
+        w = w1234_analytic(np.float64(0.3), *mesh, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (n, n, n)
+    assert peak <= 2 * w.nbytes
 
 
 @settings(max_examples=20)

@@ -162,6 +162,45 @@ def test_a_forked_child_starts_its_own_pool(monkeypatch):
     assert not alive and child.exitcode == 0 and queue.get(timeout=5) == 15
 
 
+# Every slab but the first sleeps, so a job is still in flight when the script ends. The wrapper lives in a
+# module of its own: a worker's frame in a function of the script would keep the script's globals, and with
+# them the generator, alive past the exit. The script binds `fields` itself, as the hung scripts did; bound
+# only through the package, the generator was never closed at exit.
+SLOW_SLABS = """
+import time
+import phasechain.moyal
+residual = phasechain.moyal._residual
+
+def slow(view, *args):
+    time.sleep(2.0 if view.lo else 0.0)
+    return residual(view, *args)
+
+phasechain.moyal._residual = slow
+"""
+
+LEFT_PART_WAY = """
+import numpy as np
+import slow_slabs
+from phasechain import PhysParams, RealField, StencilScheme, fields, make_axis, moyal_residual_slabs, u12_polynomial
+fields._workers = lambda: 2
+axes = tuple(make_axis(name, -4.0, 4.0, 32) for name in ("x", "v", "vdot", "vddot"))
+rows = moyal_residual_slabs(RealField(axes, np.random.default_rng(0).random((32,) * 4)),
+                            u12_polynomial(PhysParams()), PhysParams(), StencilScheme(order=4))
+lo, hi, block = next(rows)
+assert lo == 0 and hi < 32
+"""
+
+
+def test_a_slab_loop_left_part_way_lets_the_interpreter_exit(tmp_path):
+    # the generator is closed at exit, with a job in flight on a daemon worker that can no longer run
+    (tmp_path / "slow_slabs.py").write_text(SLOW_SLABS, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(phasechain.__file__).resolve().parents[1]))
+    for _ in range(5):
+        done = subprocess.run([sys.executable, "-c", LEFT_PART_WAY], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("n, ranges", [(1, [(0, 1), (1, 2)]), (3, [(0, 5)])])
 def test_one_worker_or_one_range_runs_inline(monkeypatch, n, ranges):
     set_workers(monkeypatch, n)
