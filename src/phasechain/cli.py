@@ -233,6 +233,16 @@ def _mask_threshold(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _seed(text: str) -> int:
     try:
         seed = int(text)
@@ -296,7 +306,7 @@ def build_parser() -> _Parser:
     mg = sub.add_parser("marginal", help="integrate out one kinematic axis (m-weighted)")
     mg.add_argument("--in", dest="in_path", required=True)
     mg.add_argument("--axis", choices=("vdot", "vddot"), required=True)
-    mg.add_argument("--m", type=float, default=1.0, help="integration weight (default 1)")
+    mg.add_argument("--m", type=_positive, default=1.0, help="integration weight, positive (default 1)")
     mg.add_argument("--out", required=True)
     mg.set_defaults(func=_cmd_marginal)
 

@@ -12,6 +12,10 @@ x-gradients of U pair with vddot-gradients of W, v-gradients of U with
 vdot-gradients of W. The series terminates for polynomial potentials: only
 derivatives up to the polynomial degree survive, so l runs to
 floor((deg - 1)/2).
+
+The same sum's l = 0 entries are the force terms of the left side, moved
+right. So the module holds one table of entries from l = 0 and one operator:
+[d_t + v d_x + vdot d_v + vddot d_vdot] W minus a choice of the table's rows.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from .fields import (
     Array,
     KINEMATIC_ORDER,
+    NumericError,
     RealField,
     StencilScheme,
     ValidationError,
@@ -189,9 +194,26 @@ class MoyalTerm:
 def _coefficient(l: int, n: int, params) -> float:
     """(1/m) (-1)^{n+l} (hbar2/2m)^{2l} / (n! (2l-n+1)!), the weight of series entry (l, n)."""
     ratio = params.hbar2 / (2.0 * params.m)
-    return ((-1.0) ** (n + l)) * ratio ** (2 * l) / (
-        math.factorial(n) * math.factorial(2 * l - n + 1) * params.m
-    )
+    try:
+        coeff = ((-1.0) ** (n + l)) * ratio ** (2 * l) / (math.factorial(n) * math.factorial(2 * l - n + 1) * params.m)
+    except OverflowError:
+        coeff = math.inf
+    if not math.isfinite(coeff):
+        raise NumericError(f"the weight of series entry (l, n) = ({l}, {n}) overflows at hbar2/(2m) = {ratio:g}")
+    return coeff
+
+
+def _series_rows(u: PolynomialPotential, params) -> tuple[MoyalTerm, ...]:
+    """Every non-vanishing series entry (l, n), ordered by (l, n) from l = 0: the force terms, then the corrections."""
+    if not isinstance(u, PolynomialPotential):
+        raise ValidationError(f"expected PolynomialPotential, got {type(u)!r}")
+    rows = []
+    for l in range(max((u.degree - 1) // 2, 0) + 1):
+        for n in range(0, 2 * l + 2):
+            du = u.derivative(dx=n, dv=2 * l - n + 1)
+            if not du.is_zero:
+                rows.append(MoyalTerm(l, n, _coefficient(l, n, params), du))
+    return tuple(rows)
 
 
 def build_term_table(u: PolynomialPotential, params) -> tuple[MoyalTerm, ...]:
@@ -201,61 +223,53 @@ def build_term_table(u: PolynomialPotential, params) -> tuple[MoyalTerm, ...]:
     transport). Terms are ordered by (l, n) and carry the velocity-form
     coefficient (1/m) (-1)^{n+l} (hbar2/2m)^{2l} / (n! (2l-n+1)!).
     """
-    if not isinstance(u, PolynomialPotential):
-        raise ValidationError(f"expected PolynomialPotential, got {type(u)!r}")
-    lmax = max((u.degree - 1) // 2, 0)
-    table = []
-    for l in range(1, lmax + 1):
-        for n in range(0, 2 * l + 2):
-            du = u.derivative(dx=n, dv=2 * l - n + 1)
-            if not du.is_zero:
-                table.append(MoyalTerm(l, n, _coefficient(l, n, params), du))
-    return tuple(table)
+    return tuple(row for row in _series_rows(u, params) if row.l)
 
 
 def closure_coefficients(u: PolynomialPotential, params, var: str) -> tuple[tuple[int, float, PolynomialPotential], ...]:
     """(l, coeff, d^{2l+1}U/dvar^{2l+1}) for the non-vanishing terms of a closure series.
 
-    coeff = (-1)^l (hbar2/2m)^{2l} / (m (2l+1)!) is the n = 0 weight of the
-    correction series, and l runs from 0 to floor((deg_var U - 1)/2). var 'x'
-    gives the mean-flux closures, var 'v' the correction series of the
-    (x, v, vdot) chain member.
+    coeff = (-1)^l (hbar2/2m)^{2l} / (m (2l+1)!), l from 0. var 'v' gives the
+    series entries (l, 0), the correction series of the (x, v, vdot) chain
+    member; var 'x' the entries (l, 2l+1) negated, the mean-flux closures.
     """
-    if not isinstance(u, PolynomialPotential):
-        raise ValidationError(f"expected PolynomialPotential, got {type(u)!r}")
     if var not in ("x", "v"):
         raise ValidationError(f"closure series run along 'x' or 'v', got {var!r}")
-    terms = []
-    for l in range(max((u.degree_in(var) - 1) // 2, 0) + 1):
-        du = u.derivative(**{"d" + var: 2 * l + 1})
-        if not du.is_zero:
-            terms.append((l, _coefficient(l, 0, params), du))
-    return tuple(terms)
+    if var == "v":
+        return tuple((row.l, row.coeff, row.du) for row in _series_rows(u, params) if row.n == 0)
+    return tuple((row.l, -row.coeff, row.du) for row in _series_rows(u, params) if row.n == 2 * row.l + 1)
 
 
-def _transport(view, u: PolynomialPotential, params, dt_term) -> Array:
-    """[d_t + v d_x + vdot d_v + (vddot - (1/m) dU/dv) d_vdot + (1/m) dU/dx d_vddot] W on a view."""
+def _add_series(out: Array, view, rows, sign: float) -> Array:
+    """out + sign * (the series of the module docstring, over rows of _series_rows) on a view, in out."""
     x, v = view.coord("x"), view.coord("v")
-    out = np.zeros(view.shape)
-    if dt_term is not None:
-        out += view.restrict(dt_term)
-    _add_product(out, view.d(x=1), v)
-    _add_product(out, view.d(v=1), view.coord("vdot"))
-    _add_product(out, view.d(vdot=1), view.coord("vddot") - u.derivative(dv=1)(x, v) / params.m)
-    _add_product(out, view.d(vddot=1), u.derivative(dx=1)(x, v) / params.m)
-    return out
-
-
-def _add_series(out: Array, view, table, sign: float) -> Array:
-    """out + sign * (the correction series of the module docstring) on a view, from build_term_table, in out."""
-    x, v = view.coord("x"), view.coord("v")
-    for term in table:
+    for term in rows:
         _add_product(out, view.d(vdot=term.vdot_power, vddot=term.vddot_power), sign * term.coeff * term.du(x, v))
     return out
 
 
-def _residual(view, u: PolynomialPotential, params, table, dt_term) -> Array:
-    return _add_series(_transport(view, u, params, dt_term), view, table, -1.0)
+def _continuity(view, fluxes, rows, dt_term) -> Array:
+    """d_t f + sum_(a, b) b d_a f + sum_a d_a (flux_a f) - the series over rows (of _series_rows), on a view.
+
+    (a, b) runs over the consecutive kinematic pairs of the view's axes and
+    fluxes holds (axis, flux) pairs. On a view with vdot and vddot the (0, 0)
+    row joins the pair, (vddot - (1/m) dU/dv) d_vdot f, so d_vdot f is taken once.
+    """
+    x, v = view.coord("x"), view.coord("v")
+    fold = bool(rows) and (rows[0].l, rows[0].n) == (0, 0) and {"vdot", "vddot"} <= set(view.names)
+    out = np.zeros(view.shape)
+    if dt_term is not None:
+        out += view.restrict(dt_term)
+    for a, b in zip(KINEMATIC_ORDER, KINEMATIC_ORDER[1:]):
+        if a in view.names and b in view.names:
+            d, coef = view.d(**{a: 1}), view.coord(b)
+            if fold and b == "vddot":
+                coef = coef - rows[0].coeff * rows[0].du(x, v)
+            _add_product(out, d, coef)
+            del d  # else the next pair's derivative is made while this one is still held
+    for axis, flux in fluxes:
+        out += view.times(flux).d(**{axis: 1})
+    return _add_series(out, view, rows[1:] if fold else rows, -1.0)
 
 
 def moyal_rhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *, points=None):
@@ -286,7 +300,8 @@ def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
     dt_term, when given, supplies d_t W on the same support (grid array or
     values at `points`); stationary fields omit it.
     """
-    return _evaluate(w4, KINEMATIC_ORDER, scheme, points, lambda view: _transport(view, u, params, dt_term))
+    force = tuple(row for row in _series_rows(u, params) if not row.l)
+    return _evaluate(w4, KINEMATIC_ORDER, scheme, points, lambda view: _continuity(view, (), force, dt_term))
 
 
 def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, *,
@@ -300,17 +315,16 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     The rows of a W read from a file are dropped from memory behind the caller.
     """
     _require_axes(w4, KINEMATIC_ORDER)
-    table = build_term_table(u, params)
+    rows = _series_rows(u, params)
 
     def slab(lo, hi):
-        return lo, hi, _residual(_GridView(w4, scheme, lo, hi), u, params, table, dt_term)
+        return lo, hi, _continuity(_GridView(w4, scheme, lo, hi), (), rows, dt_term)
 
-    yield from _map_rows(slab, w4.data, stencil_halfwidth(1, scheme.order))  # _transport's d/dx
+    yield from _map_rows(slab, w4.data, stencil_halfwidth(1, scheme.order))  # _continuity's d/dx
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
                    points=None, dt_term=None):
     """Transport part minus correction series; zero for an exact solution."""
-    table = build_term_table(u, params)
-    return _evaluate(w4, KINEMATIC_ORDER, scheme, points,
-                     lambda view: _residual(view, u, params, table, dt_term))
+    rows = _series_rows(u, params)
+    return _evaluate(w4, KINEMATIC_ORDER, scheme, points, lambda view: _continuity(view, (), rows, dt_term))

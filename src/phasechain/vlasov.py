@@ -10,9 +10,11 @@ next kinematic derivative. The closures are truncated series in the potential,
     <vdot>_{12} = sum_{l>=0} (-1)^{l+1} (hbar2/2m)^{2l} / (m (2l+1)!)
               * d^{2l+1}U1/dx^{2l+1} * (1/f) d^{2l}f/dv^{2l},
 
-terminating for polynomial potentials. Mean fluxes can also be extracted
-directly from a rank-4 field as m-weighted moment ratios; both routes are
-implemented and compared in the tests.
+terminating for polynomial potentials; their weights are the entries
+(l, 2l+1) of moyal's series table, negated, and the continuity residuals are
+moyal's one continuity operator. Mean fluxes can also be extracted directly
+from a rank-4 field as m-weighted moment ratios; both routes are implemented
+and compared in the tests.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .fields import (
     partial_derivative,
     stencil_halfwidth,
 )
-from .moyal import PolynomialPotential, closure_coefficients
+from .moyal import PolynomialPotential, _continuity, _series_rows, closure_coefficients
 
 __all__ = [
     "FluxField",
@@ -116,12 +118,25 @@ def _support_mask(density: Array, threshold: float) -> Array:
     return np.abs(density) >= threshold * _max_abs(density)
 
 
-def _flux_field(kind: str, axes, num: Array, den: Array, threshold: float) -> FluxField:
-    """Moment ratio num / den on the support mask of den, zero elsewhere."""
+def _moment_ratio(kind: str, field: RealField, k: int, params, numerator, threshold: float, ranges=None) -> FluxField:
+    """(m step sum_k numerator) / (m step sum_k field) on the support mask of the denominator, zero elsewhere.
+
+    numerator(lo, hi) gives the numerator's integrand on the field's x-rows
+    [lo, hi); both sums are accumulated one x-slab (or one of ranges) at a time.
+    """
+    scale = params.m * field.axes[k].step
+    shape = field.data.shape[:k] + field.data.shape[k + 1 :]
+    num, den = np.empty(shape), np.empty(shape)
+
+    def slab(lo, hi):
+        num[lo:hi] = numerator(lo, hi).sum(axis=k) * scale
+        den[lo:hi] = field.data[lo:hi].sum(axis=k) * scale
+
+    _run_slabs(slab, field.data, 0, ranges)
     mask = _support_mask(den, threshold)
     vals = np.zeros_like(den)
     np.divide(num, den, out=vals, where=mask)
-    return FluxField(kind, RealField._trusted(axes, vals), mask, threshold)
+    return FluxField(kind, RealField._trusted(field.axes[:k] + field.axes[k + 1 :], vals), mask, threshold)
 
 
 def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
@@ -143,31 +158,17 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
             field = integrate_axis(field, name, weight=params.m)
     k = field.axis_index(traced)
     coord = field.axes[k].points().reshape((-1,) + (1,) * (field.rank - 1 - k))
-    scale = params.m * field.axes[k].step
-    shape = field.data.shape[:k] + field.data.shape[k + 1 :]
-    num, den = np.empty(shape), np.empty(shape)
-
-    def slab(lo, hi):
-        rows = field.data[lo:hi]
-        num[lo:hi] = (rows * coord).sum(axis=k) * scale
-        den[lo:hi] = rows.sum(axis=k) * scale
-
     # slabs run along axis 0, so they need an axis 0 that is not reduced
-    _run_slabs(slab, field.data, 0, None if k else [(0, field.data.shape[0])])
-    return _flux_field(which, field.axes[:k] + field.axes[k + 1 :], num, den, mask_threshold)
+    return _moment_ratio(which, field, k, params, lambda lo, hi: field.data[lo:hi] * coord, mask_threshold,
+                         None if k else [(0, field.data.shape[0])])
 
 
-def _closure_series(view, terms, axis: str, mask=True) -> Array:
-    """The closure series on a view, where mask holds: sum over terms (l, c, dU) of c dU (1/f) d^{2l}f/d axis^{2l}."""
+def _closure_series(view, terms, axis: str) -> Array:
+    """The closure flux times f on a view: sum over terms (l, c, dU) of c dU d^{2l}f/d axis^{2l}."""
     x, v = view.coord("x"), view.coord("v")
     out = np.zeros(view.shape)
     for l, c, du in terms:
-        if l == 0:
-            out += c * du(x, v)
-        else:
-            dfl = view.d(**{axis: 2 * l})
-            np.divide(dfl, view.values(), out=dfl, where=mask)
-            _add_product(out, dfl, c * du(x, v))
+        _add_product(out, view.d(**{axis: 2 * l}) if l else view.values().copy(), c * du(x, v))
     return out
 
 
@@ -193,8 +194,9 @@ def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
         raise NumericError(f"{kind}: density not strictly positive where the closure is evaluated, "
                            f"first offender at index {tuple(int(i) for i in bad[0])}")
     if isinstance(f, PointwiseField):
-        return _closure_series(view, terms, axis)
-    out = _over_slabs(f, scheme, lambda view: _closure_series(view, terms, axis, view.restrict(mask)))
+        return _closure_series(view, terms, axis) / density
+    out = _over_slabs(f, scheme, lambda view: _closure_series(view, terms, axis))
+    np.divide(out, density, out=out, where=mask)
     out[~mask] = 0.0
     return FluxField(kind, RealField._trusted(f.axes, out), mask, mask_threshold)
 
@@ -229,30 +231,15 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
 
     Averages the rank-4 series closure over vdot:
     <vddot>_{124} = m Int <vddot>_{1234} w4 dvdot / (m Int w4 dvdot).
-    The product <vddot>_{1234} w4 is assembled in series form directly, so no
-    division by w4 occurs in the numerator. Both integrals are accumulated
-    one x-slab at a time.
+    The numerator integrates the closure body, <vddot>_{1234} w4, so it never
+    divides by w4. Both integrals are accumulated one x-slab at a time.
     """
     scheme = StencilScheme() if scheme is None else scheme
     _check_mask_threshold(mask_threshold)
     _require_axes(w4, KINEMATIC_ORDER)
-    xs, vs = w4.mesh()[:2]
-    terms = [(l, c * du(xs, vs)) for l, c, du in closure_coefficients(u, params, "x")]
-    scale = params.m * w4.axes[2].step
-    shape = w4.data.shape[:2] + w4.data.shape[3:]
-    num, den = np.empty(shape), np.empty(shape)
-
-    def slab(lo, hi):
-        view = _GridView(w4, scheme, lo, hi)
-        rows = view.values()
-        product = np.zeros_like(rows)
-        for l, coeff in terms:
-            product += coeff[lo:hi] * (view.d(vddot=2 * l) if l else rows)
-        num[lo:hi] = product.sum(axis=2) * scale
-        den[lo:hi] = rows.sum(axis=2) * scale
-
-    _run_slabs(slab, w4.data, 0)
-    return _flux_field("124-accel", w4.axes[:2] + w4.axes[3:], num, den, mask_threshold)
+    terms = closure_coefficients(u, params, "x")
+    return _moment_ratio("124-accel", w4, 2, params,
+                         lambda lo, hi: _closure_series(_GridView(w4, scheme, lo, hi), terms, "vddot"), mask_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +256,6 @@ def _flux_values_grid(flux, field: RealField) -> Array:
     return np.asarray(flux(*field.mesh()) if callable(flux) else flux, dtype=np.float64)
 
 
-def _continuity(view, fluxes=(), series=(), dt_term=None) -> Array:
-    """d_t f + sum_(a, b) b d_a f + sum_a d_a (flux_a f) - series on a view.
-
-    (a, b) runs over the consecutive kinematic pairs of the view's axes; fluxes
-    holds (axis, flux) pairs and series the w123 terms (l, c, dU/dv) from
-    closure_coefficients, each subtracted as c dU d_vdot^{2l+1} f.
-    """
-    out = np.zeros(view.shape)
-    if dt_term is not None:
-        out += view.restrict(dt_term)
-    for a, b in zip(KINEMATIC_ORDER, KINEMATIC_ORDER[1:]):
-        if a in view.names and b in view.names:
-            _add_product(out, view.d(**{a: 1}), view.coord(b))
-    for axis, flux in fluxes:
-        out += view.times(flux).d(**{axis: 1})
-    x, v = view.coord("x"), view.coord("v")
-    for l, c, du in series:
-        _add_product(out, view.d(vdot=2 * l + 1), -c * du(x, v))
-    return out
-
-
 def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: PolynomialPotential | None = None, *,
                     points=None, dt_term=None):
     """Continuity residual of one chain member; zero for an exact solution.
@@ -303,9 +269,8 @@ def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: Poly
         RealField, ndarray, scalar, or callable on the member's coordinates;
         pointwise mode takes scalars and callables).
         chain4 needs {'vddot'}, w123 {'vdot'}, w124 {'v', 'vddot'}, w12 {'v'}.
-    u : potential; required for 'w123', whose correction series
-        sum_l (-1)^l (hbar2/2m)^{2l} / (m (2l+1)!) d_v^{2l+1}U d_vdot^{2l+1}W
-        is subtracted from the transport side.
+    u : potential; required for 'w123', whose correction series, the series
+        entries (l, 0), is subtracted from the transport side.
     dt_term : optional time-derivative samples for non-stationary fields.
     """
     if kind not in MEMBERS:
@@ -317,8 +282,8 @@ def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: Poly
     if missing:
         raise ValidationError(f"{kind}: missing fluxes for axes {missing}")
     closing = [(a, _flux_samples(fluxes[a])) for a in flux_axes]
-    series = closure_coefficients(u, params, "v") if kind == "w123" else ()
-    return _evaluate(f, axes, scheme, points, lambda view: _continuity(view, closing, series, dt_term))
+    rows = tuple(row for row in _series_rows(u, params) if row.n == 0) if kind == "w123" else ()
+    return _evaluate(f, axes, scheme, points, lambda view: _continuity(view, closing, rows, dt_term))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +314,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
             derivs.append(_stencil(derivs[-1], 3, f4.axes[3].step, 1, scheme))
         # side A: transport + d_vddot( sum_l c_l U^(2l+1) d^{2l} f )
         # side B: transport + force term - correction series
-        side_a = _continuity(view)
+        side_a = _continuity(view, (), (), None)
         side_b = side_a.copy()
         flux_times_f = np.zeros(view.shape)
         for l, c, du in terms:
@@ -395,18 +360,19 @@ class DissipationReport:
     valid_124: Array
 
     def max_abs_q(self) -> float:
-        vals = [
-            float(np.abs(self.q2_12.data[self.valid_12]).max()),
-            float(np.abs(self.q2_124.data[self.valid_124]).max()),
-            float(np.abs(self.q4_124.data[self.valid_124]).max()),
-        ]
-        return max(vals)
+        return _max_abs_valid((self.q2_12.data, self.valid_12), (self.q2_124.data, self.valid_124),
+                              (self.q4_124.data, self.valid_124))
 
     def max_abs_entropy_residual(self) -> float:
-        return max(
-            float(np.abs(self.entropy_residual_12[self.valid_12]).max()),
-            float(np.abs(self.entropy_residual_124[self.valid_124]).max()),
-        )
+        return _max_abs_valid((self.entropy_residual_12, self.valid_12),
+                              (self.entropy_residual_124, self.valid_124))
+
+
+def _max_abs_valid(*pairs) -> float:
+    """max |data| over the valid points of each (data, valid) pair; NumericError if a valid mask is empty."""
+    if not all(valid.any() for _, valid in pairs):
+        raise NumericError("no valid points left after masking")
+    return max(float(np.abs(data[valid]).max()) for data, valid in pairs)
 
 
 def dissipation_report(w12: RealField, w124: RealField, fluxes, params, scheme: StencilScheme,

@@ -37,6 +37,7 @@ from phasechain import (
 from phasechain.checks import run_ho_suite
 
 import oracles
+from conftest import child_env
 
 CRITERIA = 10
 
@@ -166,7 +167,7 @@ def test_criterion_10_persistence_and_entry_point(tmp_path, announce):
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "phasechain.cli", "check", "--suite", "ho"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=child_env(),
     )
     elapsed = time.perf_counter() - t0
     cli_ok = (proc.returncode == 0 and "all checks passed: 7/7" in proc.stdout

@@ -89,6 +89,17 @@ def test_marginal(w4_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["0", "-1", "nan", "inf"])
+def test_marginal_weight_must_be_positive_and_finite(w4_path, tmp_path, capsys, m):
+    out = tmp_path / "w123.fld"
+    with pytest.raises(SystemExit) as exc:
+        main(["marginal", "--in", str(w4_path), "--axis", "vddot", "--m", m, "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "argument --m: must be positive and finite" in err
+    assert not out.exists()
+
+
 def test_fluxes_writes_values_and_mask(w4_path, tmp_path, capsys):
     # the transform fixes the traced axis range at +-2 pi, so the moment is
     # slightly truncated where the density is weakest; a 1e-2 mask keeps the
@@ -338,6 +349,15 @@ def test_float_underflow_is_a_numeric_failure(psi_path, tmp_path, capsys):
     assert main(["wigner", "--in", str(psi_path), "--hbar2", "1e-300", "--out", str(tmp_path / "w.fld")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", [["--hbar2", "1e300"], ["--m", "1e-300"]])
+def test_an_overflowing_series_weight_names_its_entry(tiny, capsys, flag):
+    # hbar2/(2m) = 5e299: the weight of the first live correction, (hbar2/2m)^2 / m, leaves the float range
+    _, files = tiny
+    assert main(["residual", "--in", files["w4"], "--potential", files["u"], "--mode", "psi-moyal", *flag]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: the weight of series entry (l, n) = (1, 3) overflows at hbar2/(2m) = 5e+299\n")
 
 
 def test_running_out_of_memory_exits_3(monkeypatch, tmp_path, capsys):

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import phasechain
 import phasechain.fields as fields_mod
 import phasechain.wigner as wigner_mod
 from phasechain import (
@@ -41,6 +40,8 @@ from phasechain import (
 from phasechain.cli import main
 from phasechain.fieldfile import _write_rows
 from phasechain.fields import _drop_rows, _FileMap, stencil_halfwidth
+
+from conftest import child_env
 
 P = PhysParams(m=1.3)
 SHAPE = (16, 8, 16, 16)  # 16 KiB x-rows: four pages each
@@ -261,7 +262,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def child_rss_mib(argv, cwd) -> float:
-    env = dict(os.environ, PYTHONPATH=str(Path(phasechain.__file__).resolve().parents[1]))
+    env = child_env()
     done = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=300)
     code, maxrss_kib = map(int, done.stdout.split())

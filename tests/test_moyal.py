@@ -19,6 +19,8 @@ from phasechain import (
     sample_real,
     transport_lhs,
     u12_polynomial,
+    vlasov_residual,
+    w123_field,
     w1234_analytic,
     w1234_field,
 )
@@ -183,6 +185,11 @@ def test_closure_coefficients_pin_the_oracle_formula_and_the_term_table(params):
     for l, coeff, du in closure_coefficients(uv, params, "v")[1:]:
         assert coeff == table[(l, 0)].coeff
         assert du == table[(l, 0)].du
+    # along x they are the entries (l, 2l+1), negated exactly: (-1)^{3l+1} = -(-1)^l
+    table = {(t.l, t.n): t for t in build_term_table(ux, params)}
+    for l, coeff, du in got[1:]:
+        assert coeff == -table[(l, 2 * l + 1)].coeff
+        assert du == table[(l, 2 * l + 1)].du
     with pytest.raises(ValidationError):
         closure_coefficients(ux, params, "vdot")
 
@@ -194,6 +201,32 @@ def test_stationary_solution_solves_its_equation():
     pts = tuple(rng.uniform(-4, 4, size=600) for _ in range(4))
     res = moyal_residual(w1234_field(P), u12_polynomial(P), P, SCHEME, points=pts)
     assert np.abs(res).max() < 1e-8
+
+
+@pytest.mark.parametrize("u", [
+    u12_polynomial(P),
+    PolynomialPotential(u12_polynomial(P).terms + ((4, 0, 0.01),)),
+    PolynomialPotential(u12_polynomial(P).terms + ((2, 2, 0.02), (1, 3, -0.01), (0, 4, 0.01))),
+], ids=["oscillator", "quartic", "mixed-quartic"])
+def test_each_term_takes_one_derivative(monkeypatch, u):
+    # every U here depends on v, so the force entry (0, 0), -(1/m) dU/dv d_vdot W, is live: it shares
+    # d_vdot W with the streaming term vddot d_vdot W, so transport takes one derivative per axis
+    calls = []
+    derivative = PointwiseField.derivative
+
+    def counted(self, powers, coords, scheme):
+        calls.append(tuple(powers))
+        return derivative(self, powers, coords, scheme)
+
+    monkeypatch.setattr(PointwiseField, "derivative", counted)
+    pts = tuple(np.linspace(-1.0, 1.0, 5) for _ in range(4))
+    moyal_residual(w1234_field(P, exact_derivatives=False), u, P, SCHEME, points=pts)
+    assert len(calls) == 4 + len(build_term_table(u, P))
+    assert calls.count((0, 0, 1, 0)) == 1
+    # w123: d_x and d_v of streaming, d_vdot of the flux term, and one per correction entry (l, 0)
+    calls.clear()
+    vlasov_residual("w123", w123_field(P), {"vdot": lambda x, v, vd: P.omega**2 * v}, P, SCHEME, u, points=pts[:3])
+    assert len(calls) == 3 + len(closure_coefficients(u, P, "v"))
 
 
 def test_wrong_potential_is_detected():

@@ -18,12 +18,10 @@ import threading
 import time
 import warnings
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import phasechain
 import phasechain.fields as fields_mod
 import phasechain.wigner as wigner_mod
 from phasechain import (
@@ -53,6 +51,8 @@ from phasechain import (
 )
 from phasechain.cli import main
 from phasechain.fields import _apply_stencil_along_axis, _map_slabs, _x_slabs, stencil_halfwidth
+
+from conftest import child_env
 
 P = PhysParams(m=1.3)
 SHAPE = (12, 8, 10, 12)
@@ -169,13 +169,13 @@ def test_a_forked_child_starts_its_own_pool(monkeypatch):
 SLOW_SLABS = """
 import time
 import phasechain.moyal
-residual = phasechain.moyal._residual
+continuity = phasechain.moyal._continuity
 
 def slow(view, *args):
     time.sleep(2.0 if view.lo else 0.0)
-    return residual(view, *args)
+    return continuity(view, *args)
 
-phasechain.moyal._residual = slow
+phasechain.moyal._continuity = slow
 """
 
 LEFT_PART_WAY = """
@@ -194,7 +194,7 @@ assert lo == 0 and hi < 32
 def test_a_slab_loop_left_part_way_lets_the_interpreter_exit(tmp_path):
     # the generator is closed at exit, with a job in flight on a daemon worker that can no longer run
     (tmp_path / "slow_slabs.py").write_text(SLOW_SLABS, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(phasechain.__file__).resolve().parents[1]))
+    env = child_env()
     for _ in range(5):
         done = subprocess.run([sys.executable, "-c", LEFT_PART_WAY], cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=60)
@@ -451,7 +451,7 @@ def test_import_gen_ho_and_export_csv_start_no_thread(tmp_path):
     axes = (make_axis("x", -2.0, 2.0, 16), make_axis("v", -2.0, 2.0, 16))
     write_field(integrate_axis(wigner4(ComplexField(axes, np.ones((16, 16), complex)), P), "vddot"),
                 tmp_path / "w123.fld")
-    env = dict(os.environ, PYTHONPATH=str(Path(phasechain.__file__).resolve().parents[1]))
+    env = child_env()
     argvs = ["gen-ho --nx 16 --nv 16 --out psi.fld", "gen-ho --out psi64.fld",
              "export-csv --in w123.fld --slice vdot=0 --out line.csv"]
     done = subprocess.run([sys.executable, "-c", GUARD, *argvs], cwd=tmp_path, env=env,

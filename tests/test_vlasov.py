@@ -495,3 +495,16 @@ def test_dissipation_vanishes_for_the_oscillator():
     assert rep.valid_12.any() and rep.valid_124.any()
     with pytest.raises(ValidationError):
         dissipation_report(w12, w124, {"12-vel": vel12}, P, ORDER4)
+
+
+def test_an_empty_valid_mask_is_a_numeric_failure():
+    # on 4-node axes an order-4 stencil's halfwidth erodes every node
+    g2 = tuple(make_axis(n, -6.0, 6.0, 4) for n in ("x", "v"))
+    g3 = tuple(make_axis(n, -6.0, 6.0, 4) for n in ("x", "v", "vddot"))
+    w12 = sample_real(lambda x, v: w12_analytic(x, v, P), g2)
+    w124 = sample_real(lambda x, v, vdd: w124_analytic(x, v, vdd, P), g3)
+    rep = dissipation_report(w12, w124, {"12-vel": 0.0, "124-vel": 0.0, "124-accel": 0.0}, P, ORDER4)
+    assert not rep.valid_12.any() and not rep.valid_124.any()
+    for reduce in (rep.max_abs_q, rep.max_abs_entropy_residual):
+        with pytest.raises(NumericError, match="^no valid points left after masking$"):
+            reduce()
