@@ -16,41 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import run_ho_suite
-from .fields import (
-    KINEMATIC_ORDER,
-    ComplexField,
-    NumericError,
-    RealField,
-    StencilScheme,
-    ValidationError,
-    _max_abs,
-    _require_axes,
-    integrate_axis,
-    make_axis,
-    sample_complex,
-    stencil_halfwidth,
-)
-from .fieldfile import _write_rows, export_csv, parse_slice_spec, read_field, write_field
-from .moyal import PolynomialPotential, moyal_residual_slabs
-from .oscillator import PhysParams, psi12
-from .vlasov import (
-    DEFAULT_MASK_THRESHOLD,
-    _check_mask_threshold,
-    _erode,
-    accel_flux_124_from_w4,
-    mean_flux_from_w4,
-    vlasov_residual,
-)
-from .wigner import (
-    TransformPlan,
-    _wigner4_rows,
-    marginal_to_2,
-    wigner4_marginal_to_3,
-    wigner4_marginal_to_24,
-    wigner24,
-    wigner3,
-)
+# the package registers these lazily: each runs on a handler's first use, so a command runs only what it needs
+from . import checks, fieldfile, fields, moyal, oscillator, vlasov, wigner
 
 __all__ = ["main"]
 
@@ -73,11 +40,11 @@ class _SuiteParam(argparse.Action):
         raise argparse.ArgumentError(self, "not taken: the oscillator suite runs at m = hbar = omega = 1")
 
 
-def _params_from(args) -> PhysParams:
+def _params_from(args) -> oscillator.PhysParams:
     hbar2 = getattr(args, "hbar2", "auto")
     if hbar2 == "auto":
-        return PhysParams(m=args.m, hbar=args.hbar, omega=args.omega)
-    return PhysParams(m=args.m, hbar=args.hbar, omega=args.omega, hbar2=float(hbar2))
+        return oscillator.PhysParams(m=args.m, hbar=args.hbar, omega=args.omega)
+    return oscillator.PhysParams(m=args.m, hbar=args.hbar, omega=args.omega, hbar2=float(hbar2))
 
 
 def _hbar2(text: str) -> str:
@@ -101,54 +68,54 @@ def _add_hbar2_flag(sub):
                      help="second-rank action scale, or 'auto' for hbar*omega^2 (default auto)")
 
 
-def _read_rank4(path) -> RealField:
-    field = read_field(path)
-    _require_axes(field, KINEMATIC_ORDER)  # refuses a ComplexField too: its rank is at most 2
+def _read_rank4(path) -> fields.RealField:
+    field = fieldfile.read_field(path)
+    fields._require_axes(field, fields.KINEMATIC_ORDER)  # refuses a ComplexField too: its rank is at most 2
     return field
 
 
 def _cmd_gen_ho(args) -> int:
     p = _params_from(args)
     axes = (
-        make_axis("x", args.xmin, args.xmax, args.nx),
-        make_axis("v", args.vmin, args.vmax, args.nv),
+        fields.make_axis("x", args.xmin, args.xmax, args.nx),
+        fields.make_axis("v", args.vmin, args.vmax, args.nv),
     )
-    psi = sample_complex(lambda x, v: psi12(x, v, args.t, p), axes)
-    write_field(psi, args.out)
+    psi = fields.sample_complex(lambda x, v: oscillator.psi12(x, v, args.t, p), axes)
+    fieldfile.write_field(psi, args.out)
     print(f"wrote {args.out}: complex rank-2 field, {args.nx} x {args.nv}, "
           f"x [{axes[0].min:g}, {axes[0].max:g}) v [{axes[1].min:g}, {axes[1].max:g}), t = {args.t:g}")
     return 0
 
 
 def _cmd_wigner(args) -> int:
-    psi = read_field(args.in_path)
-    if not isinstance(psi, ComplexField):
-        raise ValidationError("transform input must be a complex rank-2 field")
+    psi = fieldfile.read_field(args.in_path)
+    if not isinstance(psi, fields.ComplexField):
+        raise fields.ValidationError("transform input must be a complex rank-2 field")
     p = _params_from(args)
-    plan = TransformPlan.for_psi(psi, p)
+    plan = wigner.TransformPlan.for_psi(psi, p)
     for dual in (plan.vdot, plan.vddot):
         print(f"dual axis {dual.name}: [{dual.min:.9g}, {dual.max:.9g}) step {dual.step:.9g}, n = {dual.n}")
     if args.rank == "4":
         # W goes to the file block by block as the transform makes it, and the transform returns its peak
-        axes, rows = _wigner4_rows(psi, p)
-        peak = _write_rows(RealField, axes, rows, args.out)
+        axes, rows = wigner._wigner4_rows(psi, p)
+        peak = fieldfile._write_rows(fields.RealField, axes, rows, args.out)
     else:
-        out = {"3": wigner3, "24": wigner24}[args.rank](psi, p)
-        write_field(out, args.out)
-        axes, peak = out.axes, _max_abs(out.data)
+        out = {"3": wigner.wigner3, "24": wigner.wigner24}[args.rank](psi, p)
+        fieldfile.write_field(out, args.out)
+        axes, peak = out.axes, fields._max_abs(out.data)
     names = " x ".join(a.name for a in axes)
     print(f"wrote {args.out}: real rank-{len(axes)} field on ({names}), peak {peak:.9g}")
     return 0
 
 
 def _cmd_marginal(args) -> int:
-    field = read_field(args.in_path)
-    if not isinstance(field, RealField):
-        raise ValidationError("marginal input must be a real field")
-    out = integrate_axis(field, args.axis, weight=args.m)
-    if not isinstance(out, RealField):
-        raise ValidationError("marginal would exhaust the field's axes")
-    write_field(out, args.out)
+    field = fieldfile.read_field(args.in_path)
+    if not isinstance(field, fields.RealField):
+        raise fields.ValidationError("marginal input must be a real field")
+    out = fields.integrate_axis(field, args.axis, weight=args.m)
+    if not isinstance(out, fields.RealField):
+        raise fields.ValidationError("marginal would exhaust the field's axes")
+    fieldfile.write_field(out, args.out)
     print(f"wrote {args.out}: rank-{out.rank} marginal over {args.axis} (weight m = {args.m:g})")
     return 0
 
@@ -157,10 +124,10 @@ def _cmd_fluxes(args) -> int:
     w4 = _read_rank4(args.in_path)
     p = _params_from(args)
     kind = {"123": "123-accel", "124": "124-vel", "12": "12-vel"}[args.which]
-    flux = mean_flux_from_w4(w4, kind, p, args.mask_threshold)
-    write_field(flux.values, args.out)
+    flux = vlasov.mean_flux_from_w4(w4, kind, p, args.mask_threshold)
+    fieldfile.write_field(flux.values, args.out)
     mask_path = str(args.out) + ".mask"
-    write_field(RealField(flux.values.axes, flux.mask.astype(np.float64)), mask_path)
+    fieldfile.write_field(fields.RealField(flux.values.axes, flux.mask.astype(np.float64)), mask_path)
     names = " x ".join(a.name for a in flux.values.axes)
     print(f"wrote {args.out} (+ .mask): {kind} flux on ({names}), "
           f"masked fraction {flux.masked_fraction:.4f} at threshold {args.mask_threshold:g}")
@@ -171,23 +138,27 @@ def _cmd_residual(args) -> int:
     w4 = _read_rank4(args.in_path)
     p = _params_from(args)
     try:
-        u = PolynomialPotential.from_text(Path(args.potential).read_text(encoding="utf-8"))
+        u = moyal.PolynomialPotential.from_text(Path(args.potential).read_text(encoding="utf-8"))
     except UnicodeDecodeError:
-        raise ValidationError(f"potential file {args.potential} is not UTF-8 text") from None
-    scheme = StencilScheme(order=args.order)
+        raise fields.ValidationError(f"potential file {args.potential} is not UTF-8 text") from None
+    scheme = fields.StencilScheme(order=args.order)
     if args.mode == "psi-moyal":
         # every node counts; reduce slab by slab, and take W's peak from the rows each slab has just read
         rmax = peak = -math.inf
-        for lo, hi, block in moyal_residual_slabs(w4, u, p, scheme):
-            rmax, peak = max(rmax, _max_abs(block)), max(peak, _max_abs(w4.data[lo:hi]))
+        for lo, hi, block in moyal.moyal_residual_slabs(w4, u, p, scheme):
+            # np.maximum, unlike Python's max, keeps a NaN
+            rmax = float(np.maximum(rmax, fields._max_abs(block)))
+            peak = max(peak, fields._max_abs(w4.data[lo:hi]))
         masked = 0.0
     else:
         res, density, valid = _chain_residual(args.mode, w4, u, p, scheme, args.mask_threshold)
         if not valid.any():
-            raise NumericError("no valid points left after masking")
+            raise fields.NumericError("no valid points left after masking")
         rmax = float(np.abs(res.data[valid]).max())
         masked = 1.0 - float(valid.sum()) / valid.size
-        peak = _max_abs(density.data)
+        peak = fields._max_abs(density.data)
+    if not math.isfinite(rmax):
+        raise fields.NumericError(f"the residual is not finite (max|residual| = {rmax})")
     lines = [
         f"max|residual|       = {rmax:.9e}",
         f"max|residual|/peak  = {rmax / peak:.9e}",
@@ -202,33 +173,33 @@ def _cmd_residual(args) -> int:
 def _chain_residual(mode, w4, u, p, scheme, thresh):
     """Residual, density and valid region of one reduced chain member."""
     if mode == "vlasov123":
-        density = wigner4_marginal_to_3(w4, p)
-        flux = mean_flux_from_w4(w4, "123-accel", p, thresh)
-        res = vlasov_residual("w123", density, {"vdot": flux}, p, scheme, u)
+        density = wigner.wigner4_marginal_to_3(w4, p)
+        flux = vlasov.mean_flux_from_w4(w4, "123-accel", p, thresh)
+        res = vlasov.vlasov_residual("w123", density, {"vdot": flux}, p, scheme, u)
         return res, density, _valid_region(flux.mask, density, ("vdot",), scheme)
     if mode == "vlasov124":
-        density = wigner4_marginal_to_24(w4, p)
-        vel = mean_flux_from_w4(w4, "124-vel", p, thresh)
-        acc = accel_flux_124_from_w4(w4, u, p, scheme, thresh)
-        res = vlasov_residual("w124", density, {"v": vel, "vddot": acc}, p, scheme)
+        density = wigner.wigner4_marginal_to_24(w4, p)
+        vel = vlasov.mean_flux_from_w4(w4, "124-vel", p, thresh)
+        acc = vlasov.accel_flux_124_from_w4(w4, u, p, scheme, thresh)
+        res = vlasov.vlasov_residual("w124", density, {"v": vel, "vddot": acc}, p, scheme)
         return res, density, _valid_region(vel.mask & acc.mask, density, ("v", "vddot"), scheme)
-    density = marginal_to_2(w4, p)  # vlasov12
-    flux = mean_flux_from_w4(w4, "12-vel", p, thresh)
-    res = vlasov_residual("w12", density, {"v": flux}, p, scheme, u)
+    density = wigner.marginal_to_2(w4, p)  # vlasov12
+    flux = vlasov.mean_flux_from_w4(w4, "12-vel", p, thresh)
+    res = vlasov.vlasov_residual("w12", density, {"v": flux}, p, scheme, u)
     return res, density, _valid_region(flux.mask, density, ("v",), scheme)
 
 
 def _valid_region(mask, density, diff_axes, scheme) -> np.ndarray:
-    w = stencil_halfwidth(1, scheme.order)
+    w = fields.stencil_halfwidth(1, scheme.order)
     out = np.broadcast_to(mask, density.data.shape).copy()
     for name in diff_axes:
-        out = _erode(out, density.axis_index(name), w)
+        out = vlasov._erode(out, density.axis_index(name), w)
     return out
 
 
 def _mask_threshold(text: str) -> float:
     try:
-        return _check_mask_threshold(float(text))
+        return fields._check_mask_threshold(float(text))
     except ValueError as exc:  # ValidationError is a ValueError
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -255,20 +226,20 @@ def _seed(text: str) -> int:
 
 def _cmd_check(args) -> int:
     if args.hbar2 != "auto":
-        p = PhysParams()
+        p = oscillator.PhysParams()
         if not math.isclose(float(args.hbar2), p.hbar2, rel_tol=1e-12):
             print(f"warning: --hbar2 {args.hbar2} is not the consistent value "
                   f"hbar*omega^2 = {p.hbar2:g}; the suite runs with the consistent one",
                   file=sys.stderr)
-    report = run_ho_suite(seed=args.seed, progress=print)
+    report = checks.run_ho_suite(seed=args.seed, progress=print)
     print(report.lines()[-1])
     return 0 if report.ok else 3
 
 
 def _cmd_export_csv(args) -> int:
-    field = read_field(args.in_path)
-    pins = parse_slice_spec(args.slice)
-    snapped = export_csv(field, pins, args.out)
+    field = fieldfile.read_field(args.in_path)
+    pins = fieldfile.parse_slice_spec(args.slice)
+    snapped = fieldfile.export_csv(field, pins, args.out)
     pinned = ", ".join(f"{k} = {v:g}" for k, v in snapped.items()) or "none"
     free = [a.name for a in field.axes if a.name not in snapped]
     rows = 1
@@ -315,7 +286,7 @@ def build_parser() -> _Parser:
     fl.add_argument("--which", choices=("123", "124", "12"), required=True,
                     help="123: accel flux on (x,v,vdot); 124: velocity flux on (x,v,vddot); 12: velocity flux on (x,v)")
     _add_param_flags(fl)
-    fl.add_argument("--mask-threshold", type=_mask_threshold, default=DEFAULT_MASK_THRESHOLD,
+    fl.add_argument("--mask-threshold", type=_mask_threshold, default=fields.DEFAULT_MASK_THRESHOLD,
                     help="support cut-off as a fraction of the density peak, in [0, 1) (default 1e-08)")
     fl.add_argument("--out", required=True)
     fl.set_defaults(func=_cmd_fluxes)
@@ -326,7 +297,7 @@ def build_parser() -> _Parser:
     r.add_argument("--mode", choices=("psi-moyal", "vlasov12", "vlasov123", "vlasov124"), required=True)
     _add_param_flags(r)
     r.add_argument("--order", type=int, choices=(2, 4, 6), default=4)
-    r.add_argument("--mask-threshold", type=_mask_threshold, default=DEFAULT_MASK_THRESHOLD,
+    r.add_argument("--mask-threshold", type=_mask_threshold, default=fields.DEFAULT_MASK_THRESHOLD,
                    help="support cut-off as a fraction of the density peak, in [0, 1) (default 1e-08)")
     r.add_argument("--report", default=None, help="also write the printed numbers to this file")
     r.set_defaults(func=_cmd_residual)
@@ -354,7 +325,7 @@ def main(argv=None) -> int:
         # are refused by the fields' own checks instead
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ValidationError as exc:
+    except fields.ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # NumericError, or a float division or overflow

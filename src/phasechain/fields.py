@@ -747,3 +747,18 @@ def _require_axes(field: RealField, axis_names):
     names = tuple(a.name for a in field.axes)
     if names != tuple(axis_names):
         raise ValidationError(f"field must have axes {tuple(axis_names)}, got {names}")
+
+
+# the support cut of the flux closures and moment ratios, as a fraction of the density peak
+DEFAULT_MASK_THRESHOLD = 1e-8
+
+
+def _check_mask_threshold(threshold: float) -> float:
+    """Return the threshold if it is finite and in [0, 1); raise ValidationError otherwise.
+
+    Below 0 nothing is masked, and W may be negative, so moment ratios would
+    divide by densities near or below zero; at 1 or above the mask is empty.
+    """
+    if not 0.0 <= threshold < 1.0:
+        raise ValidationError(f"mask threshold must be finite and in [0, 1), got {threshold!r}")
+    return threshold

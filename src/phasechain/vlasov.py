@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    DEFAULT_MASK_THRESHOLD,
     Array,
     KINEMATIC_ORDER,
     NumericError,
@@ -32,6 +33,7 @@ from .fields import (
     StencilScheme,
     ValidationError,
     _add_product,
+    _check_mask_threshold,
     _evaluate,
     _GridView,
     _map_rows,
@@ -58,8 +60,6 @@ __all__ = [
     "divergence_series_gap",
     "dissipation_report",
 ]
-
-DEFAULT_MASK_THRESHOLD = 1e-8
 
 MOMENT_KINDS = {
     # kind -> (traced axis, axes to pre-reduce)
@@ -101,17 +101,6 @@ class FluxField:
     @property
     def masked_fraction(self) -> float:
         return 1.0 - float(self.mask.sum()) / self.mask.size
-
-
-def _check_mask_threshold(threshold: float) -> float:
-    """Return the threshold if it is finite and in [0, 1); raise ValidationError otherwise.
-
-    Below 0 nothing is masked, and W may be negative, so moment ratios would
-    divide by densities near or below zero; at 1 or above the mask is empty.
-    """
-    if not 0.0 <= threshold < 1.0:
-        raise ValidationError(f"mask threshold must be finite and in [0, 1), got {threshold!r}")
-    return threshold
 
 
 def _support_mask(density: Array, threshold: float) -> Array:
@@ -168,7 +157,10 @@ def _closure_series(view, terms, axis: str) -> Array:
     x, v = view.coord("x"), view.coord("v")
     out = np.zeros(view.shape)
     for l, c, du in terms:
-        _add_product(out, view.d(**{axis: 2 * l}) if l else view.values().copy(), c * du(x, v))
+        if l:
+            _add_product(out, view.d(**{axis: 2 * l}), c * du(x, v))
+        else:  # the first term, if any (terms run from l = 0): f times its weight, written straight into out
+            np.multiply(view.values(), c * du(x, v), out=out)
     return out
 
 

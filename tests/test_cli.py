@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasechain import RealField, make_axis, read_field, sample_real, write_field
-from phasechain import cli
+from phasechain import checks, cli
 from phasechain.checks import SuiteReport
 from phasechain.cli import main
 from phasechain.fields import ComplexField
@@ -147,6 +147,21 @@ def test_residual_psi_moyal(w4_path, tmp_path, capsys):
     assert report.read_text() == "\n".join(lines) + "\n"
 
 
+def test_a_non_finite_psi_moyal_residual_is_a_numeric_failure(tmp_path, capsys):
+    # U' overflows near the x edges, so every slab's block has a NaN; a max that drops NaN printed -inf
+    psi, w4, report = tmp_path / "psi.fld", tmp_path / "w4.fld", tmp_path / "report.txt"
+    assert main(["gen-ho", "--nx", "16", "--nv", "16", "--out", str(psi)]) == 0
+    assert main(["wigner", "--in", str(psi), "--rank", "4", "--out", str(w4)]) == 0
+    pot = potential_file(tmp_path, "0 2 1.5\n2 0 -0.5\n4 0 1e306\n")
+    capsys.readouterr()
+    assert main(["residual", "--in", str(w4), "--potential", pot, "--mode", "psi-moyal",
+                 "--report", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: the residual is not finite (max|residual| = nan)\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("mode", ["vlasov123", "vlasov124", "vlasov12"])
 def test_residual_chain_modes(w4_path, tmp_path, capsys, mode):
     # the chain closures need the governing potential, including its v^2 part
@@ -241,7 +256,7 @@ def test_check_suite_passes_and_warns_on_odd_hbar2(capsys):
 @pytest.mark.parametrize("value", ["0", "1", None])
 def test_check_refuses_the_physics_flags(capsys, monkeypatch, flag, value):
     # the suite runs at m = hbar = omega = 1; --hbar must not pass as an abbreviation of --hbar2
-    monkeypatch.setattr(cli, "run_ho_suite", _quick_suite)
+    monkeypatch.setattr(checks, "run_ho_suite", _quick_suite)
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "ho", flag] + ([value] if value else []))
     assert exc.value.code == 1
@@ -453,7 +468,7 @@ def test_every_flag_combination_ends_in_a_contract_exit(tiny, argv):
     root, files = tiny
     argv = [files[a] if a in files else str(root / a) if a.startswith(("out", "absent/")) else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "run_ho_suite", _quick_suite), warnings.catch_warnings(record=True) as caught, \
+    with mock.patch.object(checks, "run_ho_suite", _quick_suite), warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:

@@ -428,9 +428,10 @@ def test_no_runtime_warning_escapes_the_cli_on_a_multi_slab_field(monkeypatch, t
         codes = [main(["residual", "--in", str(w4_path), "--potential", str(pot), "--mode", mode])
                  for mode in ("psi-moyal", "vlasov124")]
     assert not caught, [str(w.message) for w in caught]
-    # psi-moyal prints a non-finite max; vlasov124's flux product is refused in a slab task
-    assert codes == [0, 1], (codes, err.getvalue())
-    assert err.getvalue() == "error: field times flux contains non-finite values\n"
+    # psi-moyal's max is not finite; vlasov124's flux product is refused in a slab task
+    assert codes == [3, 1], (codes, err.getvalue())
+    assert err.getvalue() == ("numeric failure: the residual is not finite (max|residual| = nan)\n"
+                              "error: field times flux contains non-finite values\n")
 
 
 # --- tooling starts no thread -----------------------------------------------------
