@@ -41,7 +41,7 @@ from .vlasov import (
     mean_flux_from_w4,
     vlasov_residual,
 )
-from .wigner import _wigner4_rows, marginal_to_2, wigner24, wigner3
+from .wigner import _transform_rows, marginal_to_2, wigner24, wigner3
 
 __all__ = ["CheckResult", "SuiteReport", "run_ho_suite"]
 
@@ -129,7 +129,7 @@ def _transform_fidelity(ctx):
     t0 = time.perf_counter()
     axes = (make_axis("x", -8.0, 8.0, 64), make_axis("v", -8.0, 8.0, 64))
     psi = sample_complex(lambda x, v: psi12(x, v, 0.0, p), axes)
-    (ax, av, vdot, vddot), rows = _wigner4_rows(psi, p)
+    (ax, av, vdot, vddot), rows = _transform_rows(psi, p, ("x", "v"))
     # W streams past one x-row block at a time: each row is compared with the closed form, and the two
     # m-weighted marginals of check 2 are integrated as integrate_axis does
     mv, mvd, mvdd = np.meshgrid(av.points(), vdot.points(), vddot.points(), indexing="ij", sparse=True)

@@ -95,14 +95,9 @@ def _cmd_wigner(args) -> int:
     plan = wigner.TransformPlan.for_psi(psi, p)
     for dual in (plan.vdot, plan.vddot):
         print(f"dual axis {dual.name}: [{dual.min:.9g}, {dual.max:.9g}) step {dual.step:.9g}, n = {dual.n}")
-    if args.rank == "4":
-        # W goes to the file block by block as the transform makes it, and the transform returns its peak
-        axes, rows = wigner._wigner4_rows(psi, p)
-        peak = fieldfile._write_rows(fields.RealField, axes, rows, args.out)
-    else:
-        out = {"3": wigner.wigner3, "24": wigner.wigner24}[args.rank](psi, p)
-        fieldfile.write_field(out, args.out)
-        axes, peak = out.axes, fields._max_abs(out.data)
+    # W goes to the file block by block as the transform makes it, and the transform returns its peak
+    axes, rows = wigner._transform_rows(psi, p, {"4": ("x", "v"), "3": ("v",), "24": ("x",)}[args.rank])
+    peak = fieldfile._write_rows(fields.RealField, axes, rows, args.out)
     names = " x ".join(a.name for a in axes)
     print(f"wrote {args.out}: real rank-{len(axes)} field on ({names}), peak {peak:.9g}")
     return 0

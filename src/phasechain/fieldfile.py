@@ -45,7 +45,8 @@ def write_field(field, path):
 
     The bytes go to a temporary file next to the target that then replaces
     it, so a field that `read_field` still maps keeps the old file's bytes. A
-    symlinked `path` is followed, so its target is the file replaced.
+    symlinked `path` is followed, so its target is the file replaced; a target
+    that exists and is not a regular file raises OSError and is left as it is.
     """
     if not isinstance(field, (RealField, ComplexField)):
         raise ValidationError(f"cannot serialize {type(field)!r}")
@@ -70,6 +71,8 @@ def _write_rows(kind, axes, rows, path):
     header.append(bytes(-sum(map(len, header)) % _ALIGN))
     size, written = math.prod(a.n for a in axes) * np.dtype(cast).itemsize, 0
     path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():  # the rename would put a regular file in a FIFO's or device's place
+        raise OSError(f"{path} is not a regular file; fields are written only to regular files")
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL: never truncate a file of that name; mode 0o666 less the umask, as open(path, "wb")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

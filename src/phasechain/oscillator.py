@@ -61,7 +61,11 @@ class PhysParams:
         if self.omega2 is None:
             object.__setattr__(self, "omega2", float(self.omega))
         if self.hbar2 is None:
-            object.__setattr__(self, "hbar2", float(self.hbar) * float(self.omega) ** 2)
+            try:
+                hbar2 = float(self.hbar) * float(self.omega) ** 2
+            except OverflowError:  # float ** raises where * gives inf; inf is refused below
+                hbar2 = math.inf
+            object.__setattr__(self, "hbar2", hbar2)
         if self.e12 is None:
             object.__setattr__(self, "e12", float(self.hbar2) * float(self.omega2) / 2.0)
         for name in ("m", "hbar", "omega", "hbar2", "omega2"):

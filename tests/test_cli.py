@@ -3,6 +3,8 @@
 import contextlib
 import io
 import math
+import os
+import stat
 import warnings
 from unittest import mock
 
@@ -360,10 +362,12 @@ def test_field_file_as_potential_is_a_validation_error(w4_path, capsys):
 
 
 def test_float_underflow_is_a_numeric_failure(psi_path, tmp_path, capsys):
-    # (2 pi hbar2)^2 underflows to 0 and the transform prefactor divides by it
-    assert main(["wigner", "--in", str(psi_path), "--hbar2", "1e-300", "--out", str(tmp_path / "w.fld")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    # (2 pi hbar2)^2 underflows to 0, overflows, or is so small that the transform prefactor is inf
+    for hbar2 in ("1e-300", "1e300", "1e-160"):
+        assert main(["wigner", "--in", str(psi_path), "--hbar2", hbar2, "--out", str(tmp_path / "w.fld")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numeric failure: transform prefactor out of range at hbar2 = {float(hbar2):g}\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flag", [["--hbar2", "1e300"], ["--m", "1e-300"]])
@@ -373,6 +377,25 @@ def test_an_overflowing_series_weight_names_its_entry(tiny, capsys, flag):
     assert main(["residual", "--in", files["w4"], "--potential", files["u"], "--mode", "psi-moyal", *flag]) == 3
     assert capsys.readouterr().err == (
         "numeric failure: the weight of series entry (l, n) = (1, 3) overflows at hbar2/(2m) = 5e+299\n")
+
+
+@pytest.mark.parametrize("omega, hbar2", [("1e200", "inf"), ("1e-200", "0.0")])
+def test_an_out_of_range_default_hbar2_is_a_validation_error(tmp_path, capsys, omega, hbar2):
+    # the default hbar2 = hbar*omega^2 overflows, where float ** raises, or underflows to 0
+    assert main(["gen-ho", "--nx", "8", "--nv", "8", "--omega", omega, "--out", str(tmp_path / "psi.fld")]) == 1
+    assert capsys.readouterr().err == f"error: hbar2 must be positive and finite, got {hbar2}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_an_output_fifo_is_an_io_error_and_stays_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "psi.fld"
+    os.mkfifo(fifo)
+    assert main(["gen-ho", "--nx", "8", "--nv", "8", "--out", str(fifo)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {os.path.realpath(fifo)} is not a regular file; fields are written only to regular files\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["psi.fld"]  # no *.tmp left behind
 
 
 def test_running_out_of_memory_exits_3(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import stat
 import struct
 
 import numpy as np
@@ -331,6 +332,20 @@ def test_write_through_a_symlink_replaces_its_target(tmp_path):
     assert link.is_symlink()
     assert read_field(link).data.tobytes() == np.arange(8.0).tobytes()
     assert sorted(os.listdir(target.parent)) == ["w.fld"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_write_to_a_fifo_raises_and_leaves_the_fifo(tmp_path):
+    # a rename over it would turn the FIFO into a regular file; a symlink to it is followed to it
+    fifo, link = tmp_path / "w.fld", tmp_path / "link.fld"
+    os.mkfifo(fifo)
+    link.symlink_to(fifo)
+    field = RealField((make_axis("x", -1.0, 1.0, 8),), np.arange(8.0))
+    for path in (fifo, link):
+        with pytest.raises(OSError, match="not a regular file"):
+            write_field(field, path)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.fld", "w.fld"]  # no *.tmp left behind
 
 
 def test_parse_slice_spec():

@@ -232,10 +232,11 @@ def test_a_failed_stream_leaves_the_target_as_it_was(psi_path, tmp_path, monkeyp
     target = tmp_path / "w4.fld"
     target.write_bytes(b"the old bytes")
     monkeypatch.setattr(wigner_mod, "IMAG_RESIDUE_LIMIT", 0.0)
-    assert main(["wigner", "--in", str(psi_path), "--out", str(target)]) == 3
-    assert "imaginary residue" in capsys.readouterr().err
-    assert target.read_bytes() == b"the old bytes"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["w4.fld"]  # no *.tmp left behind
+    for rank in ("4", "3", "24"):  # every rank streams its rows to the file
+        assert main(["wigner", "--in", str(psi_path), "--rank", rank, "--out", str(target)]) == 3
+        assert "imaginary residue" in capsys.readouterr().err
+        assert target.read_bytes() == b"the old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w4.fld"]  # no *.tmp left behind
 
 
 def test_rows_that_do_not_fill_the_axes_make_no_file(tmp_path):

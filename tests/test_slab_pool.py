@@ -46,7 +46,9 @@ from phasechain import (
     transport_lhs,
     vlasov_moyal_accel_flux,
     vlasov_residual,
+    wigner3,
     wigner4,
+    wigner24,
     write_field,
 )
 from phasechain.cli import main
@@ -380,13 +382,14 @@ def test_the_imaginary_residue_check_fires_for_every_worker_count(monkeypatch):
     rng = np.random.default_rng(5)
     psi = ComplexField(axes, rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)))
     monkeypatch.setattr(wigner_mod, "IMAG_RESIDUE_LIMIT", 0.0)
-    messages = []
-    for n in WORKERS:
-        set_workers(monkeypatch, n)
-        with pytest.raises(NumericError, match="imaginary residue") as exc:
-            wigner4(psi, P)
-        messages.append(str(exc.value))
-    assert len(set(messages)) == 1
+    for transform in (wigner4, wigner3, wigner24):
+        messages = []
+        for n in WORKERS:
+            set_workers(monkeypatch, n)
+            with pytest.raises(NumericError, match="imaginary residue") as exc:
+                transform(psi, P)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1, transform.__name__
 
 
 @pytest.mark.parametrize("where", [0, -1])

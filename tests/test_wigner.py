@@ -161,9 +161,10 @@ def test_translation_covariance_on_generated_psi(case):
     # a whole-node shift of psi over its zero margin permutes the autocorrelation windows, so W
     # shifts with it exactly (np.array_equal: a zero may change sign)
     psi, sx, sv = case
-    base = wigner4(psi, P)
-    moved = wigner4(psi.with_data(np.roll(psi.data, (sx, sv), axis=(0, 1))), P)
-    assert np.array_equal(moved.data, np.roll(base.data, (sx, sv), axis=(0, 1)))
+    for transform in (wigner4, wigner3, wigner24):
+        base = transform(psi, P)
+        moved = transform(psi.with_data(np.roll(psi.data, (sx, sv), axis=(0, 1))), P)
+        assert np.array_equal(moved.data, np.roll(base.data, (sx, sv), axis=(0, 1))), transform.__name__
 
 
 def test_probability_survives_detuned_hbar2(psi):
@@ -229,15 +230,57 @@ def test_any_kernel_chunk_gives_the_gather_oracle_bit_for_bit(monkeypatch, worke
     axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 32))
     rng = np.random.default_rng(1632)
     psi = ComplexField(axes, rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
-    monkeypatch.setattr(wigner_mod, "_KERNEL_BYTES", v_rows * 16 * 32 * 16)  # a v-row: 32 x 16 complex
+    # a v-row of the kernel: 32 x 16 complex values for wigner4, 32 x 1 for wigner3 and 1 x 16 for wigner24
+    cases = ((wigner4, 32 * 16, gather_wigner4(psi, P)[0]), (wigner3, 32, gather_single(psi, P, 1)[0]),
+             (wigner24, 16, gather_single(psi, P, 0)[0]))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     fields_mod._workers.cache_clear()
     try:
-        got = wigner4(psi, P).data
+        for transform, v_row, ref in cases:
+            monkeypatch.setattr(wigner_mod, "_KERNEL_BYTES", v_rows * 16 * v_row)
+            got = transform(psi, P).data
+            assert np.array_equal(got, ref), transform.__name__
+            assert transform is not wigner4 or got.tobytes() == ref.tobytes()
     finally:
         fields_mod._workers.cache_clear()
-    assert got.tobytes() == gather_wigner4(psi, P)[0].tobytes()
 
 
 def test_wigner4_of_the_oscillator_equals_the_gather_oracle_bit_for_bit(psi, w4):
     assert w4.data.tobytes() == gather_wigner4(psi, P)[0].tobytes()
+
+
+def gather_single(psi, params, axis):
+    """The whole-kernel single transform over the shift of psi's axis 1 (v, by fft, to vdot) or 0 (x, by n ifft,
+    to vddot); returns W and its max |imaginary residue|.
+
+    The kernel ker[other, j, l'] = conj(psi[j - l']) psi[j + l'] along the
+    shifted axis, for centered shift index l', is gathered whole from a copy
+    of psi zero-padded by half that axis, then ifftshifted, transformed and
+    fftshifted along l'.
+    """
+    plan = TransformPlan.for_psi(psi, params)
+    shifted, n = psi.axes[axis], psi.axes[axis].n
+    pref = 2.0 * shifted.step / (2.0 * math.pi * plan.hbar2)
+    padded = np.pad(np.moveaxis(psi.data, axis, 1), ((0, 0), (n // 2, n // 2)))
+    j, lp = np.arange(n)[:, None], np.arange(n)[None, :]
+    ker = np.fft.ifftshift(np.conj(padded[:, j + n - lp]) * padded[:, j + lp], axes=2)
+    spec = np.fft.fft(ker, axis=2) if axis else np.fft.ifft(ker, axis=2) * n
+    spec = np.moveaxis(np.fft.fftshift(spec, axes=2), 1, axis) * pref  # (x, v, dual)
+    return np.ascontiguousarray(spec.real), _max_abs(spec.imag)
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (8, 4), (16, 32), (32, 16)])
+def test_single_transforms_equal_the_gather_oracle(shape):
+    # the streamed rows hold the untransformed shift at 0; np.array_equal, since a zero may change sign
+    axes = (make_axis("x", -3.0, 3.0, shape[0]), make_axis("v", -2.0, 2.0, shape[1]))
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    psi = ComplexField(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for transform, axis in ((wigner3, 1), (wigner24, 0)):
+        ref, residue = gather_single(psi, P, axis)
+        assert residue <= 1e-10 * _max_abs(ref)
+        assert np.array_equal(transform(psi, P).data, ref), transform.__name__
+
+
+def test_single_transforms_of_the_oscillator_equal_the_gather_oracle(psi):
+    assert np.array_equal(wigner3(psi, P).data, gather_single(psi, P, 1)[0])
+    assert np.array_equal(wigner24(psi, P).data, gather_single(psi, P, 0)[0])
