@@ -41,19 +41,17 @@ class _SuiteParam(argparse.Action):
 
 
 def _params_from(args) -> oscillator.PhysParams:
-    hbar2 = getattr(args, "hbar2", "auto")
-    if hbar2 == "auto":
-        return oscillator.PhysParams(m=args.m, hbar=args.hbar, omega=args.omega)
-    return oscillator.PhysParams(m=args.m, hbar=args.hbar, omega=args.omega, hbar2=float(hbar2))
+    return oscillator.PhysParams(m=args.m, hbar=args.hbar, omega=args.omega, hbar2=args.hbar2)
 
 
-def _hbar2(text: str) -> str:
-    if text != "auto":
-        try:
-            float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
-    return text
+def _hbar2(text: str) -> float | None:
+    """None (PhysParams' hbar*omega^2) for 'auto', else the number."""
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
 
 
 def _add_param_flags(sub):
@@ -166,22 +164,18 @@ def _cmd_residual(args) -> int:
 
 
 def _chain_residual(mode, w4, u, p, scheme, thresh):
-    """Residual, density and valid region of one reduced chain member."""
+    """Residual, density and valid region of one reduced chain member; its fluxes carry its density."""
     if mode == "vlasov123":
-        density = wigner.wigner4_marginal_to_3(w4, p)
-        flux = vlasov.mean_flux_from_w4(w4, "123-accel", p, thresh)
-        res = vlasov.vlasov_residual("w123", density, {"vdot": flux}, p, scheme, u)
-        return res, density, _valid_region(flux.mask, density, ("vdot",), scheme)
-    if mode == "vlasov124":
-        density = wigner.wigner4_marginal_to_24(w4, p)
-        vel = vlasov.mean_flux_from_w4(w4, "124-vel", p, thresh)
-        acc = vlasov.accel_flux_124_from_w4(w4, u, p, scheme, thresh)
-        res = vlasov.vlasov_residual("w124", density, {"v": vel, "vddot": acc}, p, scheme)
-        return res, density, _valid_region(vel.mask & acc.mask, density, ("v", "vddot"), scheme)
-    density = wigner.marginal_to_2(w4, p)  # vlasov12
-    flux = vlasov.mean_flux_from_w4(w4, "12-vel", p, thresh)
-    res = vlasov.vlasov_residual("w12", density, {"v": flux}, p, scheme, u)
-    return res, density, _valid_region(flux.mask, density, ("v",), scheme)
+        member, fluxes = "w123", {"vdot": vlasov.mean_flux_from_w4(w4, "123-accel", p, thresh)}
+    elif mode == "vlasov124":
+        member, fluxes = "w124", {"v": vlasov.mean_flux_from_w4(w4, "124-vel", p, thresh),
+                                  "vddot": vlasov.accel_flux_124_from_w4(w4, u, p, scheme, thresh)}
+    else:
+        member, fluxes = "w12", {"v": vlasov.mean_flux_from_w4(w4, "12-vel", p, thresh)}
+    density = next(iter(fluxes.values())).density
+    res = vlasov.vlasov_residual(member, density, fluxes, p, scheme, u)
+    mask = np.logical_and.reduce([flux.mask for flux in fluxes.values()])
+    return res, density, _valid_region(mask, density, tuple(fluxes), scheme)
 
 
 def _valid_region(mask, density, diff_axes, scheme) -> np.ndarray:
@@ -220,9 +214,9 @@ def _seed(text: str) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.hbar2 != "auto":
+    if args.hbar2 is not None:
         p = oscillator.PhysParams()
-        if not math.isclose(float(args.hbar2), p.hbar2, rel_tol=1e-12):
+        if not math.isclose(args.hbar2, p.hbar2, rel_tol=1e-12):
             print(f"warning: --hbar2 {args.hbar2} is not the consistent value "
                   f"hbar*omega^2 = {p.hbar2:g}; the suite runs with the consistent one",
                   file=sys.stderr)

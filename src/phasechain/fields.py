@@ -493,8 +493,8 @@ def _map_slabs(task, ranges):
                 job.done.acquire()
 
 
-def _map_rows(task, data: Array, halo: int, ranges=None):
-    """Yield task(lo, hi) for each x-slab of `data` (or each [lo, hi) of ranges), in order, from _map_slabs.
+def _map_rows(task, data: Array, halo: int):
+    """Yield task(lo, hi) for each x-slab of `data`, in order, from _map_slabs.
 
     halo is the number of rows beyond [lo, hi) on either side that a task reads
     from `data`. When the caller asks for the next result, the rows no later
@@ -503,7 +503,7 @@ def _map_rows(task, data: Array, halo: int, ranges=None):
     a loop over a mapped field keeps only the rows in flight and their halo
     resident.
     """
-    ranges = _x_slabs(data) if ranges is None else ranges
+    ranges = _x_slabs(data)
     done = 0
     for (_, hi), value in zip(ranges, _map_slabs(task, ranges)):
         yield value
@@ -512,10 +512,27 @@ def _map_rows(task, data: Array, halo: int, ranges=None):
     _drop_rows(data, done, len(data))
 
 
-def _run_slabs(task, data: Array, halo: int, ranges=None) -> None:
-    """_map_rows for the tasks' side effects."""
-    for _ in _map_rows(task, data, halo, ranges):
-        pass
+def _axis_sums(data: Array, k: int, scale: float, *integrands) -> list:
+    """scale * the sums over array axis k of data and of each integrand(lo, hi) (its values on rows [lo, hi)).
+
+    The sums keep data's dtype and are taken one x-slab at a time (halo 0), or
+    over axis 0 in one task over all rows, since every row adds into each value.
+    """
+    sums = [np.empty(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype) for _ in range(1 + len(integrands))]
+    parts = (lambda lo, hi: data[lo:hi], *integrands)
+
+    def task(lo, hi):
+        rows = slice(lo, hi) if k else ...  # a sum over axis 0 fills each whole output
+        for out, part in zip(sums, parts):
+            out[rows] = part(lo, hi).sum(axis=k) * scale
+
+    if k:
+        for _ in _map_rows(task, data, 0):
+            pass
+    else:
+        task(0, len(data))
+        _drop_rows(data, 0, len(data))
+    return sums
 
 
 def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilScheme) -> RealField:
@@ -538,16 +555,7 @@ def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
     or a float when the last axis is integrated away.
     """
     k = field.axis_index(axis)
-    data, scale = field.data, weight * field.axes[k].step
-    if k == 0:
-        total = data.sum(axis=0) * scale
-    else:
-        total = np.empty(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype)
-
-        def slab(lo, hi):
-            total[lo:hi] = data[lo:hi].sum(axis=k) * scale
-
-        _run_slabs(slab, data, 0)
+    total, = _axis_sums(field.data, k, weight * field.axes[k].step)
     rest = field.axes[:k] + field.axes[k + 1 :]
     if not rest:
         return float(total)
@@ -724,14 +732,17 @@ class _PointView:
         return np.asarray(samples)
 
 
+def _grid_slabs(field: RealField, scheme: StencilScheme, body):
+    """Yield (lo, hi, body(view)) for each x-slab's _GridView, in order; a view's one x-stencil, d/dx, sets the halo."""
+    return _map_rows(lambda lo, hi: (lo, hi, body(_GridView(field, scheme, lo, hi))), field.data,
+                     stencil_halfwidth(1, scheme.order))
+
+
 def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
     """body(view) on each x-slab of a grid field, assembled into one array of the field's shape."""
     out = np.empty_like(field.data)
-
-    def slab(lo, hi):
-        out[lo:hi] = body(_GridView(field, scheme, lo, hi))
-
-    _run_slabs(slab, field.data, stencil_halfwidth(1, scheme.order))  # the body's only x-stencil is d/dx
+    for lo, hi, block in _grid_slabs(field, scheme, body):
+        out[lo:hi] = block
     return out
 
 

@@ -34,10 +34,8 @@ from .fields import (
     ValidationError,
     _add_product,
     _evaluate,
-    _GridView,
-    _map_rows,
+    _grid_slabs,
     _require_axes,
-    stencil_halfwidth,
 )
 
 __all__ = [
@@ -316,11 +314,7 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     """
     _require_axes(w4, KINEMATIC_ORDER)
     rows = _series_rows(u, params)
-
-    def slab(lo, hi):
-        return lo, hi, _continuity(_GridView(w4, scheme, lo, hi), (), rows, dt_term)
-
-    yield from _map_rows(slab, w4.data, stencil_halfwidth(1, scheme.order))  # _continuity's d/dx
+    yield from _grid_slabs(w4, scheme, lambda view: _continuity(view, (), rows, dt_term))
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,

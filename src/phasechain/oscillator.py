@@ -96,6 +96,8 @@ def psi12(x, v, t: float, p: PhysParams) -> Array:
                    * exp[-(1/(hbar omega)) (m v^2/2 + m omega^2 x^2/2)]
                    * exp[-i (m omega^2 x v / hbar2 + E t / hbar2)]
     """
+    if not math.isfinite(p.omega * p.omega * p.m):  # where float ** below would raise OverflowError
+        raise ValidationError(f"omega = {p.omega:g} is too large: m*omega^2 overflows")
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     amp = math.sqrt(p.m / (math.pi * p.hbar))

@@ -33,15 +33,15 @@ from .fields import (
     StencilScheme,
     ValidationError,
     _add_product,
+    _axis_sums,
     _check_mask_threshold,
     _evaluate,
+    _grid_slabs,
     _GridView,
-    _map_rows,
     _max_abs,
     _over_slabs,
     _PointView,
     _require_axes,
-    _run_slabs,
     _stencil,
     integrate_axis,
     partial_derivative,
@@ -79,21 +79,24 @@ MEMBERS = {
 
 @dataclass(frozen=True)
 class FluxField:
-    """A mean-flux field with its support mask.
+    """A mean-flux field with its support mask and the density that defines both.
 
-    values holds the flux where the defining density exceeds
-    threshold * peak(density) and 0 elsewhere; mask marks the valid region.
-    Masked points are excluded, never clamped.
+    values holds the flux where the density exceeds threshold * peak(density)
+    and 0 elsewhere; mask marks the valid region. Masked points are excluded,
+    never clamped. density is the member's density on the same axes: the
+    moment ratio's denominator (the m-weighted marginal of the field it was
+    taken from), or the closure's input density.
     """
 
     kind: str
     values: RealField
     mask: Array
     threshold: float
+    density: RealField
 
     def __post_init__(self):
-        if self.mask.shape != self.values.data.shape:
-            raise ValidationError("flux mask shape does not match values")
+        if self.mask.shape != self.values.data.shape or self.density.axes != self.values.axes:
+            raise ValidationError("flux mask or density does not match values")
         m = np.ascontiguousarray(self.mask, dtype=bool)
         m.flags.writeable = False
         object.__setattr__(self, "mask", m)
@@ -107,25 +110,19 @@ def _support_mask(density: Array, threshold: float) -> Array:
     return np.abs(density) >= threshold * _max_abs(density)
 
 
-def _moment_ratio(kind: str, field: RealField, k: int, params, numerator, threshold: float, ranges=None) -> FluxField:
+def _moment_ratio(kind: str, field: RealField, k: int, params, numerator, threshold: float) -> FluxField:
     """(m step sum_k numerator) / (m step sum_k field) on the support mask of the denominator, zero elsewhere.
 
     numerator(lo, hi) gives the numerator's integrand on the field's x-rows
-    [lo, hi); both sums are accumulated one x-slab (or one of ranges) at a time.
+    [lo, hi); both sums come from one _axis_sums. The denominator is the
+    flux's density.
     """
-    scale = params.m * field.axes[k].step
-    shape = field.data.shape[:k] + field.data.shape[k + 1 :]
-    num, den = np.empty(shape), np.empty(shape)
-
-    def slab(lo, hi):
-        num[lo:hi] = numerator(lo, hi).sum(axis=k) * scale
-        den[lo:hi] = field.data[lo:hi].sum(axis=k) * scale
-
-    _run_slabs(slab, field.data, 0, ranges)
+    den, num = _axis_sums(field.data, k, params.m * field.axes[k].step, numerator)
+    density = RealField(field.axes[:k] + field.axes[k + 1 :], den)
     mask = _support_mask(den, threshold)
     vals = np.zeros_like(den)
     np.divide(num, den, out=vals, where=mask)
-    return FluxField(kind, RealField._trusted(field.axes[:k] + field.axes[k + 1 :], vals), mask, threshold)
+    return FluxField(kind, RealField._trusted(density.axes, vals), mask, threshold, density)
 
 
 def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
@@ -147,9 +144,7 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
             field = integrate_axis(field, name, weight=params.m)
     k = field.axis_index(traced)
     coord = field.axes[k].points().reshape((-1,) + (1,) * (field.rank - 1 - k))
-    # slabs run along axis 0, so they need an axis 0 that is not reduced
-    return _moment_ratio(which, field, k, params, lambda lo, hi: field.data[lo:hi] * coord, mask_threshold,
-                         None if k else [(0, field.data.shape[0])])
+    return _moment_ratio(which, field, k, params, lambda lo, hi: field.data[lo:hi] * coord, mask_threshold)
 
 
 def _closure_series(view, terms, axis: str) -> Array:
@@ -190,7 +185,7 @@ def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
     out = _over_slabs(f, scheme, lambda view: _closure_series(view, terms, axis))
     np.divide(out, density, out=out, where=mask)
     out[~mask] = 0.0
-    return FluxField(kind, RealField._trusted(f.axes, out), mask, mask_threshold)
+    return FluxField(kind, RealField._trusted(f.axes, out), mask, mask_threshold, f)
 
 
 def vlasov_moyal_accel_flux(f, u: PolynomialPotential, params, scheme: StencilScheme | None = None, *,
@@ -299,8 +294,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     terms = closure_coefficients(u1, params, "x")
     cut = mask_threshold * _max_abs(f4.data)  # the support mask of _support_mask
 
-    def slab(lo, hi):
-        view = _GridView(f4, scheme, lo, hi)
+    def body(view):
         derivs = [view.values()]
         for _ in range(2 * max((l for l, _, _ in terms), default=0) + 1):
             derivs.append(_stencil(derivs[-1], 3, f4.axes[3].step, 1, scheme))
@@ -318,7 +312,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
         return [np.max(np.abs(s), where=mask, initial=0.0) for s in (side_a - side_b, side_a, side_b)]
 
     # np.max, unlike Python's max, keeps a NaN
-    gap, a, b = np.max(list(_map_rows(slab, f4.data, stencil_halfwidth(1, scheme.order))), axis=0)
+    gap, a, b = np.max([maxima for _, _, maxima in _grid_slabs(f4, scheme, body)], axis=0)
     return float(gap) / max(float(a), float(b), np.finfo(float).tiny)
 
 

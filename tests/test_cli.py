@@ -387,6 +387,17 @@ def test_an_out_of_range_default_hbar2_is_a_validation_error(tmp_path, capsys, o
     assert os.listdir(tmp_path) == []
 
 
+def test_an_omega_whose_square_overflows_is_a_validation_error(tmp_path, capsys):
+    # with hbar2 given, PhysParams takes omega = 1e200; the wave function's m*omega^2 leaves the float range
+    argv = ["--nx", "8", "--nv", "8", "--omega", "1e200", "--hbar2", "1"]
+    assert main(["gen-ho", *argv, "--out", str(tmp_path / "psi.fld")]) == 1
+    assert capsys.readouterr().err == "error: omega = 1e+200 is too large: m*omega^2 overflows\n"
+    assert os.listdir(tmp_path) == []
+    # the transform never evaluates omega
+    assert main(["gen-ho", *argv[:4], "--out", str(tmp_path / "psi.fld")]) == 0
+    assert main(["wigner", "--in", str(tmp_path / "psi.fld"), *argv[4:], "--out", str(tmp_path / "w4.fld")]) == 0
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_an_output_fifo_is_an_io_error_and_stays_a_fifo(tmp_path, capsys):
     fifo = tmp_path / "psi.fld"

@@ -45,6 +45,25 @@ def test_every_imported_name_is_used(path):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
+def test_every_module_level_function_and_class_is_exported_or_used():
+    # a helper that no module lists in __all__ or reads (as a name or an attribute) is dead code
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(phasechain.__file__).parent.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            used.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    dead = {}
+    for stem, tree in trees.items():
+        module = phasechain if stem == "__init__" else importlib.import_module(f"phasechain.{stem}")
+        exported = set(getattr(module, "__all__", ()))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
+                    and node.name not in exported | used):
+                dead[f"{stem}.{node.name}"] = node.lineno
+    assert dead == {}
+
+
 # ---------------------------------------------------------------------------
 # lazy loading: a library module runs on the first access to one of its attributes
 
@@ -68,9 +87,11 @@ def test_import_runs_no_library_module():
 
 @pytest.fixture(scope="module")
 def small_w4(tmp_path_factory):
+    """An 8^4 W (wide enough for a residual's valid region at order 4) and a potential file beside it."""
     path = tmp_path_factory.mktemp("lazy") / "w4.fld"
-    axes = tuple(phasechain.make_axis(n, -1.0, 1.0, 4) for n in ("x", "v", "vdot", "vddot"))
-    phasechain.write_field(phasechain.RealField(axes, np.ones((4, 4, 4, 4))), path)
+    axes = tuple(phasechain.make_axis(n, -1.0, 1.0, 8) for n in ("x", "v", "vdot", "vddot"))
+    phasechain.write_field(phasechain.RealField(axes, np.ones((8, 8, 8, 8))), path)
+    path.with_name("u.txt").write_text("0 2 1.5\n2 0 -0.5\n", encoding="utf-8")
     return path
 
 
@@ -78,9 +99,11 @@ def small_w4(tmp_path_factory):
     (["gen-ho", "--nx", "8", "--nv", "8", "--out", "{out}"], ["fieldfile", "fields", "moyal", "oscillator"]),
     (["marginal", "--in", "{w4}", "--axis", "vddot", "--out", "{out}"], ["fieldfile", "fields"]),
     (["export-csv", "--in", "{w4}", "--slice", "vdot=0,vddot=0", "--out", "{out}"], ["fieldfile", "fields"]),
-], ids=["gen-ho", "marginal", "export-csv"])
+    (["residual", "--in", "{w4}", "--potential", "{u}", "--mode", "vlasov124"],
+     ["fieldfile", "fields", "moyal", "oscillator", "vlasov"]),
+], ids=["gen-ho", "marginal", "export-csv", "residual-vlasov124"])
 def test_a_command_runs_only_the_modules_it_calls(small_w4, tmp_path, argv, loaded):
-    argv = [a.format(w4=small_w4, out=tmp_path / "out") for a in argv]
+    argv = [a.format(w4=small_w4, u=small_w4.with_name("u.txt"), out=tmp_path / "out") for a in argv]
     code = f"from phasechain.cli import main\nassert main({argv!r}) == 0"
     assert loaded_after(code) == loaded
 

@@ -115,7 +115,47 @@ def test_moment_flux_axes_and_kinds(w4):
 def test_flux_field_validates_mask_shape(w4):
     fl = mean_flux_from_w4(w4, "12-vel", P)
     with pytest.raises(ValidationError):
-        FluxField("12-vel", fl.values, fl.mask[:-1], fl.threshold)
+        FluxField("12-vel", fl.values, fl.mask[:-1], fl.threshold, fl.density)
+    with pytest.raises(ValidationError):
+        FluxField("12-vel", fl.values, fl.mask, fl.threshold, w4)
+
+
+@pytest.mark.parametrize("kind, marginal", [("123-accel", ("vddot",)), ("124-vel", ("vdot",)),
+                                            ("124-accel", ("vdot",)), ("12-vel", ("vddot", "vdot"))])
+def test_a_moment_flux_carries_its_denominator_as_density(kind, marginal):
+    # bit for bit the m-weighted marginal, integrated over the axes in the order the flux sums them
+    w4 = rank4_grid(nxy=8, ntail=16)
+    pm = PhysParams(m=1.3)
+    if kind == "124-accel":
+        fl = accel_flux_124_from_w4(w4, u12_polynomial(pm), pm, ORDER4)
+    else:
+        fl = mean_flux_from_w4(w4, kind, pm)
+    want = w4
+    for axis in marginal:
+        want = integrate_axis(want, axis, weight=pm.m)
+    assert want.axes == fl.density.axes and want.data.tobytes() == fl.density.data.tobytes()
+    assert not fl.density.data.flags.writeable
+
+
+def test_a_closure_flux_carries_its_input_density(w4):
+    assert vlasov_moyal_accel_flux(w4, U_HO, P, ORDER4).density is w4
+    axes = (make_axis("x", -8.0, 8.0, 16), make_axis("v", -8.0, 8.0, 16))
+    w12 = sample_real(lambda x, v: w12_analytic(x, v, P), axes)
+    assert vlasov_moyal_velocity_flux(w12, U_HO, P, ORDER4).density is w12
+
+
+def test_a_moment_ratio_over_axis_0_sums_every_row_at_once():
+    # the traced axis leads, so each sum adds every row of the field at once, as numpy sums axis 0
+    axes = (make_axis("vdot", -4.0, 4.0, 32), make_axis("x", -3.0, 3.0, 12))
+    data = np.exp(-axes[0].points()[:, None] ** 2) * (1.0 + 0.1 * np.random.default_rng(5).random((32, 12)))
+    pm = PhysParams(m=0.7)
+    fl = mean_flux_from_w4(RealField(axes, data), "124-vel", pm)
+    scale = pm.m * axes[0].step
+    den = data.sum(axis=0) * scale
+    num = (data * axes[0].points()[:, None]).sum(axis=0) * scale
+    assert fl.density.data.tobytes() == den.tobytes()
+    assert fl.mask.all()
+    assert fl.values.data.tobytes() == (num / den).tobytes()
 
 
 # --- series closures -----------------------------------------------------------
