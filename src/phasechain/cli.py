@@ -164,26 +164,23 @@ def _cmd_residual(args) -> int:
 
 
 def _chain_residual(mode, w4, u, p, scheme, thresh):
-    """Residual, density and valid region of one reduced chain member; its fluxes carry its density."""
+    """Residual, density and valid region of one reduced chain member, from one pass over W.
+
+    The member's fluxes share one denominator, its density; the valid region is their mask, eroded along each flux axis.
+    """
     if mode == "vlasov123":
         member, fluxes = "w123", {"vdot": vlasov.mean_flux_from_w4(w4, "123-accel", p, thresh)}
     elif mode == "vlasov124":
-        member, fluxes = "w124", {"v": vlasov.mean_flux_from_w4(w4, "124-vel", p, thresh),
-                                  "vddot": vlasov.accel_flux_124_from_w4(w4, u, p, scheme, thresh)}
+        member, fluxes = "w124", dict(zip(("v", "vddot"), vlasov._moment_ratio(
+            w4, 2, p, thresh, ("124-vel", vlasov._first_moment(w4, 2)),
+            ("124-accel", vlasov._closure_moment(w4, u, p, scheme)))))
     else:
         member, fluxes = "w12", {"v": vlasov.mean_flux_from_w4(w4, "12-vel", p, thresh)}
-    density = next(iter(fluxes.values())).density
-    res = vlasov.vlasov_residual(member, density, fluxes, p, scheme, u)
-    mask = np.logical_and.reduce([flux.mask for flux in fluxes.values()])
-    return res, density, _valid_region(mask, density, tuple(fluxes), scheme)
-
-
-def _valid_region(mask, density, diff_axes, scheme) -> np.ndarray:
-    w = fields.stencil_halfwidth(1, scheme.order)
-    out = np.broadcast_to(mask, density.data.shape).copy()
-    for name in diff_axes:
-        out = vlasov._erode(out, density.axis_index(name), w)
-    return out
+    first = next(iter(fluxes.values()))
+    valid = first.mask
+    for name in fluxes:
+        valid = vlasov._erode(valid, first.density.axis_index(name), fields.stencil_halfwidth(1, scheme.order))
+    return vlasov.vlasov_residual(member, first.density, fluxes, p, scheme, u), first.density, valid
 
 
 def _mask_threshold(text: str) -> float:

@@ -58,9 +58,9 @@ def _canonical_terms(pairs):
         c = float(c)
         if a < 0 or b < 0:
             raise ValidationError(f"polynomial exponents must be >= 0, got ({a}, {b})")
-        if not np.isfinite(c):
+        c = acc[(a, b)] = acc.get((a, b), 0.0) + c
+        if not np.isfinite(c):  # a line's coefficient, or the sum of a repeated term's
             raise ValidationError("polynomial coefficients must be finite")
-        acc[(a, b)] = acc.get((a, b), 0.0) + c
     return tuple((a, b, c) for (a, b), c in sorted(acc.items()) if c != 0.0)
 
 

@@ -12,6 +12,8 @@ these forms to close; the constructor default enforces it.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -60,12 +62,8 @@ class PhysParams:
     def __post_init__(self):
         if self.omega2 is None:
             object.__setattr__(self, "omega2", float(self.omega))
-        if self.hbar2 is None:
-            try:
-                hbar2 = float(self.hbar) * float(self.omega) ** 2
-            except OverflowError:  # float ** raises where * gives inf; inf is refused below
-                hbar2 = math.inf
-            object.__setattr__(self, "hbar2", hbar2)
+        if self.hbar2 is None:  # inf is refused below
+            object.__setattr__(self, "hbar2", _hbar_omega2(self.hbar, self.omega))
         if self.e12 is None:
             object.__setattr__(self, "e12", float(self.hbar2) * float(self.omega2) / 2.0)
         for name in ("m", "hbar", "omega", "hbar2", "omega2"):
@@ -77,10 +75,35 @@ class PhysParams:
 
     @property
     def ho_consistent(self) -> bool:
-        ref = self.hbar * self.omega**2
-        return abs(self.hbar2 - ref) <= 1e-12 * ref
+        ref = _hbar_omega2(self.hbar, self.omega)
+        return math.isfinite(ref) and abs(self.hbar2 - ref) <= 1e-12 * ref
 
 
+def _hbar_omega2(hbar: float, omega: float) -> float:
+    """hbar * omega^2, or inf where it overflows (float ** raises OverflowError where * gives inf)."""
+    try:
+        return float(hbar) * float(omega) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _omega_guard(func):
+    """func, refusing a float power's OverflowError as a ValidationError naming omega (and hbar2, given p)."""
+    signature = inspect.signature(func)
+
+    @functools.wraps(func)
+    def guarded(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except OverflowError:
+            bound = signature.bind(*args, **kwargs).arguments
+            p = bound.get("p")
+            names = f"omega = {p.omega:g} or hbar2 = {p.hbar2:g}" if p else f"omega = {bound['omega']:g}"
+            raise ValidationError(f"{names} is too large: a float power overflows") from None
+    return guarded
+
+
+@_omega_guard
 def _require_consistent(p: PhysParams):
     if not p.ho_consistent:
         raise ValidationError(
@@ -106,6 +129,7 @@ def psi12(x, v, t: float, p: PhysParams) -> Array:
     return amp * gauss * phase
 
 
+@_omega_guard
 def u12_polynomial(p: PhysParams) -> PolynomialPotential:
     """The exact rank-2 potential as a polynomial in (x, v).
 
@@ -186,6 +210,7 @@ def _gamma_partial(k: int, x, v, vdot, vddot, w2):
     return -2.0 * v / w2 + 2.0 * vddot / w2**2
 
 
+@_omega_guard
 def gamma_form(x, v, vdot, vddot, omega: float) -> GammaForm:
     """gamma = (v^2 + w^2 x^2) + (w^2 v - vddot)^2 / w^4 + (w^2 x + vdot)^2 / w^2."""
     coords = tuple(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot))
@@ -209,6 +234,7 @@ def gamma_transport_residual(x, v, vdot, vddot, omega: float) -> Array:
     return v * g.d_x + vdot * g.d_v + (vddot - 3.0 * w2 * v) * g.d_vdot - w2**2 * x * g.d_vddot
 
 
+@_omega_guard
 def w1234_analytic(x, v, vdot, vddot, p: PhysParams) -> Array:
     """Joint quasi-probability over (x, v, vdot, vddot); peak 1/pi^2 at the origin."""
     _require_consistent(p)
@@ -220,6 +246,7 @@ def w1234_analytic(x, v, vdot, vddot, p: PhysParams) -> Array:
     return value if value.ndim else value[()]
 
 
+@_omega_guard
 def w123_analytic(x, v, vdot, p: PhysParams) -> Array:
     """Marginal over vddot; peak pi^{-3/2} at the origin."""
     _require_consistent(p)
@@ -229,6 +256,7 @@ def w123_analytic(x, v, vdot, p: PhysParams) -> Array:
     return _gaussian(expo, p.m / (p.hbar * p.omega), math.sqrt(p.m / (math.pi**3 * p.hbar**3 * p.omega**3)))
 
 
+@_omega_guard
 def w124_analytic(x, v, vddot, p: PhysParams) -> Array:
     """Marginal over vdot; same peak as the vddot marginal."""
     _require_consistent(p)
@@ -239,12 +267,14 @@ def w124_analytic(x, v, vddot, p: PhysParams) -> Array:
     return _gaussian(expo, p.m / (p.hbar * p.omega), math.sqrt(p.m * p.omega / (math.pi**3 * p.hbar2**3)))
 
 
+@_omega_guard
 def w12_analytic(x, v, p: PhysParams) -> Array:
     """Fully reduced density |psi|^2 = (m / pi hbar) exp[-(m/hbar omega)(v^2 + w^2 x^2)]."""
     x, v = (np.asarray(c, dtype=np.float64) for c in (x, v))
     return _gaussian(_energy(x, v, p.omega**2), p.m / (p.hbar * p.omega), p.m / (math.pi * p.hbar))
 
 
+@_omega_guard
 def mean_flux_analytic(which: str, x, v, p: PhysParams) -> Array:
     """Closed-form mean kinematic fluxes of the oscillator solution.
 
@@ -295,8 +325,8 @@ def w1234_field(p: PhysParams, exact_derivatives: bool = True) -> PointwiseField
     def exact_partial(powers, x, v, vdot, vddot):
         if sorted(powers) != [0, 0, 0, 1]:
             return None
-        grad = _gamma_partial(powers.index(1), x, v, vdot, vddot, p.omega**2)
-        return -scale * grad * w1234_analytic(x, v, vdot, vddot, p)
+        value = w1234_analytic(x, v, vdot, vddot, p)  # first, so that it refuses an omega whose powers overflow
+        return -scale * _gamma_partial(powers.index(1), x, v, vdot, vddot, p.omega**2) * value
 
     return PointwiseField(func, 4, exact_partial=exact_partial)
 

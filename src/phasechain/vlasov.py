@@ -14,7 +14,8 @@ terminating for polynomial potentials; their weights are the entries
 (l, 2l+1) of moyal's series table, negated, and the continuity residuals are
 moyal's one continuity operator. Mean fluxes can also be extracted directly
 from a rank-4 field as m-weighted moment ratios; both routes are implemented
-and compared in the tests.
+and compared in the tests. A moment pass sums every numerator over one shared
+denominator, and one helper builds each member's dissipation balance.
 """
 
 from __future__ import annotations
@@ -110,19 +111,29 @@ def _support_mask(density: Array, threshold: float) -> Array:
     return np.abs(density) >= threshold * _max_abs(density)
 
 
-def _moment_ratio(kind: str, field: RealField, k: int, params, numerator, threshold: float) -> FluxField:
-    """(m step sum_k numerator) / (m step sum_k field) on the support mask of the denominator, zero elsewhere.
+def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, threshold: float) -> FluxField:
+    """num / density on mask and 0 elsewhere, as a FluxField on the density's axes (num is overwritten)."""
+    np.divide(num, density.data, out=num, where=mask)
+    num[~mask] = 0.0
+    return FluxField(kind, RealField._trusted(density.axes, num), mask, threshold, density)
 
-    numerator(lo, hi) gives the numerator's integrand on the field's x-rows
-    [lo, hi); both sums come from one _axis_sums. The denominator is the
-    flux's density.
+
+def _moment_ratio(field: RealField, k: int, params, threshold: float, *numerators) -> list:
+    """(m step sum_k numerator) / (m step sum_k field) for each (kind, numerator), from one _axis_sums.
+
+    numerator(lo, hi) gives its integrand on the field's x-rows [lo, hi). The
+    fluxes share the denominator as their density, and its support mask.
     """
-    den, num = _axis_sums(field.data, k, params.m * field.axes[k].step, numerator)
+    den, *nums = _axis_sums(field.data, k, params.m * field.axes[k].step, *(num for _, num in numerators))
     density = RealField(field.axes[:k] + field.axes[k + 1 :], den)
     mask = _support_mask(den, threshold)
-    vals = np.zeros_like(den)
-    np.divide(num, den, out=vals, where=mask)
-    return FluxField(kind, RealField._trusted(density.axes, vals), mask, threshold, density)
+    return [_masked_ratio(kind, num, density, mask, threshold) for (kind, _), num in zip(numerators, nums)]
+
+
+def _first_moment(field: RealField, k: int):
+    """The first moment's integrand along array axis k: the field times that axis' coordinate, on x-rows [lo, hi)."""
+    coord = field.axes[k].points().reshape((-1,) + (1,) * (field.rank - 1 - k))
+    return lambda lo, hi: field.data[lo:hi] * coord
 
 
 def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
@@ -143,8 +154,7 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
         if name in present:
             field = integrate_axis(field, name, weight=params.m)
     k = field.axis_index(traced)
-    coord = field.axes[k].points().reshape((-1,) + (1,) * (field.rank - 1 - k))
-    return _moment_ratio(which, field, k, params, lambda lo, hi: field.data[lo:hi] * coord, mask_threshold)
+    return _moment_ratio(field, k, params, mask_threshold, (which, _first_moment(field, k)))[0]
 
 
 def _closure_series(view, terms, axis: str) -> Array:
@@ -183,9 +193,7 @@ def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
     if isinstance(f, PointwiseField):
         return _closure_series(view, terms, axis) / density
     out = _over_slabs(f, scheme, lambda view: _closure_series(view, terms, axis))
-    np.divide(out, density, out=out, where=mask)
-    out[~mask] = 0.0
-    return FluxField(kind, RealField._trusted(f.axes, out), mask, mask_threshold, f)
+    return _masked_ratio(kind, out, f, mask, mask_threshold)
 
 
 def vlasov_moyal_accel_flux(f, u: PolynomialPotential, params, scheme: StencilScheme | None = None, *,
@@ -212,6 +220,13 @@ def vlasov_moyal_velocity_flux(f12, u1: PolynomialPotential, params, scheme: Ste
     return _closure_flux(f12, {2: ("12-vel", MEMBERS["w12"][0])}, terms, "v", scheme, points, mask_threshold)
 
 
+def _closure_moment(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None):
+    """The integrand of the closure body <vddot>_{1234} w4 on the rank-4 x-rows [lo, hi), for a vdot moment."""
+    scheme = StencilScheme() if scheme is None else scheme
+    terms = closure_coefficients(u, params, "x")
+    return lambda lo, hi: _closure_series(_GridView(w4, scheme, lo, hi), terms, "vddot")
+
+
 def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None = None,
                            mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
     """Integral route to the (x, v, vddot) acceleration flux.
@@ -221,12 +236,9 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
     The numerator integrates the closure body, <vddot>_{1234} w4, so it never
     divides by w4. Both integrals are accumulated one x-slab at a time.
     """
-    scheme = StencilScheme() if scheme is None else scheme
     _check_mask_threshold(mask_threshold)
     _require_axes(w4, KINEMATIC_ORDER)
-    terms = closure_coefficients(u, params, "x")
-    return _moment_ratio("124-accel", w4, 2, params,
-                         lambda lo, hi: _closure_series(_GridView(w4, scheme, lo, hi), terms, "vddot"), mask_threshold)
+    return _moment_ratio(w4, 2, params, mask_threshold, ("124-accel", _closure_moment(w4, u, params, scheme)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +248,6 @@ def _flux_samples(flux):
     """The samples of a FluxField or RealField flux; arrays, scalars and callables pass through."""
     flux = flux.values if isinstance(flux, FluxField) else flux
     return flux.data if isinstance(flux, RealField) else flux
-
-
-def _flux_values_grid(flux, field: RealField) -> Array:
-    flux = _flux_samples(flux)
-    return np.asarray(flux(*field.mesh()) if callable(flux) else flux, dtype=np.float64)
 
 
 def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: PolynomialPotential | None = None, *,
@@ -361,6 +368,28 @@ def _max_abs_valid(*pairs) -> float:
     return max(float(np.abs(data[valid]).max()) for data, valid in pairs)
 
 
+def _member_balance(dens: RealField, fluxes, scheme: StencilScheme, mask_threshold: float):
+    """A member's Q sources (d flux/d axis, for each axis: flux in fluxes), pi-hat S + sum(Q), and valid mask.
+
+    S = ln dens on the support mask, and pi-hat S = v dS/dx + sum of flux dS/d axis.
+    """
+    mask = _support_mask(dens.data, mask_threshold) & (dens.data > 0.0)
+    sf = dens.with_data(np.log(dens.data, out=np.zeros_like(dens.data), where=mask))
+    terms, qs = [(dens.mesh()[dens.axis_index("v")], "x")], []
+    for axis, flux in fluxes.items():
+        flux = _flux_samples(flux)
+        vals = np.asarray(flux(*dens.mesh()) if callable(flux) else flux, dtype=np.float64)
+        qs.append(partial_derivative(dens.with_data(np.broadcast_to(vals, dens.data.shape).copy()), axis, 1, scheme))
+        terms.append((vals, axis))
+    res, valid = np.zeros_like(sf.data), mask.copy()
+    for coeff, axis in terms:
+        res += coeff * partial_derivative(sf, axis, 1, scheme).data
+        valid &= _erode(mask, dens.axis_index(axis), stencil_halfwidth(1, scheme.order))
+    for q in qs:
+        res += q.data
+    return qs, res, valid
+
+
 def dissipation_report(w12: RealField, w124: RealField, fluxes, params, scheme: StencilScheme,
                        mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> DissipationReport:
     """Q sources and entropy transport residuals for the (x,v) and (x,v,vddot) members.
@@ -374,34 +403,7 @@ def dissipation_report(w12: RealField, w124: RealField, fluxes, params, scheme: 
         if key not in fluxes:
             raise ValidationError(f"dissipation report needs flux {key!r}")
     _check_mask_threshold(mask_threshold)
-    w = stencil_halfwidth(1, scheme.order)
-    vel12 = _flux_values_grid(fluxes["12-vel"], w12)
-    vel124 = _flux_values_grid(fluxes["124-vel"], w124)
-    acc124 = _flux_values_grid(fluxes["124-accel"], w124)
-
-    q2_12 = partial_derivative(w12.with_data(np.broadcast_to(vel12, w12.data.shape).copy()), "v", 1, scheme)
-    q2_124 = partial_derivative(w124.with_data(np.broadcast_to(vel124, w124.data.shape).copy()), "v", 1, scheme)
-    q4_124 = partial_derivative(w124.with_data(np.broadcast_to(acc124, w124.data.shape).copy()), "vddot", 1, scheme)
-
-    def entropy_residual(dens: RealField, terms, diff_axes):
-        mask = _support_mask(dens.data, mask_threshold) & (dens.data > 0.0)
-        s = np.zeros_like(dens.data)
-        np.log(dens.data, out=s, where=mask)
-        sf = dens.with_data(s)
-        res = np.zeros_like(s)
-        for coeff, axis in terms:
-            res += coeff * partial_derivative(sf, axis, 1, scheme).data
-        valid = mask.copy()
-        for axis in diff_axes:
-            valid &= _erode(mask, dens.axis_index(axis), w)
-        return res, valid
-
-    pi12, valid12 = entropy_residual(
-        w12, ((w12.mesh()[w12.axis_index("v")], "x"), (vel12, "v")), ("x", "v"))
-    pi124, valid124 = entropy_residual(
-        w124,
-        ((w124.mesh()[w124.axis_index("v")], "x"), (vel124, "v"), (acc124, "vddot")),
-        ("x", "v", "vddot"))
-    res12 = pi12 + q2_12.data
-    res124 = pi124 + q2_124.data + q4_124.data
+    (q2_12,), res12, valid12 = _member_balance(w12, {"v": fluxes["12-vel"]}, scheme, mask_threshold)
+    (q2_124, q4_124), res124, valid124 = _member_balance(
+        w124, {"v": fluxes["124-vel"], "vddot": fluxes["124-accel"]}, scheme, mask_threshold)
     return DissipationReport(q2_12, q2_124, q4_124, res12, res124, valid12, valid124)

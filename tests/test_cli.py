@@ -176,6 +176,14 @@ def test_residual_chain_modes(w4_path, tmp_path, capsys, mode):
     assert rel < 0.05  # coarse-grid stencil error only
 
 
+@pytest.mark.parametrize("mode", ["psi-moyal", "vlasov12", "vlasov123", "vlasov124"])
+def test_an_overflowing_summed_coefficient_is_a_validation_error(w4_path, tmp_path, capsys, mode):
+    # vlasov12 never differentiates along v, where the old code first met the summed coefficient's inf
+    pot = potential_file(tmp_path, "2 0 1e308\n2 0 1e308\n")
+    assert main(["residual", "--in", str(w4_path), "--potential", pot, "--mode", mode]) == 1
+    assert capsys.readouterr() == ("", "error: polynomial coefficients must be finite\n")
+
+
 def test_residual_with_empty_mask_is_numeric_failure(w4_path, tmp_path, capsys):
     # at 0.99 of the peak only the central node survives, and eroding it by
     # the stencil halfwidth leaves nothing to evaluate

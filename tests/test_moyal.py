@@ -40,6 +40,9 @@ def test_terms_are_canonicalized():
         PolynomialPotential(((-1, 0, 1.0),))
     with pytest.raises(ValidationError):
         PolynomialPotential(((0, 0, float("nan")),))
+    # each line is finite, but the summed coefficient overflows: refused when the potential is built
+    with pytest.raises(ValidationError, match="^polynomial coefficients must be finite$"):
+        PolynomialPotential(((2, 0, 1e308), (2, 0, 1e308)))
 
 
 def test_text_round_trip():

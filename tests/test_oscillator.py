@@ -1,6 +1,7 @@
 """Closed-form oscillator reference solution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from phasechain import (
     w124_analytic,
     w1234_analytic,
     w1234_field,
+    w12_field,
 )
 from phasechain.moyal import PolynomialPotential
 
@@ -36,6 +38,8 @@ def test_params_defaults_and_validation():
     assert p.e12 == pytest.approx(p.hbar2 * p.omega2 / 2.0)
     assert p.ho_consistent
     assert not PhysParams(hbar2=0.9).ho_consistent
+    assert not PhysParams(omega=1e200, hbar2=1.0).ho_consistent  # hbar*omega^2 overflows; * would give inf <= inf
+    assert np.isfinite(psi12(0.0, 0.0, 0.0, PhysParams(omega=1e100)))  # m*omega^2 = 1e200 fits
     with pytest.raises(ValidationError):
         PhysParams(m=-1.0)
     with pytest.raises(ValidationError):
@@ -145,6 +149,36 @@ def test_inconsistent_hbar2_is_rejected_by_closed_forms():
         w123_analytic(0.0, 0.0, 0.0, p)
     with pytest.raises(ValidationError):
         w1234_field(p)
+
+
+CLOSED_FORMS = {
+    "u12_polynomial": lambda p: u12_polynomial(p),
+    "w1234_analytic": lambda p: w1234_analytic(0.1, 0.2, 0.3, 0.4, p),
+    "w123_analytic": lambda p: w123_analytic(0.1, 0.2, 0.3, p),
+    "w124_analytic": lambda p: w124_analytic(0.1, 0.2, 0.4, p),
+    "w12_analytic": lambda p: w12_analytic(0.1, 0.2, p),
+    "w1234_field": lambda p: w1234_field(p),
+    "w1234_field.derivative": lambda p: w1234_field(p).derivative((0, 0, 0, 1), (0.1, 0.2, 0.3, 0.4), None),
+    "w12_field.values": lambda p: w12_field(p).values((0.1, 0.2)),
+    "mean_flux_analytic": lambda p: mean_flux_analytic("12-vel", 0.1, 0.2, p),
+    "gamma_form": lambda p: gamma_form(0.1, 0.2, 0.3, 0.4, p.omega),
+    "gamma_transport_residual": lambda p: gamma_transport_residual(0.1, 0.2, 0.3, 0.4, p.omega),
+}
+
+
+@pytest.mark.parametrize("name, p", [
+    *((name, PhysParams(omega=1e200, hbar2=1.0)) for name in CLOSED_FORMS),
+    # at the default hbar2 = 1e200, omega^2 fits but omega^4 does not
+    *((name, PhysParams(omega=1e100)) for name in ("u12_polynomial", "w1234_analytic", "w124_analytic",
+                                                    "w1234_field.derivative", "gamma_form")),
+    # hbar^3 and hbar2^3 overflow, omega^2 fits
+    *((name, PhysParams(hbar=1e150)) for name in ("w123_analytic", "w124_analytic")),
+], ids=lambda arg: arg if isinstance(arg, str) else f"omega={arg.omega:g},hbar2={arg.hbar2:g}")
+def test_a_float_power_that_overflows_is_a_validation_error_naming_omega(name, p):
+    # float ** raises OverflowError where * gives inf; the closed forms name omega, and hbar2 where they take p
+    names = f"omega = {p.omega:g}" + ("" if name.startswith("gamma") else f" or hbar2 = {p.hbar2:g}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(names)} is too large: a float power overflows$"):
+        CLOSED_FORMS[name](p)
 
 
 def test_pointwise_joint_exact_first_partials():

@@ -46,21 +46,31 @@ def test_every_imported_name_is_used(path):
 
 
 def test_every_module_level_function_and_class_is_exported_or_used():
-    # a helper that no module lists in __all__ or reads (as a name or an attribute) is dead code
+    # a helper, constant or table that no module lists in __all__ or reads (as a name or an attribute) is dead code
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(phasechain.__file__).parent.glob("*.py")}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            used.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
     dead = {}
     for stem, tree in trees.items():
         module = phasechain if stem == "__init__" else importlib.import_module(f"phasechain.{stem}")
         exported = set(getattr(module, "__all__", ()))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
-                    and node.name not in exported | used):
-                dead[f"{stem}.{node.name}"] = node.lineno
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__") and name not in exported | used:
+                    dead[f"{stem}.{name}"] = node.lineno
     assert dead == {}
 
 
@@ -106,6 +116,22 @@ def test_a_command_runs_only_the_modules_it_calls(small_w4, tmp_path, argv, load
     argv = [a.format(w4=small_w4, u=small_w4.with_name("u.txt"), out=tmp_path / "out") for a in argv]
     code = f"from phasechain.cli import main\nassert main({argv!r}) == 0"
     assert loaded_after(code) == loaded
+
+
+@pytest.mark.parametrize("mode", ["vlasov123", "vlasov124", "vlasov12"])
+def test_a_chain_residual_makes_one_pass_over_w(small_w4, monkeypatch, mode):
+    # vlasov124's two fluxes share their denominator, so one pass sums it and both numerators
+    fields, cli = importlib.import_module("phasechain.fields"), importlib.import_module("phasechain.cli")
+    ranks, map_rows = [], fields._map_rows
+
+    def counted(task, data, halo):
+        ranks.append(data.ndim)
+        return map_rows(task, data, halo)
+
+    monkeypatch.setattr(fields, "_map_rows", counted)
+    assert cli.main(["residual", "--in", str(small_w4), "--potential", str(small_w4.with_name("u.txt")),
+                     "--mode", mode]) == 0
+    assert ranks.count(4) == 1
 
 
 def test_every_export_resolves_to_its_module_attribute():

@@ -40,6 +40,7 @@ from phasechain import (
     w1234_field,
     w12_field,
 )
+import phasechain.cli as cli_mod
 import phasechain.fields as fields_mod
 import phasechain.vlasov as vlasov_mod
 from phasechain.fields import partial_derivative
@@ -156,6 +157,48 @@ def test_a_moment_ratio_over_axis_0_sums_every_row_at_once():
     assert fl.density.data.tobytes() == den.tobytes()
     assert fl.mask.all()
     assert fl.values.data.tobytes() == (num / den).tobytes()
+
+
+def signed_w4(n=8, seed=3):
+    """A rank-4 field with negative values, as a W off the oscillator has."""
+    w4 = rank4_grid(nxy=n, ntail=2 * n)
+    return w4.with_data(w4.data * (0.3 + np.random.default_rng(seed).standard_normal(w4.data.shape)))
+
+
+def test_the_vlasov124_fluxes_of_one_pass_are_the_single_flux_functions(monkeypatch):
+    w4, pm, u = signed_w4(), PhysParams(m=1.3), PolynomialPotential(((2, 0, 0.5), (4, 0, 0.1), (0, 2, 0.3)))
+    seen, residual = {}, vlasov_mod.vlasov_residual
+
+    def recorded(kind, f, fluxes, *args):
+        seen.update(fluxes)
+        return residual(kind, f, fluxes, *args)
+
+    monkeypatch.setattr(vlasov_mod, "vlasov_residual", recorded)
+    cli_mod._chain_residual("vlasov124", w4, u, pm, ORDER4, 1e-3)
+    for shared, single in ((seen["v"], mean_flux_from_w4(w4, "124-vel", pm, 1e-3)),
+                           (seen["vddot"], accel_flux_124_from_w4(w4, u, pm, ORDER4, 1e-3))):
+        assert shared.kind == single.kind and shared.threshold == single.threshold
+        assert shared.values.axes == single.values.axes
+        for got, want in ((shared.values.data, single.values.data), (shared.mask, single.mask),
+                          (shared.density.data, single.density.data)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["124-accel", "123-accel", "124-vel", "12-vel"])
+def test_a_flux_function_sums_only_its_own_numerator(monkeypatch, kind):
+    counts, axis_sums = [], vlasov_mod._axis_sums
+
+    def counted(data, k, scale, *integrands):
+        counts.append(len(integrands))
+        return axis_sums(data, k, scale, *integrands)
+
+    monkeypatch.setattr(vlasov_mod, "_axis_sums", counted)
+    w4 = signed_w4()
+    if kind == "124-accel":
+        accel_flux_124_from_w4(w4, U_HO, P, ORDER4)
+    else:
+        mean_flux_from_w4(w4, kind, P)
+    assert counts == [1]
 
 
 # --- series closures -----------------------------------------------------------
@@ -548,3 +591,51 @@ def test_an_empty_valid_mask_is_a_numeric_failure():
     for reduce in (rep.max_abs_q, rep.max_abs_entropy_residual):
         with pytest.raises(NumericError, match="^no valid points left after masking$"):
             reduce()
+
+
+def whole_field_balance(dens, closing, scheme, threshold):
+    """Q sources, entropy residual and valid mask of one member, by whole-field formulas.
+
+    closing lists (flux samples, divergence axis); the additions run in the
+    order the dissipation report makes them.
+    """
+    w = fields_mod.stencil_halfwidth(1, scheme.order)
+    qs = [partial_derivative(dens.with_data(np.broadcast_to(vals, dens.data.shape).copy()), axis, 1, scheme).data
+          for vals, axis in closing]
+    mask = (np.abs(dens.data) >= threshold * np.abs(dens.data).max()) & (dens.data > 0.0)
+    entropy = dens.with_data(np.log(np.where(mask, dens.data, 1.0)))
+    res = np.zeros(dens.data.shape)
+    for coeff, axis in [(dens.mesh()[1], "x"), *closing]:
+        res += coeff * partial_derivative(entropy, axis, 1, scheme).data
+    valid = mask
+    for _, axis in [(None, "x"), *closing]:
+        valid = valid & erode_by_shifts(mask, dens.axis_index(axis), w)
+    return qs, sum(qs, start=res), valid
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_the_dissipation_report_is_the_whole_field_balance(order):
+    # positive densities off the oscillator, and fluxes that vary along their divergence axes
+    scheme = StencilScheme(order=order)
+    rng = np.random.default_rng(order)
+    g2 = tuple(make_axis(n, -4.0, 4.0, 20) for n in ("x", "v"))
+    g3 = tuple(make_axis(n, -4.0, 4.0, 14) for n in ("x", "v", "vddot"))
+    w12 = sample_real(lambda x, v: np.exp(-0.3 * x**2 - 0.5 * v**2) * (1.2 + np.sin(x + 2 * v)), g2)
+    w124 = sample_real(lambda x, v, vdd: np.exp(-0.2 * (x**2 + v**2 + vdd**2)) * (1.1 + np.cos(x * vdd)), g3)
+    w124 = w124.with_data(w124.data * (1.0 + 0.1 * rng.random(w124.data.shape)))
+    u = PolynomialPotential(((2, 0, 0.5), (4, 0, 0.05)))
+    vel12 = lambda x, v: np.sin(v) + 0.3 * x * v  # noqa: E731
+    vel124 = RealField(g3, rng.standard_normal(w124.data.shape))
+    acc124 = vlasov_moyal_accel_flux(w124, u, P, scheme, mask_threshold=1e-3)
+    rep = dissipation_report(w12, w124, {"12-vel": vel12, "124-vel": vel124, "124-accel": acc124}, P, scheme, 1e-3)
+    (q2_12,), res12, valid12 = whole_field_balance(w12, [(vel12(*w12.mesh()), "v")], scheme, 1e-3)
+    (q2_124, q4_124), res124, valid124 = whole_field_balance(
+        w124, [(vel124.data, "v"), (acc124.values.data, "vddot")], scheme, 1e-3)
+    got = (rep.q2_12.data, rep.q2_124.data, rep.q4_124.data, rep.entropy_residual_12, rep.entropy_residual_124,
+           rep.valid_12, rep.valid_124)
+    want = (q2_12, q2_124, q4_124, res12, res124, valid12, valid124)
+    for name, g, w in zip(("q2_12", "q2_124", "q4_124", "entropy_residual_12", "entropy_residual_124",
+                           "valid_12", "valid_124"), got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    assert valid12.any() and not valid12.all() and valid124.any() and not valid124.all()
+    assert min(np.abs(q[v]).max() for q, v in ((q2_12, valid12), (q2_124, valid124), (q4_124, valid124))) > 1e-3
