@@ -8,7 +8,8 @@ solution. Field persistence and a CLI front end live in fieldfile and cli.
 `import phasechain` runs no library module and imports no NumPy. It puts each
 library module in `sys.modules` (and on the package) through
 `importlib.util.LazyLoader`, and a module runs on the first access to one of
-its attributes; the package's exports resolve on first use from `_EXPORTS`.
+its attributes; the package's exports resolve on first use from `_EXPORTS`,
+the one table of public names, whose entry each module reads as its `__all__`.
 So a CLI command runs only the modules it calls: `marginal` and `export-csv`
 run `fields` and `fieldfile`, `gen-ho` adds `oscillator` and `moyal`, and
 `check` runs all but `vonneumann` and `fieldfile`. On CPython 3.11 a lazy
@@ -22,7 +23,6 @@ import sys
 
 __version__ = "0.1.0"
 
-# each library module and the public names the package takes from it (the module's own __all__)
 _EXPORTS = {
     "fields": ("AxisGrid", "ComplexField", "RealField", "PointwiseField", "StencilScheme", "ValidationError",
                "NumericError", "make_axis", "sample_real", "sample_complex", "partial_derivative",

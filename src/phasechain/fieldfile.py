@@ -18,15 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _EXPORTS
 from .fields import ComplexField, RealField, ValidationError, _FileMap, make_axis
 
-__all__ = [
-    "FieldFormatError",
-    "write_field",
-    "read_field",
-    "parse_slice_spec",
-    "export_csv",
-]
+__all__ = list(_EXPORTS["fieldfile"])
 
 MAGIC = b"PSIF"
 VERSION = 2
@@ -75,7 +70,10 @@ def _write_rows(kind, axes, rows, path):
         raise OSError(f"{path} is not a regular file; fields are written only to regular files")
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL: never truncate a file of that name; mode 0o666 less the umask, as open(path, "wb")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the target the caller gave, not the temporary file it never saw
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(header)

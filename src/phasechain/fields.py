@@ -21,21 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "AxisGrid",
-    "ComplexField",
-    "NumericError",
-    "PointwiseField",
-    "RealField",
-    "StencilScheme",
-    "ValidationError",
-    "integrate_axis",
-    "make_axis",
-    "partial_derivative",
-    "sample_complex",
-    "sample_real",
-    "stencil_coefficients",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["fields"])
 
 Array = np.ndarray
 
@@ -50,6 +38,25 @@ class ValidationError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numerical consistency check failed (not a usage error)."""
+
+
+def _read_table(text: str, what: str, expected: str, converters) -> list:
+    """The rows of a text table, each field converted; '#' comments and blank lines skipped.
+
+    A wrong field count, or a field that does not convert, raises a ValidationError naming `what` and the line.
+    """
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != len(converters):
+            raise ValidationError(f"{what} line {lineno}: expected {expected}, got {raw!r}")
+        try:
+            rows.append([convert(part) for convert, part in zip(converters, parts)])
+        except ValueError as exc:
+            raise ValidationError(f"{what} line {lineno}: {exc}") from exc
+    return rows
 
 
 @dataclass(frozen=True)
@@ -123,14 +130,10 @@ class _BaseField:
         if data.shape != shape:
             raise ValidationError(f"data shape {data.shape} does not match axes {shape}")
         data = np.ascontiguousarray(data)
-        # min and max propagate NaN and surface +-inf without a boolean temporary. One x-slab at a time,
-        # max reads what min left in cache; the scan is bound by memory bandwidth, and on 2 cores two
-        # slab workers were slower than this thread alone
-        flat = data.view(np.float64)
-        for lo, hi in _x_slabs(flat):
-            if not (np.isfinite(flat[lo:hi].min()) and np.isfinite(flat[lo:hi].max())):
+        # min and max propagate NaN and surface +-inf without a boolean temporary
+        for low, high in _slab_extrema(data):
+            if not (np.isfinite(low) and np.isfinite(high)):
                 raise ValidationError("field data contains non-finite values")
-            _drop_rows(flat, lo, hi)
         data.flags.writeable = False
         self.data = data
 
@@ -334,6 +337,17 @@ def _band_columns(band: Array, src: Array, dst: Array, step: int) -> None:
 def _max_abs(data: Array) -> float:
     """max |data| without the full-size temporary of np.abs."""
     return max(float(data.max()), -float(data.min()))
+
+
+def _slab_extrema(data: Array):
+    """Yield the (min, max) of each x-slab of data's float64 view in order, dropping its mapped rows once read.
+
+    Bound by memory bandwidth: max reads what min left in cache, and 2 slab workers were slower than one thread.
+    """
+    flat = data.view(np.float64)
+    for lo, hi in _x_slabs(flat):
+        yield flat[lo:hi].min(), flat[lo:hi].max()
+        _drop_rows(flat, lo, hi)
 
 
 def _stencil(data: Array, k: int, step: float, power: int, scheme: StencilScheme,

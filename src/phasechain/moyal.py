@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .fields import (
     Array,
     KINEMATIC_ORDER,
@@ -35,19 +36,11 @@ from .fields import (
     _add_product,
     _evaluate,
     _grid_slabs,
+    _read_table,
     _require_axes,
 )
 
-__all__ = [
-    "PolynomialPotential",
-    "MoyalTerm",
-    "build_term_table",
-    "closure_coefficients",
-    "moyal_rhs",
-    "transport_lhs",
-    "moyal_residual",
-    "moyal_residual_slabs",
-]
+__all__ = list(_EXPORTS["moyal"])
 
 
 def _canonical_terms(pairs):
@@ -90,20 +83,7 @@ class PolynomialPotential:
     @classmethod
     def from_text(cls, text: str) -> "PolynomialPotential":
         """Parse the line format '<a> <b> <coeff>'; '#' comments and blanks skipped."""
-        terms = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValidationError(f"potential line {lineno}: expected 'a b coeff', got {raw!r}")
-            try:
-                a, b, c = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValidationError(f"potential line {lineno}: {exc}") from exc
-            terms.append((a, b, c))
-        return cls(tuple(terms))
+        return cls(_read_table(text, "potential", "'a b coeff'", (int, int, float)))
 
     def to_text(self) -> str:
         return "\n".join(f"{a} {b} {c!r}" for a, b, c in self.terms) + "\n"

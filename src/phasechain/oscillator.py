@@ -19,27 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .fields import Array, PointwiseField, ValidationError
 from .moyal import PolynomialPotential
 
-__all__ = [
-    "PhysParams",
-    "GammaForm",
-    "psi12",
-    "u12_polynomial",
-    "w1234_analytic",
-    "w123_analytic",
-    "w124_analytic",
-    "w12_analytic",
-    "gamma_form",
-    "gamma_transport_residual",
-    "mean_flux_analytic",
-    "radiation_power",
-    "w1234_field",
-    "w123_field",
-    "w124_field",
-    "w12_field",
-]
+__all__ = list(_EXPORTS["oscillator"])
 
 FLUX_KINDS = ("123-accel", "124-accel", "1234-accel", "124-vel", "12-vel")
 
@@ -110,6 +94,8 @@ def _require_consistent(p: PhysParams):
             f"oscillator closed forms need hbar2 = hbar*omega^2; got hbar2={p.hbar2}, "
             f"hbar*omega^2={p.hbar * p.omega**2}"
         )
+    # raises OverflowError where omega^4 overflows; NumPy would square the exponent groups to inf instead
+    p.omega**4
 
 
 def psi12(x, v, t: float, p: PhysParams) -> Array:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .fields import (
     DEFAULT_MASK_THRESHOLD,
     Array,
@@ -43,6 +44,7 @@ from .fields import (
     _over_slabs,
     _PointView,
     _require_axes,
+    _slab_extrema,
     _stencil,
     integrate_axis,
     partial_derivative,
@@ -50,17 +52,7 @@ from .fields import (
 )
 from .moyal import PolynomialPotential, _continuity, _series_rows, closure_coefficients
 
-__all__ = [
-    "FluxField",
-    "DissipationReport",
-    "mean_flux_from_w4",
-    "vlasov_moyal_accel_flux",
-    "vlasov_moyal_velocity_flux",
-    "accel_flux_124_from_w4",
-    "vlasov_residual",
-    "divergence_series_gap",
-    "dissipation_report",
-]
+__all__ = list(_EXPORTS["vlasov"])
 
 MOMENT_KINDS = {
     # kind -> (traced axis, axes to pre-reduce)
@@ -299,7 +291,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     _check_mask_threshold(mask_threshold)
     _require_axes(f4, KINEMATIC_ORDER)
     terms = closure_coefficients(u1, params, "x")
-    cut = mask_threshold * _max_abs(f4.data)  # the support mask of _support_mask
+    cut = mask_threshold * max(max(high, -low) for low, high in _slab_extrema(f4.data))  # _support_mask's cut
 
     def body(view):
         derivs = [view.values()]

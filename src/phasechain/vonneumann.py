@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Array, ValidationError
+from . import _EXPORTS
+from .fields import Array, ValidationError, _read_table
 
-__all__ = [
-    "ModeSet",
-    "VonNeumannCheck",
-    "coefficients_at",
-    "density_matrix_at",
-    "rho_time_derivative",
-    "von_neumann_residual",
-]
+__all__ = list(_EXPORTS["vonneumann"])
 
 
 @dataclass(frozen=True)
@@ -57,23 +51,11 @@ class ModeSet:
     @classmethod
     def from_text(cls, text: str, hbar2: float = 1.0) -> "ModeSet":
         """Parse lines '<Re E> <Im E> <Re c> <Im c>'; '#' comments and blanks skipped."""
-        es, cs = [], []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValidationError(f"mode line {lineno}: expected 4 numbers, got {raw!r}")
-            try:
-                vals = [float(s) for s in parts]
-            except ValueError as exc:
-                raise ValidationError(f"mode line {lineno}: {exc}") from exc
-            es.append(complex(vals[0], vals[1]))
-            cs.append(complex(vals[2], vals[3]))
-        if not es:
+        rows = _read_table(text, "mode", "4 numbers", (float,) * 4)
+        if not rows:
             raise ValidationError("mode file contains no modes")
-        return cls(np.array(es), np.array(cs), hbar2)
+        return cls(np.array([complex(re, im) for re, im, _, _ in rows]),
+                   np.array([complex(re, im) for _, _, re, im in rows]), hbar2)
 
     def to_text(self) -> str:
         lines = [

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .fields import (
     AxisGrid,
     ComplexField,
@@ -40,15 +41,7 @@ from .fields import (
     integrate_axis,
 )
 
-__all__ = [
-    "TransformPlan",
-    "wigner4",
-    "wigner3",
-    "wigner24",
-    "wigner4_marginal_to_3",
-    "wigner4_marginal_to_24",
-    "marginal_to_2",
-]
+__all__ = list(_EXPORTS["wigner"])
 
 IMAG_RESIDUE_LIMIT = 1e-10
 

@@ -417,6 +417,15 @@ def test_an_output_fifo_is_an_io_error_and_stays_a_fifo(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["psi.fld"]  # no *.tmp left behind
 
 
+def test_a_write_into_a_missing_directory_names_the_target(tmp_path, capsys):
+    target = tmp_path / "absent" / "psi.fld"
+    assert main(["gen-ho", "--nx", "8", "--nv", "8", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert repr(os.path.realpath(target)) in err and ".tmp" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_running_out_of_memory_exits_3(monkeypatch, tmp_path, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")

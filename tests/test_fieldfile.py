@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phasechain import (
     AxisGrid,
@@ -26,6 +27,7 @@ from phasechain import (
     write_field,
 )
 from phasechain.fieldfile import parse_slice_spec
+from phasechain.fields import AXIS_NAMES
 
 P = PhysParams()
 
@@ -69,6 +71,31 @@ def test_complex_round_trip_is_bit_exact(tmp_path):
     again = read_field(path)
     assert isinstance(again, ComplexField)
     assert again.data.tobytes() == psi.data.tobytes()
+
+
+# finite doubles, drawn often at the awkward ones: signed zeros, subnormals and the largest magnitudes
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                    1.7976931348623157e308, -1.7976931348623157e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_round_trips_are_bit_exact_on_generated_fields(tmp_path_factory, data):
+    kind, dtype, parts = data.draw(st.sampled_from([(RealField, np.float64, 1), (ComplexField, np.complex128, 2)]))
+    rank = data.draw(st.integers(1, 4 if kind is RealField else 2))
+    axes = tuple(make_axis(name, *sorted(data.draw(st.lists(FINITE, min_size=2, max_size=2, unique=True))),
+                           data.draw(st.sampled_from([4, 6, 8])))
+                 for name in data.draw(st.permutations(AXIS_NAMES))[:rank])
+    values = data.draw(arrays(np.float64, (*(a.n for a in axes), parts), elements=FINITE))
+    field = kind(axes, values.view(dtype)[..., 0])
+    # a fresh file per example: a field from an earlier example may still map its file
+    path = tmp_path_factory.mktemp("trip") / "f.fld"
+    write_field(field, path)
+    again = read_field(path)
+    assert type(again) is kind and again.data.tobytes() == field.data.tobytes()
+    assert [(a.name, a.n, a.min.hex(), a.max.hex()) for a in again.axes] == \
+        [(a.name, a.n, a.min.hex(), a.max.hex()) for a in axes]
 
 
 def test_write_rejects_non_fields(tmp_path):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import phasechain.fields as fields_mod
+import phasechain.vlasov as vlasov_mod
 import phasechain.wigner as wigner_mod
 from phasechain import (
     ComplexField,
@@ -104,6 +105,21 @@ def test_the_finiteness_scan_drops_the_rows_it_read(w4_path, one_row_slabs, drop
     w4 = read_field(w4_path)
     assert sum(dropped) >= w4.data.nbytes - mmap.PAGESIZE  # all but the page that the file ends in
     assert same_bits(w4.data, payload(w4_path, w4))
+
+
+def test_the_gap_takes_its_peak_dropping_the_rows_it_read(w4_path, one_row_slabs, dropped, monkeypatch):
+    # the support mask's peak is a slab scan of its own before the grid loop: by its end every row has gone
+    w4 = read_field(w4_path)
+    after_scan = []
+
+    def scan(data):
+        yield from fields_mod._slab_extrema(data)
+        after_scan.append(sum(dropped))
+
+    monkeypatch.setattr(vlasov_mod, "_slab_extrema", scan)
+    dropped.clear()
+    LOOPS["divergence_series_gap"](w4)
+    assert after_scan[0] >= w4.data.nbytes - mmap.PAGESIZE  # all but the page that the file ends in
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))

@@ -1,5 +1,7 @@
 """Polynomial potentials and the correction-series evolution residual."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -63,6 +65,16 @@ def test_text_round_trip():
         PolynomialPotential.from_text("2 0\n")
     with pytest.raises(ValidationError):
         PolynomialPotential.from_text("2 0 abc\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 0 0.5\n\n  1 1  # two\n", "potential line 3: expected 'a b coeff', got '  1 1  # two'"),
+    ("# U\n2 x 0.5\n", "potential line 2: invalid literal for int() with base 10: 'x'"),
+    ("2 0 half\n", "potential line 1: could not convert string to float: 'half'"),
+])
+def test_potential_text_errors_name_their_line(text, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PolynomialPotential.from_text(text)
 
 
 def test_potential_queries_and_derivatives():

@@ -24,6 +24,7 @@ from phasechain import (
     w124_analytic,
     w1234_analytic,
     w1234_field,
+    w123_field,
     w12_field,
 )
 from phasechain.moyal import PolynomialPotential
@@ -159,6 +160,7 @@ CLOSED_FORMS = {
     "w12_analytic": lambda p: w12_analytic(0.1, 0.2, p),
     "w1234_field": lambda p: w1234_field(p),
     "w1234_field.derivative": lambda p: w1234_field(p).derivative((0, 0, 0, 1), (0.1, 0.2, 0.3, 0.4), None),
+    "w123_field.values": lambda p: w123_field(p).values((0.1, 0.2, 0.3)),
     "w12_field.values": lambda p: w12_field(p).values((0.1, 0.2)),
     "mean_flux_analytic": lambda p: mean_flux_analytic("12-vel", 0.1, 0.2, p),
     "gamma_form": lambda p: gamma_form(0.1, 0.2, 0.3, 0.4, p.omega),
@@ -169,8 +171,9 @@ CLOSED_FORMS = {
 @pytest.mark.parametrize("name, p", [
     *((name, PhysParams(omega=1e200, hbar2=1.0)) for name in CLOSED_FORMS),
     # at the default hbar2 = 1e200, omega^2 fits but omega^4 does not
-    *((name, PhysParams(omega=1e100)) for name in ("u12_polynomial", "w1234_analytic", "w124_analytic",
-                                                    "w1234_field.derivative", "gamma_form")),
+    *((name, PhysParams(omega=1e100)) for name in ("u12_polynomial", "w1234_analytic", "w123_analytic",
+                                                    "w124_analytic", "w1234_field.derivative",
+                                                    "w123_field.values", "gamma_form")),
     # hbar^3 and hbar2^3 overflow, omega^2 fits
     *((name, PhysParams(hbar=1e150)) for name in ("w123_analytic", "w124_analytic")),
 ], ids=lambda arg: arg if isinstance(arg, str) else f"omega={arg.omega:g},hbar2={arg.hbar2:g}")

@@ -26,6 +26,18 @@ def test_module_all_matches_the_package_imports(name):
     assert set(module.__all__) <= set(phasechain.__all__)
 
 
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_module_all_is_read_from_the_export_table(name):
+    # the table is the one list of public names: no library module writes its own
+    module = importlib.import_module(f"phasechain.{name}")
+    assert module.__all__ == list(phasechain._EXPORTS[name])
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    bindings = [ast.unparse(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                or isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "__all__"]
+    assert bindings == [f"list(_EXPORTS[{name!r}])"]
+
+
 @pytest.mark.parametrize("path", sorted(set(Path(phasechain.__file__).parent.glob("*.py"))
                                          - {Path(phasechain.__file__)}), ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
@@ -39,9 +51,7 @@ def test_every_imported_name_is_used(path):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
+    used |= set(importlib.import_module(f"phasechain.{path.stem}").__all__)
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 

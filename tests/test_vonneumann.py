@@ -1,5 +1,7 @@
 """Mode-space density matrices and their exact evolution identity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ def test_mode_text_round_trip():
         ModeSet.from_text("1.0 0.0 1.0\n")
     with pytest.raises(ValidationError):
         ModeSet.from_text("# only a comment\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 0 1 0 5  # five\n", "mode line 1: expected 4 numbers, got '1 0 1 0 5  # five'"),
+    ("1 0 1 0\n\n1 0 one 0\n", "mode line 3: could not convert string to float: 'one'"),
+    ("# E_re E_im c_re c_im\n\n", "mode file contains no modes"),
+])
+def test_mode_text_errors_name_their_line(text, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ModeSet.from_text(text)
 
 
 def test_frozen_two_mode_values():
