@@ -26,18 +26,18 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fields": ("AxisGrid", "ComplexField", "RealField", "PointwiseField", "StencilScheme", "ValidationError",
                "NumericError", "make_axis", "sample_real", "sample_complex", "partial_derivative",
-               "integrate_axis", "stencil_coefficients"),
-    "fieldfile": ("FieldFormatError", "read_field", "write_field", "parse_slice_spec", "export_csv"),
+               "integrate_axis", "stencil_coefficients", "max_abs", "require_axes", "check_mask_threshold"),
+    "fieldfile": ("FieldFormatError", "read_field", "write_field", "write_rows", "parse_slice_spec", "export_csv"),
     "moyal": ("PolynomialPotential", "MoyalTerm", "build_term_table", "closure_coefficients", "moyal_rhs",
               "transport_lhs", "moyal_residual", "moyal_residual_slabs"),
     "oscillator": ("PhysParams", "GammaForm", "psi12", "u12_polynomial", "gamma_form", "gamma_transport_residual",
                    "w1234_analytic", "w123_analytic", "w124_analytic", "w12_analytic", "w1234_field", "w123_field",
                    "w124_field", "w12_field", "mean_flux_analytic", "radiation_power"),
-    "wigner": ("TransformPlan", "wigner4", "wigner3", "wigner24", "wigner4_marginal_to_3", "wigner4_marginal_to_24",
-               "marginal_to_2"),
+    "wigner": ("TransformPlan", "wigner4", "wigner3", "wigner24", "transform_rows", "wigner4_marginal_to_3",
+               "wigner4_marginal_to_24", "marginal_to_2"),
     "vlasov": ("FluxField", "DissipationReport", "mean_flux_from_w4", "vlasov_moyal_accel_flux",
-               "vlasov_moyal_velocity_flux", "accel_flux_124_from_w4", "vlasov_residual", "divergence_series_gap",
-               "dissipation_report"),
+               "vlasov_moyal_velocity_flux", "accel_flux_124_from_w4", "vlasov_residual", "chain_residual",
+               "divergence_series_gap", "dissipation_report"),
     "vonneumann": ("ModeSet", "VonNeumannCheck", "coefficients_at", "density_matrix_at", "rho_time_derivative",
                    "von_neumann_residual"),
 }

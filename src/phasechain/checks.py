@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RealField, StencilScheme, _max_abs, make_axis, sample_complex, sample_real
+from .fields import RealField, StencilScheme, make_axis, max_abs, sample_complex, sample_real
 from .moyal import PolynomialPotential, moyal_residual
 from .oscillator import (
     PhysParams,
@@ -41,7 +41,7 @@ from .vlasov import (
     mean_flux_from_w4,
     vlasov_residual,
 )
-from .wigner import _transform_rows, marginal_to_2, wigner24, wigner3
+from .wigner import marginal_to_2, transform_rows, wigner24, wigner3
 
 __all__ = ["CheckResult", "SuiteReport", "run_ho_suite"]
 
@@ -129,7 +129,7 @@ def _transform_fidelity(ctx):
     t0 = time.perf_counter()
     axes = (make_axis("x", -8.0, 8.0, 64), make_axis("v", -8.0, 8.0, 64))
     psi = sample_complex(lambda x, v: psi12(x, v, 0.0, p), axes)
-    (ax, av, vdot, vddot), rows = _transform_rows(psi, p, ("x", "v"))
+    (ax, av, vdot, vddot), rows = transform_rows(psi, p, ("x", "v"))
     # W streams past one x-row block at a time: each row is compared with the closed form, and the two
     # m-weighted marginals of check 2 are integrated as integrate_axis does
     mv, mvd, mvdd = np.meshgrid(av.points(), vdot.points(), vddot.points(), indexing="ij", sparse=True)
@@ -140,7 +140,7 @@ def _transform_fidelity(ctx):
         hi = lo + len(block)
         for i, xi in enumerate(ax.points()[lo:hi]):
             ref = w1234_analytic(xi, mv, mvd, mvdd, p)
-            err = max(err, _max_abs(np.subtract(block[i], ref, out=ref)))
+            err = max(err, max_abs(np.subtract(block[i], ref, out=ref)))
         if lo <= half < hi:
             peak_err = abs(float(block[half - lo, half, half, half]) - 1.0 / math.pi**2)
         w123[lo:hi] = block.sum(axis=3) * (p.m * vddot.step)

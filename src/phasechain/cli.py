@@ -68,7 +68,7 @@ def _add_hbar2_flag(sub):
 
 def _read_rank4(path) -> fields.RealField:
     field = fieldfile.read_field(path)
-    fields._require_axes(field, fields.KINEMATIC_ORDER)  # refuses a ComplexField too: its rank is at most 2
+    fields.require_axes(field, fields.KINEMATIC_ORDER)  # refuses a ComplexField too: its rank is at most 2
     return field
 
 
@@ -94,8 +94,8 @@ def _cmd_wigner(args) -> int:
     for dual in (plan.vdot, plan.vddot):
         print(f"dual axis {dual.name}: [{dual.min:.9g}, {dual.max:.9g}) step {dual.step:.9g}, n = {dual.n}")
     # W goes to the file block by block as the transform makes it, and the transform returns its peak
-    axes, rows = wigner._transform_rows(psi, p, {"4": ("x", "v"), "3": ("v",), "24": ("x",)}[args.rank])
-    peak = fieldfile._write_rows(fields.RealField, axes, rows, args.out)
+    axes, rows = wigner.transform_rows(psi, p, {"4": ("x", "v"), "3": ("v",), "24": ("x",)}[args.rank])
+    peak = fieldfile.write_rows(fields.RealField, axes, rows, args.out)
     names = " x ".join(a.name for a in axes)
     print(f"wrote {args.out}: real rank-{len(axes)} field on ({names}), peak {peak:.9g}")
     return 0
@@ -140,16 +140,17 @@ def _cmd_residual(args) -> int:
         rmax = peak = -math.inf
         for lo, hi, block in moyal.moyal_residual_slabs(w4, u, p, scheme):
             # np.maximum, unlike Python's max, keeps a NaN
-            rmax = float(np.maximum(rmax, fields._max_abs(block)))
-            peak = max(peak, fields._max_abs(w4.data[lo:hi]))
+            rmax = float(np.maximum(rmax, fields.max_abs(block)))
+            peak = max(peak, fields.max_abs(w4.data[lo:hi]))
         masked = 0.0
     else:
-        res, density, valid = _chain_residual(args.mode, w4, u, p, scheme, args.mask_threshold)
+        res, density, valid = vlasov.chain_residual(args.mode.replace("vlasov", "w"), w4, u, p, scheme,
+                                                    args.mask_threshold)
         if not valid.any():
             raise fields.NumericError("no valid points left after masking")
         rmax = float(np.abs(res.data[valid]).max())
         masked = 1.0 - float(valid.sum()) / valid.size
-        peak = fields._max_abs(density.data)
+        peak = fields.max_abs(density.data)
     if not math.isfinite(rmax):
         raise fields.NumericError(f"the residual is not finite (max|residual| = {rmax})")
     lines = [
@@ -163,29 +164,9 @@ def _cmd_residual(args) -> int:
     return 0
 
 
-def _chain_residual(mode, w4, u, p, scheme, thresh):
-    """Residual, density and valid region of one reduced chain member, from one pass over W.
-
-    The member's fluxes share one denominator, its density; the valid region is their mask, eroded along each flux axis.
-    """
-    if mode == "vlasov123":
-        member, fluxes = "w123", {"vdot": vlasov.mean_flux_from_w4(w4, "123-accel", p, thresh)}
-    elif mode == "vlasov124":
-        member, fluxes = "w124", dict(zip(("v", "vddot"), vlasov._moment_ratio(
-            w4, 2, p, thresh, ("124-vel", vlasov._first_moment(w4, 2)),
-            ("124-accel", vlasov._closure_moment(w4, u, p, scheme)))))
-    else:
-        member, fluxes = "w12", {"v": vlasov.mean_flux_from_w4(w4, "12-vel", p, thresh)}
-    first = next(iter(fluxes.values()))
-    valid = first.mask
-    for name in fluxes:
-        valid = vlasov._erode(valid, first.density.axis_index(name), fields.stencil_halfwidth(1, scheme.order))
-    return vlasov.vlasov_residual(member, first.density, fluxes, p, scheme, u), first.density, valid
-
-
 def _mask_threshold(text: str) -> float:
     try:
-        return fields._check_mask_threshold(float(text))
+        return fields.check_mask_threshold(float(text))
     except ValueError as exc:  # ValidationError is a ValueError
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -228,10 +209,7 @@ def _cmd_export_csv(args) -> int:
     snapped = fieldfile.export_csv(field, pins, args.out)
     pinned = ", ".join(f"{k} = {v:g}" for k, v in snapped.items()) or "none"
     free = [a.name for a in field.axes if a.name not in snapped]
-    rows = 1
-    for a in field.axes:
-        if a.name in free:
-            rows *= a.n
+    rows = math.prod(a.n for a in field.axes if a.name not in snapped)
     print(f"wrote {args.out}: {rows} rows over ({', '.join(free)}), pinned {pinned}")
     return 0
 

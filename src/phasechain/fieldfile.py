@@ -45,15 +45,19 @@ def write_field(field, path):
     """
     if not isinstance(field, (RealField, ComplexField)):
         raise ValidationError(f"cannot serialize {type(field)!r}")
-    _write_rows(type(field), field.axes, iter([field.data]), path)
+    write_rows(type(field), field.axes, iter([field.data]), path)
 
 
-def _write_rows(kind, axes, rows, path):
-    """Write a field of `kind` on `axes` whose x-row blocks `rows` yields in order; return what `rows` returns.
+def write_rows(kind, axes, rows, path):
+    """Write a field of `kind` on `axes` from the iterator `rows` of its x-row blocks; return what `rows` returns.
 
-    The header is built, and the axes checked, before any file is made. The
-    temporary file replaces the target only after `rows` is exhausted, so a
-    transform that raises after its last block leaves the target as it was.
+    kind is RealField or ComplexField. Each block is written before the next
+    is asked for, so the blocks of wigner.transform_rows, which reuse their
+    buffers, go to the file as made. The block values are not checked here:
+    the caller's rows vouch for them. The header is built, and the axes
+    checked, before any file is made. The temporary file replaces the target
+    only after `rows` is exhausted, so a transform that raises after its last
+    block leaves the target as it was.
     """
     dtype_code, cast = (1, "<c16") if kind is ComplexField else (0, "<f8")
     header = [_HEADER.pack(MAGIC, VERSION, dtype_code, len(axes), b"\x00\x00")]

@@ -84,7 +84,7 @@ class AxisGrid:
 
 
 def make_axis(name: str, lo: float, hi: float, n: int) -> AxisGrid:
-    """Build a validated axis; n must be even and at least 4, hi > lo."""
+    """Build a validated axis; n must be even and at least 4, hi > lo, and the step finite and positive."""
     if name not in AXIS_NAMES:
         raise ValidationError(f"unknown axis name {name!r}; expected one of {AXIS_NAMES}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -99,7 +99,10 @@ def make_axis(name: str, lo: float, hi: float, n: int) -> AxisGrid:
         raise ValidationError(f"axis {name!r}: bounds must be finite")
     if hi <= lo:
         raise ValidationError(f"axis {name!r}: max must exceed min, got [{lo}, {hi})")
-    return AxisGrid(name, int(n), lo, hi)
+    axis = AxisGrid(name, int(n), lo, hi)
+    if not 0.0 < axis.step < math.inf:  # (max - min) overflows, or its n-th part underflows to 0
+        raise ValidationError(f"axis {name!r}: step (max - min) / n must be finite and positive, got {axis.step!r}")
+    return axis
 
 
 def _check_axes(axes, lo_rank, hi_rank):
@@ -182,6 +185,7 @@ class ComplexField(_BaseField):
 
 
 def sample_real(func, axes) -> RealField:
+    """Sample a real-valued callable on the tensor grid of the given axes."""
     axes = _check_axes(axes, 1, 4)
     grids = np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True)
     data = np.broadcast_to(func(*grids), tuple(a.n for a in axes))
@@ -334,7 +338,7 @@ def _band_columns(band: Array, src: Array, dst: Array, step: int) -> None:
         np.matmul(band, src[..., cut:], out=dst[..., cut:])
 
 
-def _max_abs(data: Array) -> float:
+def max_abs(data: Array) -> float:
     """max |data| without the full-size temporary of np.abs."""
     return max(float(data.max()), -float(data.min()))
 
@@ -764,11 +768,12 @@ def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
     """body at the points of a PointwiseField (an array), or on a grid field's x-slabs (a RealField)."""
     if isinstance(field, PointwiseField):
         return body(_PointView(field, axis_names, points, scheme))
-    _require_axes(field, axis_names)
+    require_axes(field, axis_names)
     return RealField._trusted(field.axes, _over_slabs(field, scheme, body))
 
 
-def _require_axes(field: RealField, axis_names):
+def require_axes(field: RealField, axis_names):
+    """Raise ValidationError unless the field's axes are named axis_names, in that order."""
     names = tuple(a.name for a in field.axes)
     if names != tuple(axis_names):
         raise ValidationError(f"field must have axes {tuple(axis_names)}, got {names}")
@@ -778,7 +783,7 @@ def _require_axes(field: RealField, axis_names):
 DEFAULT_MASK_THRESHOLD = 1e-8
 
 
-def _check_mask_threshold(threshold: float) -> float:
+def check_mask_threshold(threshold: float) -> float:
     """Return the threshold if it is finite and in [0, 1); raise ValidationError otherwise.
 
     Below 0 nothing is masked, and W may be negative, so moment ratios would

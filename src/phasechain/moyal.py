@@ -37,7 +37,7 @@ from .fields import (
     _evaluate,
     _grid_slabs,
     _read_table,
-    _require_axes,
+    require_axes,
 )
 
 __all__ = list(_EXPORTS["moyal"])
@@ -292,7 +292,7 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     and the slabs are computed on the slab pool, a few ahead of the caller.
     The rows of a W read from a file are dropped from memory behind the caller.
     """
-    _require_axes(w4, KINEMATIC_ORDER)
+    require_axes(w4, KINEMATIC_ORDER)
     rows = _series_rows(u, params)
     yield from _grid_slabs(w4, scheme, lambda view: _continuity(view, (), rows, dt_term))
 

@@ -318,12 +318,15 @@ def w1234_field(p: PhysParams, exact_derivatives: bool = True) -> PointwiseField
 
 
 def w123_field(p: PhysParams) -> PointwiseField:
+    """The (x, v, vdot) oscillator marginal w123_analytic as a rank-3 PointwiseField."""
     return PointwiseField(lambda x, v, vdot: w123_analytic(x, v, vdot, p), 3)
 
 
 def w124_field(p: PhysParams) -> PointwiseField:
+    """The (x, v, vddot) oscillator marginal w124_analytic as a rank-3 PointwiseField."""
     return PointwiseField(lambda x, v, vddot: w124_analytic(x, v, vddot, p), 3)
 
 
 def w12_field(p: PhysParams) -> PointwiseField:
+    """The (x, v) oscillator density w12_analytic as a rank-2 PointwiseField."""
     return PointwiseField(lambda x, v: w12_analytic(x, v, p), 2)

@@ -36,18 +36,18 @@ from .fields import (
     ValidationError,
     _add_product,
     _axis_sums,
-    _check_mask_threshold,
     _evaluate,
     _grid_slabs,
     _GridView,
-    _max_abs,
     _over_slabs,
     _PointView,
-    _require_axes,
     _slab_extrema,
     _stencil,
+    check_mask_threshold,
     integrate_axis,
+    max_abs,
     partial_derivative,
+    require_axes,
     stencil_halfwidth,
 )
 from .moyal import PolynomialPotential, _continuity, _series_rows, closure_coefficients
@@ -100,7 +100,7 @@ class FluxField:
 
 
 def _support_mask(density: Array, threshold: float) -> Array:
-    return np.abs(density) >= threshold * _max_abs(density)
+    return np.abs(density) >= threshold * max_abs(density)
 
 
 def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, threshold: float) -> FluxField:
@@ -138,7 +138,7 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
     """
     if which not in MOMENT_KINDS:
         raise ValidationError(f"unknown moment kind {which!r}; expected one of {sorted(MOMENT_KINDS)}")
-    _check_mask_threshold(mask_threshold)
+    check_mask_threshold(mask_threshold)
     traced, reduce_first = MOMENT_KINDS[which]
     field = w4
     present = {a.name for a in field.axes}
@@ -166,7 +166,7 @@ def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
 
     members maps the density's rank to (flux kind, axes).
     """
-    _check_mask_threshold(mask_threshold)
+    check_mask_threshold(mask_threshold)
     if f.rank not in members:
         choices = " or ".join(str(axes) for _, axes in members.values())
         raise ValidationError(f"closure along {axis} needs axes {choices}, got rank {f.rank}")
@@ -176,7 +176,7 @@ def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
         view = _PointView(f, axes, points, scheme)
         density, mask = view.values(), True
     else:
-        _require_axes(f, axes)
+        require_axes(f, axes)
         density, mask = f.data, _support_mask(f.data, mask_threshold)
     bad = np.argwhere(mask & (density <= 0.0))
     if len(bad):
@@ -228,8 +228,8 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
     The numerator integrates the closure body, <vddot>_{1234} w4, so it never
     divides by w4. Both integrals are accumulated one x-slab at a time.
     """
-    _check_mask_threshold(mask_threshold)
-    _require_axes(w4, KINEMATIC_ORDER)
+    check_mask_threshold(mask_threshold)
+    require_axes(w4, KINEMATIC_ORDER)
     return _moment_ratio(w4, 2, params, mask_threshold, ("124-accel", _closure_moment(w4, u, params, scheme)))[0]
 
 
@@ -272,6 +272,32 @@ def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: Poly
     return _evaluate(f, axes, scheme, points, lambda view: _continuity(view, closing, rows, dt_term))
 
 
+def chain_residual(member: str, w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme,
+                   mask_threshold: float = DEFAULT_MASK_THRESHOLD):
+    """Residual, density and valid region of chain member 'w123', 'w124' or 'w12', from one pass over a rank-4 W.
+
+    The member's density and closing fluxes are moments of w4: mean_flux_from_w4
+    for w123 and w12, and for w124 the velocity flux with
+    accel_flux_124_from_w4's, both over one shared denominator. The residual
+    is vlasov_residual's on that density. The valid region is the fluxes'
+    support mask, eroded by the stencil halfwidth along each flux axis in turn.
+    Returns (residual RealField, density RealField, valid boolean array).
+    """
+    check_mask_threshold(mask_threshold)
+    require_axes(w4, KINEMATIC_ORDER)
+    if member == "w124":
+        fluxes = _moment_ratio(w4, 2, params, mask_threshold, ("124-vel", _first_moment(w4, 2)),
+                               ("124-accel", _closure_moment(w4, u, params, scheme)))
+    elif member in ("w123", "w12"):
+        fluxes = [mean_flux_from_w4(w4, {"w123": "123-accel", "w12": "12-vel"}[member], params, mask_threshold)]
+    else:
+        raise ValidationError(f"unknown chain member {member!r}; expected 'w123', 'w124' or 'w12'")
+    density, valid, flux_axes = fluxes[0].density, fluxes[0].mask, MEMBERS[member][1]
+    for name in flux_axes:
+        valid = _erode(valid, density.axis_index(name), stencil_halfwidth(1, scheme.order))
+    return vlasov_residual(member, density, dict(zip(flux_axes, fluxes)), params, scheme, u), density, valid
+
+
 # ---------------------------------------------------------------------------
 # closure equivalence and dissipation
 
@@ -288,8 +314,8 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     """
     if not u1.v_independent:
         raise ValidationError("closure equivalence is defined for U1(x) only")
-    _check_mask_threshold(mask_threshold)
-    _require_axes(f4, KINEMATIC_ORDER)
+    check_mask_threshold(mask_threshold)
+    require_axes(f4, KINEMATIC_ORDER)
     terms = closure_coefficients(u1, params, "x")
     cut = mask_threshold * max(max(high, -low) for low, high in _slab_extrema(f4.data))  # _support_mask's cut
 
@@ -394,7 +420,7 @@ def dissipation_report(w12: RealField, w124: RealField, fluxes, params, scheme: 
     for key in ("12-vel", "124-vel", "124-accel"):
         if key not in fluxes:
             raise ValidationError(f"dissipation report needs flux {key!r}")
-    _check_mask_threshold(mask_threshold)
+    check_mask_threshold(mask_threshold)
     (q2_12,), res12, valid12 = _member_balance(w12, {"v": fluxes["12-vel"]}, scheme, mask_threshold)
     (q2_124, q4_124), res124, valid124 = _member_balance(
         w124, {"v": fluxes["124-vel"], "vddot": fluxes["124-accel"]}, scheme, mask_threshold)

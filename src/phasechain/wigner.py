@@ -35,7 +35,6 @@ from .fields import (
     RealField,
     ValidationError,
     _map_slabs,
-    _max_abs,
     _row_slabs,
     _workers,
     integrate_axis,
@@ -102,17 +101,17 @@ def wigner4(psi: ComplexField, params) -> RealField:
     transform plan. Raises NumericError if the prefactor leaves the float
     range at this hbar2, or if the imaginary residue exceeds 1e-10 of W's peak.
     """
-    return _assemble(*_transform_rows(psi, params, ("x", "v")))
+    return _assemble(*transform_rows(psi, params, ("x", "v")))
 
 
 def wigner3(psi: ComplexField, params) -> RealField:
     """Single transform over the v-shift, to (x, v, vdot)."""
-    return _assemble(*_transform_rows(psi, params, ("v",)))
+    return _assemble(*transform_rows(psi, params, ("v",)))
 
 
 def wigner24(psi: ComplexField, params) -> RealField:
     """Single transform over the x-shift, to (x, v, vddot)."""
-    return _assemble(*_transform_rows(psi, params, ("x",)))
+    return _assemble(*transform_rows(psi, params, ("x",)))
 
 
 def _assemble(axes, rows) -> RealField:
@@ -124,15 +123,18 @@ def _assemble(axes, rows) -> RealField:
     return RealField._trusted(axes, out)
 
 
-def _transform_rows(psi: ComplexField, params, shifts):
+def transform_rows(psi: ComplexField, params, shifts):
     """The transform over `shifts` ("x", "v" or both): W's axes, and a generator of W's x-rows in order.
 
-    A shift left out is the single shift 0, so its dual axis has length 1 and
-    is dropped from the axes and the blocks. The rows come in blocks computed
-    on the slab pool. A block is valid until the next one is asked for: the
-    workers' buffers are reused. After the last block the generator raises
-    what wigner4 raises, or returns max |W|, taken from the blocks' minima and
-    maxima.
+    psi and params are as for wigner4, which is this transform over ("x",
+    "v") assembled; wigner3 takes ("v",) and wigner24 ("x",). A shift left out
+    is the single shift 0, so its dual axis has length 1 and is dropped from
+    the axes and the blocks. The rows come in blocks computed on the slab
+    pool, so W is never held whole (fieldfile.write_rows streams them to a
+    file). A block is valid only until the next one is asked for: the
+    workers' buffers are reused, so copy a block to keep it. After the last
+    block the generator raises what wigner4 raises, or returns max |W|, taken
+    from the blocks' minima and maxima.
     """
     plan = TransformPlan.for_psi(psi, params)
     ax, av = psi.axes
@@ -177,7 +179,8 @@ def _transform_rows(psi: ComplexField, params, shifts):
                     np.multiply(mi[..., i + m : i : -1], pl[..., i - m : i], out=part[..., nq - m :])
                 np.fft.ifft(part, axis=2, norm="forward", out=part)
                 np.fft.fft(part, axis=1, out=part)
-                max_imag = max(max_imag, _max_abs(part.imag))
+                # max_abs, spelled out: a slab task calls no public function
+                max_imag = max(max_imag, float(part.imag.max()), -float(part.imag.min()))
                 # part is (v, vdot, vddot), the last two in FFT order; fftshift is a swap of quadrants
                 re = part.real
                 for src_r, dst_r in _swapped_halves(nr):

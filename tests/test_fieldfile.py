@@ -1,6 +1,7 @@
 """Binary field persistence and CSV slicing."""
 
 import itertools
+import math
 import os
 import stat
 import struct
@@ -73,10 +74,20 @@ def test_complex_round_trip_is_bit_exact(tmp_path):
     assert again.data.tobytes() == psi.data.tobytes()
 
 
+MAX_DOUBLE = 1.7976931348623157e308
+
 # finite doubles, drawn often at the awkward ones: signed zeros, subnormals and the largest magnitudes
-FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-                                    1.7976931348623157e308, -1.7976931348623157e308]),
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, MAX_DOUBLE, -MAX_DOUBLE]),
                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def valid_axes(draw, name):
+    """An axis that make_axis builds: distinct finite bounds whose step (max - min) / n is finite and positive."""
+    n = draw(st.sampled_from([4, 6, 8]))
+    lo, hi = draw(st.lists(FINITE, min_size=2, max_size=2, unique=True).map(sorted)
+                  .filter(lambda b: 0.0 < (b[1] - b[0]) / n < math.inf))
+    return make_axis(name, lo, hi, n)
 
 
 @settings(max_examples=60)
@@ -84,9 +95,7 @@ FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.22507385850720
 def test_round_trips_are_bit_exact_on_generated_fields(tmp_path_factory, data):
     kind, dtype, parts = data.draw(st.sampled_from([(RealField, np.float64, 1), (ComplexField, np.complex128, 2)]))
     rank = data.draw(st.integers(1, 4 if kind is RealField else 2))
-    axes = tuple(make_axis(name, *sorted(data.draw(st.lists(FINITE, min_size=2, max_size=2, unique=True))),
-                           data.draw(st.sampled_from([4, 6, 8])))
-                 for name in data.draw(st.permutations(AXIS_NAMES))[:rank])
+    axes = tuple(data.draw(valid_axes(name)) for name in data.draw(st.permutations(AXIS_NAMES))[:rank])
     values = data.draw(arrays(np.float64, (*(a.n for a in axes), parts), elements=FINITE))
     field = kind(axes, values.view(dtype)[..., 0])
     # a fresh file per example: a field from an earlier example may still map its file
@@ -103,8 +112,9 @@ def test_write_rejects_non_fields(tmp_path):
         write_field(np.zeros(4), tmp_path / "nope.fld")
 
 
-@pytest.mark.parametrize("axis", [AxisGrid("x", 5, 0.0, 1.0), AxisGrid("q", 4, 0.0, 1.0), AxisGrid("x", 4, 1.0, 0.0)],
-                         ids=["odd n", "unknown name", "max below min"])
+@pytest.mark.parametrize("axis", [AxisGrid("x", 5, 0.0, 1.0), AxisGrid("q", 4, 0.0, 1.0), AxisGrid("x", 4, 1.0, 0.0),
+                                  AxisGrid("x", 4, -MAX_DOUBLE, MAX_DOUBLE), AxisGrid("x", 4, 0.0, 5e-324)],
+                         ids=["odd n", "unknown name", "max below min", "infinite step", "zero step"])
 def test_write_refuses_axes_that_read_refuses(tmp_path, axis):
     # the containers refuse these axes too, so build one past their checks; write_field checks on its own
     field = RealField._trusted((axis,), np.arange(float(axis.n)))
@@ -222,9 +232,10 @@ def test_axis_bounds_validation_maps_to_format_error(tmp_path):
     write_field(field, path)
     good = path.read_bytes()
     # axis block: off 12 is name len (1), 13 name, 14..21 n, 22..29 min, 30..37 max
-    swapped = good[:22] + struct.pack("<dd", 2.0, 1.0) + good[38:]
-    with pytest.raises(FieldFormatError):
-        read_field(corrupt(tmp_path / "bad.fld", swapped))
+    # swapped bounds, a span that overflows to an infinite step, and one whose quarter underflows to a zero step
+    for lo, hi in ((2.0, 1.0), (-MAX_DOUBLE, MAX_DOUBLE), (0.0, 5e-324)):
+        with pytest.raises(FieldFormatError, match="invalid axis"):
+            read_field(corrupt(tmp_path / "bad.fld", good[:22] + struct.pack("<dd", lo, hi) + good[38:]))
 
 
 @pytest.fixture(scope="module")

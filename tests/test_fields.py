@@ -45,6 +45,8 @@ def test_axis_points_are_endpoint_exclusive():
         ("x", 2.0, 1.0, 8),
         ("x", 0.0, math.inf, 8),
         ("x", math.nan, 1.0, 8),
+        ("x", -1.7976931348623157e308, 1.7976931348623157e308, 4),  # the span overflows: the step is inf
+        ("x", 0.0, 5e-324, 4),  # the step underflows to 0
     ],
 )
 def test_make_axis_rejects_bad_arguments(name, lo, hi, n):
@@ -85,8 +87,11 @@ def test_fields_are_immutable_and_shape_checked():
 
 
 @pytest.mark.parametrize("axis", [AxisGrid("x", 8, 1.0, 0.0), AxisGrid("x", 7, 0.0, 1.0), AxisGrid("q", 8, 0.0, 1.0),
-                                  AxisGrid("x", 8, 0.0, math.inf)],
-                         ids=["reversed bounds", "odd n", "unknown name", "infinite bound"])
+                                  AxisGrid("x", 8, 0.0, math.inf),
+                                  AxisGrid("x", 4, -1.7976931348623157e308, 1.7976931348623157e308),
+                                  AxisGrid("x", 4, 0.0, 5e-324)],
+                         ids=["reversed bounds", "odd n", "unknown name", "infinite bound", "infinite step",
+                              "zero step"])
 def test_containers_refuse_axes_that_make_axis_refuses(axis):
     # on reversed bounds the step is negative, so a derivative or an integral comes out with the wrong sign
     axes = (axis, make_axis("v", 0.0, 1.0, 4))

@@ -39,7 +39,7 @@ from phasechain import (
     write_field,
 )
 from phasechain.cli import main
-from phasechain.fieldfile import _write_rows
+from phasechain.fieldfile import write_rows
 from phasechain.fields import _drop_rows, _FileMap, stencil_halfwidth
 
 from conftest import child_env
@@ -258,7 +258,7 @@ def test_a_failed_stream_leaves_the_target_as_it_was(psi_path, tmp_path, monkeyp
 def test_rows_that_do_not_fill_the_axes_make_no_file(tmp_path):
     axes = (make_axis("x", 0.0, 1.0, 4), make_axis("v", 0.0, 1.0, 4))
     with pytest.raises(ValidationError, match="payload of 96 bytes"):
-        _write_rows(RealField, axes, iter([np.zeros((3, 4))]), tmp_path / "f.fld")
+        write_rows(RealField, axes, iter([np.zeros((3, 4))]), tmp_path / "f.fld")
     assert os.listdir(tmp_path) == []
 
 

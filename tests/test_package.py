@@ -55,6 +55,34 @@ def test_every_imported_name_is_used(path):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
+@pytest.mark.parametrize("stem", ["cli", "checks"])
+def test_the_cli_and_the_checks_read_only_public_names_of_other_modules(stem):
+    # the paths they run are reachable from the public API: no `from .m import _x` and no `m._x` on a package module
+    package = Path(phasechain.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    tree = ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
+    bound, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "phasechain"):
+            for alias in node.names:
+                if alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname for alias in node.names
+                         if alias.asname and alias.name.removeprefix("phasechain.") in modules)
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+                and node.attr.startswith("_") and not node.attr.endswith("__")]
+    assert private == []
+
+
+@pytest.mark.parametrize("name", sorted(phasechain._ORIGIN))
+def test_every_export_has_a_docstring(name):
+    assert (getattr(phasechain, name).__doc__ or "").strip()
+
+
 def test_every_module_level_function_and_class_is_exported_or_used():
     # a helper, constant or table that no module lists in __all__ or reads (as a name or an attribute) is dead code
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))

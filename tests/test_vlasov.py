@@ -18,6 +18,7 @@ from phasechain import (
     StencilScheme,
     ValidationError,
     accel_flux_124_from_w4,
+    chain_residual,
     dissipation_report,
     divergence_series_gap,
     integrate_axis,
@@ -40,7 +41,6 @@ from phasechain import (
     w1234_field,
     w12_field,
 )
-import phasechain.cli as cli_mod
 import phasechain.fields as fields_mod
 import phasechain.vlasov as vlasov_mod
 from phasechain.fields import partial_derivative
@@ -174,7 +174,7 @@ def test_the_vlasov124_fluxes_of_one_pass_are_the_single_flux_functions(monkeypa
         return residual(kind, f, fluxes, *args)
 
     monkeypatch.setattr(vlasov_mod, "vlasov_residual", recorded)
-    cli_mod._chain_residual("vlasov124", w4, u, pm, ORDER4, 1e-3)
+    vlasov_mod.chain_residual("w124", w4, u, pm, ORDER4, 1e-3)
     for shared, single in ((seen["v"], mean_flux_from_w4(w4, "124-vel", pm, 1e-3)),
                            (seen["vddot"], accel_flux_124_from_w4(w4, u, pm, ORDER4, 1e-3))):
         assert shared.kind == single.kind and shared.threshold == single.threshold
@@ -182,6 +182,45 @@ def test_the_vlasov124_fluxes_of_one_pass_are_the_single_flux_functions(monkeypa
         for got, want in ((shared.values.data, single.values.data), (shared.mask, single.mask),
                           (shared.density.data, single.density.data)):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("member", ["w123", "w124", "w12"])
+def test_a_chain_residual_is_its_fluxes_residual_on_the_box_eroded_support(member):
+    # W vanishes on the (x, v) column (3, 4) and on the vdot line (5, 5, :, 6), so every member's density has a hole
+    # inside its valid region, and w124's a hole in (v, vddot), where a box erosion and a cross erosion differ
+    data = np.random.default_rng(4).uniform(-0.2, 1.0, (10,) * 4)
+    data[3, 4] = data[5, 5, :, 6] = 0.0
+    w4 = RealField(tuple(make_axis(name, -4.0, 4.0, 10) for name in ("x", "v", "vdot", "vddot")), data)
+    pm, u, threshold = PhysParams(m=1.3), PolynomialPotential(((2, 0, 0.5), (4, 0, 0.1))), 0.1
+    if member == "w124":
+        fluxes = {"v": mean_flux_from_w4(w4, "124-vel", pm, threshold),
+                  "vddot": accel_flux_124_from_w4(w4, u, pm, ORDER4, threshold)}
+    else:
+        fluxes = {{"w123": "vdot", "w12": "v"}[member]:
+                  mean_flux_from_w4(w4, {"w123": "123-accel", "w12": "12-vel"}[member], pm, threshold)}
+    first = next(iter(fluxes.values()))
+    density, w = first.density, fields_mod.stencil_halfwidth(1, ORDER4.order)
+
+    def box(mask):  # eroded along one flux axis, then the next: a box around each node
+        for axis in fluxes:
+            mask = erode_by_shifts(mask, density.axis_index(axis), w)
+        return mask
+
+    res, dens, valid = chain_residual(member, w4, u, pm, ORDER4, threshold)
+    assert res.axes == dens.axes == density.axes
+    assert res.data.tobytes() == vlasov_residual(member, density, fluxes, pm, ORDER4, u).data.tobytes()
+    assert dens.data.tobytes() == density.data.tobytes()
+    assert valid.dtype == bool and valid.tobytes() == box(first.mask).tobytes()
+    assert valid.any() and not np.array_equal(valid, box(np.ones_like(valid)))
+    if member == "w124":  # the dissipation balance ANDs the erosions of the unmoved mask: a cross, not a box
+        cross = first.mask & erode_by_shifts(first.mask, 1, w) & erode_by_shifts(first.mask, 2, w)
+        assert not np.array_equal(valid, cross)
+
+
+@pytest.mark.parametrize("member", ["chain4", "vlasov124", "w1234"])
+def test_a_chain_residual_refuses_an_unknown_member(member):
+    with pytest.raises(ValidationError, match="unknown chain member"):
+        chain_residual(member, signed_w4(), U_HO, P, ORDER4)
 
 
 @pytest.mark.parametrize("kind", ["124-accel", "123-accel", "124-vel", "12-vel"])

@@ -30,7 +30,7 @@ from phasechain import (
     wigner4_marginal_to_3,
     wigner24,
 )
-from phasechain.fields import _max_abs
+from phasechain.fields import max_abs
 
 P = PhysParams()
 AXES = (make_axis("x", -8.0, 8.0, 64), make_axis("v", -8.0, 8.0, 64))
@@ -205,7 +205,7 @@ def gather_wigner4(psi, params):
     for i in range(nx):
         ker = np.conj(padded[rows_minus + i, colm]) * padded[rows_plus + i, colp]
         spec = np.fft.fft(np.fft.ifft(ker, axis=0, norm="forward"), axis=2)
-        max_imag = max(max_imag, _max_abs(spec.imag))
+        max_imag = max(max_imag, max_abs(spec.imag))
         re = np.moveaxis(spec.real, 0, 2)
         for src_r, dst_r in halves(hv):
             for src_q, dst_q in halves(hx):
@@ -219,7 +219,7 @@ def test_wigner4_equals_the_gather_oracle_bit_for_bit(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     psi = ComplexField(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     ref, residue = gather_wigner4(psi, P)
-    assert residue <= 1e-10 * _max_abs(ref)
+    assert residue <= 1e-10 * max_abs(ref)
     assert wigner4(psi, P).data.tobytes() == ref.tobytes()
 
 
@@ -266,7 +266,7 @@ def gather_single(psi, params, axis):
     ker = np.fft.ifftshift(np.conj(padded[:, j + n - lp]) * padded[:, j + lp], axes=2)
     spec = np.fft.fft(ker, axis=2) if axis else np.fft.ifft(ker, axis=2) * n
     spec = np.moveaxis(np.fft.fftshift(spec, axes=2), 1, axis) * pref  # (x, v, dual)
-    return np.ascontiguousarray(spec.real), _max_abs(spec.imag)
+    return np.ascontiguousarray(spec.real), max_abs(spec.imag)
 
 
 @pytest.mark.parametrize("shape", [(4, 8), (8, 4), (16, 32), (32, 16)])
@@ -277,7 +277,7 @@ def test_single_transforms_equal_the_gather_oracle(shape):
     psi = ComplexField(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     for transform, axis in ((wigner3, 1), (wigner24, 0)):
         ref, residue = gather_single(psi, P, axis)
-        assert residue <= 1e-10 * _max_abs(ref)
+        assert residue <= 1e-10 * max_abs(ref)
         assert np.array_equal(transform(psi, P).data, ref), transform.__name__
 
 
