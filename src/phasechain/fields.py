@@ -186,18 +186,18 @@ class ComplexField(_BaseField):
 
 def sample_real(func, axes) -> RealField:
     """Sample a real-valued callable on the tensor grid of the given axes."""
-    axes = _check_axes(axes, 1, 4)
-    grids = np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True)
-    data = np.broadcast_to(func(*grids), tuple(a.n for a in axes))
-    return RealField(axes, np.array(data, dtype=np.float64))
+    return _sample(RealField, func, axes)
 
 
 def sample_complex(func, axes) -> ComplexField:
     """Sample a complex-valued callable on the tensor grid of the given axes."""
-    axes = _check_axes(axes, 1, 2)
-    grids = np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True)
-    data = np.broadcast_to(func(*grids), tuple(a.n for a in axes))
-    return ComplexField(axes, np.array(data, dtype=np.complex128))
+    return _sample(ComplexField, func, axes)
+
+
+def _sample(cls, func, axes):
+    axes = _check_axes(axes, *cls._rank_range)
+    data = func(*np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True))
+    return cls(axes, np.array(np.broadcast_to(data, tuple(a.n for a in axes)), dtype=cls._dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +226,18 @@ class StencilScheme:
             raise ValidationError(f"stencil step must be positive, got {self.h}")
 
 
+@lru_cache(maxsize=None)
 def stencil_coefficients(power: int, order: int) -> tuple[float, ...]:
     """Symmetric central-difference weights for d^power/dx^power, given accuracy order.
 
-    Solved exactly over rationals (sum_j c_j j^k = power! * delta_{k,power} for
-    k = 0..2w) so polynomial exactness up to degree 2w survives the float cast.
+    Solved exactly over rationals, once per pair (sum_j c_j j^k = power! * delta_{k,power}
+    for k = 0..2w), so polynomial exactness up to degree 2w survives the float cast.
     Weights are returned unscaled; divide by h**power at application time.
     """
     if not (1 <= power <= MAX_DERIVATIVE_POWER):
         raise ValidationError(f"derivative power must be in [1, {MAX_DERIVATIVE_POWER}], got {power}")
     if order not in _STENCIL_ORDERS:
         raise ValidationError(f"stencil order must be one of {_STENCIL_ORDERS}, got {order}")
-    return _stencil_weights(power, order)
-
-
-@lru_cache(maxsize=None)
-def _stencil_weights(power: int, order: int) -> tuple[float, ...]:
-    """stencil_coefficients for a valid power and order, solved once per pair."""
     w = stencil_halfwidth(power, order)
     size = 2 * w + 1
     # rows: moment conditions sum_j c_j j^k = power! delta_{k,power}
@@ -269,11 +264,12 @@ def stencil_halfwidth(power: int, order: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _band_matrix(n: int, coeffs: tuple[float, ...]) -> Array:
+def _band_matrix(n: int, power: int, order: int) -> Array:
     """n x n stencil weights: row i (output node) holds c_j in column i + j (source node).
 
     Taps that fall off the grid have no column, which is zero extension.
     """
+    coeffs = stencil_coefficients(power, order)
     w = len(coeffs) // 2
     mat = np.zeros((n, n))
     for j, c in zip(range(-w, w + 1), coeffs):
@@ -288,9 +284,9 @@ def _band_matrix(n: int, coeffs: tuple[float, ...]) -> Array:
 _BLAS_MADDS = 1 << 18
 
 
-def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, power: int,
-                              lo: int = 0, hi: int | None = None) -> Array:
-    """Zero-extended central difference along one array axis, for output indices [lo, hi).
+def _stencil(data: Array, axis: int, step: float, power: int, scheme: StencilScheme,
+             lo: int = 0, hi: int | None = None) -> Array:
+    """Zero-extended central d^power along array axis `axis` for output indices [lo, hi), step scheme.h or `step`.
 
     The stencil is a banded matrix product along `axis`: rows [lo, hi) of the
     n x n weight matrix times the on-grid source nodes [lo - w, hi + w) of
@@ -300,42 +296,37 @@ def _apply_stencil_along_axis(data: Array, axis: int, coeffs, w: int, h: float, 
     result matches the zero-padded tap sum within 4 (2w+1) eps
     sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
     """
+    w = stencil_halfwidth(power, scheme.order)
     n = data.shape[axis]
     hi = n if hi is None else hi
     a, b = max(lo - w, 0), min(hi + w, n)
-    band = _band_matrix(n, tuple(coeffs))[lo:hi, a:b]
+    band = _band_matrix(n, power, scheme.order)[lo:hi, a:b]
     pre, post = math.prod(data.shape[:axis]), math.prod(data.shape[axis + 1 :])
     src = data.reshape(pre, n, post)[:, a:b]
-    shape = list(data.shape)
-    shape[axis] = hi - lo
-    out = np.empty(shape, dtype=np.result_type(data, band))
+    out = np.empty(data.shape[:axis] + (hi - lo,) + data.shape[axis + 1 :], dtype=np.result_type(data, band))
     dst = out.reshape(pre, hi - lo, post)
     per_call = max(1, _BLAS_MADDS // band.size)
     if post > 1:
-        _band_columns(band, src, dst, min(per_call, post))
+        # dst[p, :, cols] = band @ src[p, :, cols], batched over p and blocks of `cols` columns (the last one shorter)
+        cols = min(per_call, post)
+        cut = post - post % cols
+
+        def blocks(x):
+            return x[..., :cut].reshape(pre, x.shape[1], cut // cols, cols).transpose(0, 2, 1, 3)
+
+        np.matmul(band, blocks(src), out=blocks(dst))
+        if cut < post:
+            np.matmul(band, src[..., cut:], out=dst[..., cut:])
     else:
-        # the last axis: out = src @ band.T, batched over blocks of `step` rows
-        src, dst, step = src[..., 0], dst[..., 0], min(per_call, pre)
+        # the last axis: out = src @ band.T, batched over blocks of `rows` rows
+        src, dst, rows = src[..., 0], dst[..., 0], min(per_call, pre)
         band_t = band.T.copy()  # gemm on the transposed view ran 1.6x slower at 64^4
-        cut = pre - pre % step
-        np.matmul(src[:cut].reshape(-1, step, b - a), band_t, out=dst[:cut].reshape(-1, step, hi - lo))
+        cut = pre - pre % rows
+        np.matmul(src[:cut].reshape(-1, rows, b - a), band_t, out=dst[:cut].reshape(-1, rows, hi - lo))
         if cut < pre:
             np.matmul(src[cut:], band_t, out=dst[cut:])
-    out /= h**power
+    out /= (step if scheme.h is None else scheme.h) ** power
     return out
-
-
-def _band_columns(band: Array, src: Array, dst: Array, step: int) -> None:
-    """dst[p, :, cols] = band @ src[p, :, cols], batched over p and blocks of `step` columns (the last one shorter)."""
-    pre, _, cols = src.shape
-    cut = cols - cols % step
-
-    def blocks(x):
-        return x[..., :cut].reshape(pre, x.shape[1], cut // step, step).transpose(0, 2, 1, 3)
-
-    np.matmul(band, blocks(src), out=blocks(dst))
-    if cut < cols:
-        np.matmul(band, src[..., cut:], out=dst[..., cut:])
 
 
 def max_abs(data: Array) -> float:
@@ -349,17 +340,9 @@ def _slab_extrema(data: Array):
     Bound by memory bandwidth: max reads what min left in cache, and 2 slab workers were slower than one thread.
     """
     flat = data.view(np.float64)
-    for lo, hi in _x_slabs(flat):
+    for lo, hi in _row_slabs(len(flat), flat[0].nbytes):
         yield flat[lo:hi].min(), flat[lo:hi].max()
         _drop_rows(flat, lo, hi)
-
-
-def _stencil(data: Array, k: int, step: float, power: int, scheme: StencilScheme,
-             lo: int = 0, hi: int | None = None) -> Array:
-    """Partial along array axis k (grid step `step`) on index range [lo, hi) of that axis."""
-    h = scheme.h if scheme.h is not None else step
-    return _apply_stencil_along_axis(data, k, _stencil_weights(power, scheme.order),
-                                     stencil_halfwidth(power, scheme.order), h, power, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +364,8 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _x_slabs(data: Array):
-    """[lo, hi) ranges over axis 0; the workers' slabs together hold about 1 MiB of `data` (at least a row each)."""
-    return _row_slabs(data.shape[0], data[0].nbytes)
-
-
 def _row_slabs(n: int, row_bytes: int):
-    """_x_slabs of an array of n rows of row_bytes each."""
+    """[lo, hi) over n rows of row_bytes each; the workers' slabs together hold about 1 MiB, at least a row each."""
     rows = max(1, _SLAB_BYTES // (_workers() * row_bytes))
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
@@ -521,7 +499,7 @@ def _map_rows(task, data: Array, halo: int):
     a loop over a mapped field keeps only the rows in flight and their halo
     resident.
     """
-    ranges = _x_slabs(data)
+    ranges = _row_slabs(len(data), data[0].nbytes)
     done = 0
     for (_, hi), value in zip(ranges, _map_slabs(task, ranges)):
         yield value
@@ -562,7 +540,7 @@ def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilS
     if not isinstance(field, (RealField, ComplexField)):
         raise ValidationError(f"expected a field, got {type(field)!r}")
     k = field.axis_index(axis)
-    return type(field)._trusted(field.axes, _stencil(field.data, k, field.axes[k].step, power, scheme))
+    return type(field)(field.axes, _stencil(field.data, k, field.axes[k].step, power, scheme))
 
 
 def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
@@ -575,9 +553,9 @@ def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
     k = field.axis_index(axis)
     total, = _axis_sums(field.data, k, weight * field.axes[k].step)
     rest = field.axes[:k] + field.axes[k + 1 :]
-    if not rest:
-        return float(total)
-    return type(field)(rest, total)
+    if not (rest or np.isfinite(total)):  # a rank >= 2 result is checked by its constructor
+        raise ValidationError("field data contains non-finite values")
+    return type(field)(rest, total) if rest else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +596,13 @@ class PointwiseField:
                 return np.asarray(out, dtype=np.float64)
         if scheme.h is None:
             raise ValidationError("pointwise derivatives need an explicit stencil step h")
-        h = scheme.h
+        h, total = scheme.h, sum(powers)
+        try:
+            scale = 1.0 / h**total
+        except (OverflowError, ZeroDivisionError):  # h**total overflows, or underflows to 0
+            scale = math.inf
+        if not scale < math.inf:
+            raise NumericError(f"pointwise stencil scale 1 / h**{total} leaves the float range at h = {h!r}")
         active = [(k, stencil_coefficients(p, scheme.order), stencil_halfwidth(p, scheme.order))
                   for k, p in enumerate(powers) if p > 0]
         # one shifted-coordinate buffer per active axis, refilled for every tap; the
@@ -636,7 +620,7 @@ class PointwiseField:
             if weight == 0.0:
                 continue
             out += np.multiply(np.asarray(self.func(*shifted), dtype=np.float64), weight, out=tap)
-        out *= 1.0 / h ** sum(powers)
+        out *= scale
         return out
 
     def _coerce(self, coords):

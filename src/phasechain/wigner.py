@@ -44,9 +44,6 @@ __all__ = list(_EXPORTS["wigner"])
 
 IMAG_RESIDUE_LIMIT = 1e-10
 
-# about the bytes of each worker's kernel buffer: a row's kernel is transformed in chunks of v-rows this big
-_KERNEL_BYTES = 1 << 19
-
 
 @dataclass(frozen=True)
 class TransformPlan:
@@ -154,9 +151,9 @@ def transform_rows(psi: ComplexField, params, shifts):
     col, centered = np.arange(nv)[:, None], (np.arange(nr) + nv // 2) % nv
     minus = np.ascontiguousarray(np.moveaxis(np.conj(padded[:, col + nv - centered]), 0, 2))
     plus = np.ascontiguousarray(np.moveaxis(padded[:, col + centered], 0, 2))
-    # one kernel buffer per task in flight, for a chunk of about _KERNEL_BYTES of v-rows at a time (at
-    # least one, at most all); both FFTs overwrite it in place, and each v-row's FFT lines are its own
-    chunk = min(nv, max(1, _KERNEL_BYTES // (16 * nr * nq)))
+    # one kernel buffer per task in flight, for one slab of the kernel's v-rows at a time (at least one, at
+    # most all); both FFTs overwrite it in place, and each v-row's FFT lines are its own
+    chunk = _row_slabs(nv, 16 * nr * nq)[0][1]
     kernels = [np.empty((chunk, nr, nq), dtype=np.complex128) for _ in range(_workers())]
     # one block buffer per task in flight, the caller's block counting as one
     ranges = _row_slabs(nx, nv * nr * nq * 8)

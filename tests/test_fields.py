@@ -1,6 +1,7 @@
 """Grid containers and the finite-difference layer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from phasechain.fields import (
     AxisGrid,
     ComplexField,
+    NumericError,
     PointwiseField,
     RealField,
     StencilScheme,
@@ -202,6 +204,20 @@ def test_integrate_axis_weight_and_rank_exhaustion():
     assert total == pytest.approx(6.0)
 
 
+# the CLI runs under np.errstate(all="ignore"), so an overflow warns nowhere and only the result's check is left
+
+def test_a_derivative_that_overflows_is_refused():
+    f = RealField((make_axis("x", -1.0, 1.0, 8),), np.full(8, 1e308))
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        partial_derivative(f, "x", 2, StencilScheme(order=4))
+
+
+def test_an_integral_that_overflows_is_refused():
+    f = RealField((make_axis("x", -1.0, 1.0, 8),), np.full(8, 1e308))
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        integrate_axis(f, "x")
+
+
 # --- pointwise fields --------------------------------------------------------
 
 def test_pointwise_derivative_matches_analytic():
@@ -239,6 +255,11 @@ def test_pointwise_requires_explicit_step_and_valid_powers():
         f.derivative((1, 1), (np.array([0.0]),), StencilScheme(order=4, h=0.1))
     with pytest.raises(ValidationError):
         PointwiseField(lambda x: x, 5)
+    # 1 / h**6 leaves the float range: h**6 underflows to 0, overflows, or is subnormal with an infinite inverse
+    constant = PointwiseField(lambda x: np.ones_like(x), 1)
+    for h in (1e-60, 1e60, 1e-52):
+        with pytest.raises(NumericError, match=re.escape(f"h**6 leaves the float range at h = {h!r}")):
+            constant.derivative((6,), (np.array([0.0]),), StencilScheme(order=4, h=h))
 
 
 def test_scheme_validation():

@@ -179,6 +179,28 @@ def test_every_export_resolves_to_its_module_attribute():
         phasechain.no_such_name  # noqa: B018
 
 
+def traced_targets() -> list:
+    """(module, function) of each row of TARGETS in benchmarks/tracer.py, read from its source, not imported."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    return [tuple(ast.literal_eval(cell) for cell in row.elts[:2]) for row in table.elts]
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # the traced benchmark pass wraps these by name, and a renamed one would fail only there
+    targets = traced_targets()
+    assert ("wigner", "wigner4") in targets
+    missing = []
+    for module, name in targets:
+        function = getattr(importlib.import_module(f"phasechain.{module}"), name, None)
+        library = module in phasechain._EXPORTS
+        if not callable(function) or library and getattr(phasechain, name, None) is not function:
+            missing.append(f"{module}.{name}")
+    assert missing == []
+    assert callable(phasechain.PointwiseField.derivative)
+
+
 def test_star_import_and_dir_list_the_exports():
     namespace = {}
     exec("from phasechain import *", namespace)

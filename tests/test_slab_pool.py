@@ -42,7 +42,6 @@ from phasechain import (
     moyal_residual_slabs,
     moyal_rhs,
     read_field,
-    stencil_coefficients,
     transport_lhs,
     vlasov_moyal_accel_flux,
     vlasov_residual,
@@ -52,7 +51,7 @@ from phasechain import (
     write_field,
 )
 from phasechain.cli import main
-from phasechain.fields import _apply_stencil_along_axis, _map_slabs, _x_slabs, stencil_halfwidth
+from phasechain.fields import _map_slabs, _row_slabs, _stencil
 
 from conftest import child_env
 
@@ -268,7 +267,7 @@ def test_slabs_split_the_budget_among_the_workers(monkeypatch):
     heights = {}
     for n in (1, 2, 3, 16):
         set_workers(monkeypatch, n)
-        heights[n] = {hi - lo for lo, hi in _x_slabs(data)[:-1]}
+        heights[n] = {hi - lo for lo, hi in _row_slabs(len(data), data[0].nbytes)[:-1]}
     assert heights == {1: {8}, 2: {4}, 3: {2}, 16: {1}}
 
 
@@ -284,9 +283,8 @@ def test_stencil_bits_do_not_depend_on_source_alignment(monkeypatch, w4, axis, m
     assert not unaligned.flags.aligned
     n = SHAPE[axis]
     for power, order in ((1, 4), (3, 6)):
-        coeffs, w = stencil_coefficients(power, order), stencil_halfwidth(power, order)
         for lo, hi in ((0, n), (1, 4), (n - 2, n)):
-            results = [_apply_stencil_along_axis(data, axis, coeffs, w, 0.5, power, lo, hi)
+            results = [_stencil(data, axis, 0.5, power, StencilScheme(order=order), lo, hi)
                        for data in (w4.data, unaligned)]
             assert same_bytes(results), (power, order, lo, hi)
 
@@ -306,7 +304,7 @@ def test_wigner4_bytes_do_not_depend_on_the_worker_count(monkeypatch, shape):
         assert same_bits(got, ref), n
         del got
     set_workers(monkeypatch, 2)
-    assert len(_x_slabs(ref)) > 1
+    assert len(_row_slabs(len(ref), ref[0].nbytes)) > 1
 
 
 def test_moyal_slabs_do_not_depend_on_the_worker_count(monkeypatch, w4):
@@ -427,7 +425,8 @@ def test_no_runtime_warning_escapes_the_cli_on_a_multi_slab_field(monkeypatch, t
         warnings.simplefilter("always")
         assert main(["gen-ho", "--nx", "32", "--nv", "32", "--out", str(psi)]) == 0
         assert main(["wigner", "--in", str(psi), "--out", str(w4_path)]) == 0
-        assert len(_x_slabs(read_field(w4_path).data)) > 1
+        w4 = read_field(w4_path).data
+        assert len(_row_slabs(len(w4), w4[0].nbytes)) > 1
         codes = [main(["residual", "--in", str(w4_path), "--potential", str(pot), "--mode", mode])
                  for mode in ("psi-moyal", "vlasov124")]
     assert not caught, [str(w.message) for w in caught]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasechain.fields as fields_mod
-import phasechain.wigner as wigner_mod
 from phasechain import (
     ComplexField,
     NumericError,
@@ -237,7 +236,7 @@ def test_any_kernel_chunk_gives_the_gather_oracle_bit_for_bit(monkeypatch, worke
     fields_mod._workers.cache_clear()
     try:
         for transform, v_row, ref in cases:
-            monkeypatch.setattr(wigner_mod, "_KERNEL_BYTES", v_rows * 16 * v_row)
+            monkeypatch.setattr(fields_mod, "_SLAB_BYTES", v_rows * 16 * v_row * workers)
             got = transform(psi, P).data
             assert np.array_equal(got, ref), transform.__name__
             assert transform is not wigner4 or got.tobytes() == ref.tobytes()
