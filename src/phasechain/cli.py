@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    # every BLAS call is sized to run on its calling thread (fields._BLAS_MADDS) and the slab pool is the only
+    # parallelism, so OpenBLAS's own threads would get no work, only spin; OpenBLAS reads this when NumPy loads
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

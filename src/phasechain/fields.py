@@ -279,53 +279,77 @@ def _band_matrix(n: int, power: int, order: int) -> Array:
     return mat
 
 
-# OpenBLAS runs a gemm call of <= 64^3 multiply-adds on its calling thread, so each slab worker does its
-# own BLAS calls; bigger calls start OpenBLAS's own pool on 2 cores: 0.58 s pool start, 2x CPU
+def _step_power(h: float, power: int) -> float:
+    """h**power, the divisor of a d^power stencil; NumericError where 1 / h**power leaves the float range."""
+    try:
+        scale = float(h) ** power
+        inverse = 1.0 / scale
+    except (OverflowError, ZeroDivisionError):  # h**power overflows, or underflows to 0
+        inverse = math.inf
+    if not inverse < math.inf:
+        raise NumericError(f"stencil scale 1 / h**{power} leaves the float range at h = {h!r}")
+    return scale
+
+
+# OpenBLAS runs a gemm call of <= 64^3 multiply-adds on its calling thread (bigger calls woke its pool on 2 cores:
+# 0.58 s pool start, 2x CPU), so each slab worker makes its own BLAS calls and the pool gets no work. The CLI
+# starts no pool at all: it sets OPENBLAS_NUM_THREADS=1 before NumPy loads
 _BLAS_MADDS = 1 << 18
+# output rows per band block on every axis but the last, where a block reads only its 8 + 2w source rows: on one
+# 128^3 x-row (1 CPU) d/dv took 6.4 ms and d/dvdot 8.3 ms, against 90 and 20 ms for whole band rows. Along the
+# last axis 8-row blocks took 27 ms against 20 ms for the whole band, which it keeps
+_BAND_ROWS = 8
 
 
 def _stencil(data: Array, axis: int, step: float, power: int, scheme: StencilScheme,
              lo: int = 0, hi: int | None = None) -> Array:
     """Zero-extended central d^power along array axis `axis` for output indices [lo, hi), step scheme.h or `step`.
 
-    The stencil is a banded matrix product along `axis`: rows [lo, hi) of the
-    n x n weight matrix times the on-grid source nodes [lo - w, hi + w) of
-    `data`, read in place, so neither a halo nor a padded copy is made. The
-    free dimensions are cut into batches of BLAS calls of at most
-    _BLAS_MADDS multiply-adds each. BLAS orders each sum its own way, so a
-    result matches the zero-padded tap sum within 4 (2w+1) eps
-    sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
+    The stencil is a banded matrix product along `axis`: rows of the n x n
+    weight matrix times the on-grid source nodes they reach, read in place,
+    so neither a halo nor a padded copy is made. On every axis but the last,
+    [lo, hi) is cut into blocks of _BAND_ROWS rows, and block [r0, r1) takes
+    band columns and source rows [r0 - w, r1 + w) only; the last axis takes
+    rows [lo, hi) of the band whole. The free dimensions are cut into
+    batches of BLAS calls of at most _BLAS_MADDS multiply-adds each. BLAS
+    orders each sum its own way, so a result matches the zero-padded tap sum
+    within 4 (2w+1) eps sum_j |c_j| |data[i+j]| / h**power, not bit for bit.
     """
     w = stencil_halfwidth(power, scheme.order)
     n = data.shape[axis]
     hi = n if hi is None else hi
-    a, b = max(lo - w, 0), min(hi + w, n)
-    band = _band_matrix(n, power, scheme.order)[lo:hi, a:b]
+    scale = _step_power(step if scheme.h is None else scheme.h, power)
+    weights = _band_matrix(n, power, scheme.order)
     pre, post = math.prod(data.shape[:axis]), math.prod(data.shape[axis + 1 :])
-    src = data.reshape(pre, n, post)[:, a:b]
-    out = np.empty(data.shape[:axis] + (hi - lo,) + data.shape[axis + 1 :], dtype=np.result_type(data, band))
+    src = data.reshape(pre, n, post)
+    out = np.empty(data.shape[:axis] + (hi - lo,) + data.shape[axis + 1 :], dtype=np.result_type(data, weights))
     dst = out.reshape(pre, hi - lo, post)
-    per_call = max(1, _BLAS_MADDS // band.size)
     if post > 1:
-        # dst[p, :, cols] = band @ src[p, :, cols], batched over p and blocks of `cols` columns (the last one shorter)
-        cols = min(per_call, post)
-        cut = post - post % cols
-
-        def blocks(x):
+        # dst[p, rows, cols] = band @ src[p, a:b, cols] for each block of rows, batched over p and blocks
+        # of `cols` columns (the last one shorter)
+        def blocks(x, cut, cols):
             return x[..., :cut].reshape(pre, x.shape[1], cut // cols, cols).transpose(0, 2, 1, 3)
 
-        np.matmul(band, blocks(src), out=blocks(dst))
-        if cut < post:
-            np.matmul(band, src[..., cut:], out=dst[..., cut:])
+        for r0 in range(lo, hi, _BAND_ROWS):
+            r1 = min(r0 + _BAND_ROWS, hi)
+            a, b = max(r0 - w, 0), min(r1 + w, n)
+            band, s, d = weights[r0:r1, a:b], src[:, a:b], dst[:, r0 - lo : r1 - lo]
+            cols = min(max(1, _BLAS_MADDS // band.size), post)
+            cut = post - post % cols
+            np.matmul(band, blocks(s, cut, cols), out=blocks(d, cut, cols))
+            if cut < post:
+                np.matmul(band, s[..., cut:], out=d[..., cut:])
     else:
         # the last axis: out = src @ band.T, batched over blocks of `rows` rows
-        src, dst, rows = src[..., 0], dst[..., 0], min(per_call, pre)
-        band_t = band.T.copy()  # gemm on the transposed view ran 1.6x slower at 64^4
+        a, b = max(lo - w, 0), min(hi + w, n)
+        band_t = weights[lo:hi, a:b].T.copy()  # gemm on the transposed view ran 1.6x slower at 64^4
+        src, dst = src[:, a:b, 0], dst[..., 0]
+        rows = min(max(1, _BLAS_MADDS // band_t.size), pre)
         cut = pre - pre % rows
         np.matmul(src[:cut].reshape(-1, rows, b - a), band_t, out=dst[:cut].reshape(-1, rows, hi - lo))
         if cut < pre:
             np.matmul(src[cut:], band_t, out=dst[cut:])
-    out /= (step if scheme.h is None else scheme.h) ** power
+    out /= scale
     return out
 
 
@@ -596,13 +620,8 @@ class PointwiseField:
                 return np.asarray(out, dtype=np.float64)
         if scheme.h is None:
             raise ValidationError("pointwise derivatives need an explicit stencil step h")
-        h, total = scheme.h, sum(powers)
-        try:
-            scale = 1.0 / h**total
-        except (OverflowError, ZeroDivisionError):  # h**total overflows, or underflows to 0
-            scale = math.inf
-        if not scale < math.inf:
-            raise NumericError(f"pointwise stencil scale 1 / h**{total} leaves the float range at h = {h!r}")
+        h = scheme.h
+        scale = 1.0 / _step_power(h, sum(powers))
         active = [(k, stencil_coefficients(p, scheme.order), stencil_halfwidth(p, scheme.order))
                   for k, p in enumerate(powers) if p > 0]
         # one shifted-coordinate buffer per active axis, refilled for every tap; the

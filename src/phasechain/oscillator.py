@@ -224,6 +224,12 @@ def gamma_transport_residual(x, v, vdot, vddot, omega: float) -> Array:
 def w1234_analytic(x, v, vdot, vddot, p: PhysParams) -> Array:
     """Joint quasi-probability over (x, v, vdot, vddot); peak 1/pi^2 at the origin."""
     _require_consistent(p)
+    try:
+        peak = 1.0 / (math.pi * float(p.hbar2)) ** 2
+    except ZeroDivisionError:  # (pi hbar2)^2 underflows to 0
+        peak = math.inf
+    if peak == math.inf:
+        raise ValidationError(f"hbar2 = {p.hbar2:g} is too small: the peak 1/(pi hbar2)^2 overflows")
     value = _gamma_value(*(np.asarray(c, dtype=np.float64) for c in (x, v, vdot, vddot)), p.omega**2)
     # exp(-(s) value) / (pi hbar2)^2, each step in place on the fresh value array
     np.multiply(value, -(p.m / (p.hbar * p.omega)), out=value)

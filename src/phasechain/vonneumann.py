@@ -12,12 +12,14 @@ lives here; the module provides exact snapshots and residual checks.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _EXPORTS
-from .fields import Array, ValidationError, _read_table
+from .fields import Array, NumericError, ValidationError, _read_table
 
 __all__ = list(_EXPORTS["vonneumann"])
 
@@ -37,8 +39,9 @@ class ModeSet:
             raise ValidationError(f"need matching 1-d energies and coeffs, got {e.shape} and {c.shape}")
         if not (np.all(np.isfinite(e.view(np.float64))) and np.all(np.isfinite(c.view(np.float64)))):
             raise ValidationError("mode energies and coeffs must be finite")
-        if not (np.isfinite(self.hbar2) and self.hbar2 > 0):
-            raise ValidationError(f"hbar2 must be positive, got {self.hbar2}")
+        # every evolution divides by hbar2: a subnormal one has no finite reciprocal
+        if not (np.isfinite(self.hbar2) and self.hbar2 > 0 and 1.0 / float(self.hbar2) < math.inf):
+            raise ValidationError(f"hbar2 must be positive with a finite 1/hbar2, got {self.hbar2}")
         e.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "energies", e)
@@ -67,13 +70,25 @@ class ModeSet:
 
 def coefficients_at(modes: ModeSet, t: float) -> Array:
     """C_n(t) = c_n exp(-i E_n t / hbar2); |C_n| grows for Im E_n > 0."""
-    return modes.coeffs * np.exp(-1j * modes.energies * t / modes.hbar2)
+    with _in_range(modes, t, "C_n(t)"):
+        return modes.coeffs * np.exp(-1j * modes.energies * t / modes.hbar2)
 
 
 def density_matrix_at(modes: ModeSet, t: float) -> Array:
     """Pure-state density matrix rho_kn = C_k conj(C_n) (Hermitian, rank one)."""
     c = coefficients_at(modes, t)
-    return np.outer(c, np.conj(c))
+    with _in_range(modes, t, "rho(t)"):
+        return np.outer(c, np.conj(c))
+
+
+@contextlib.contextmanager
+def _in_range(modes: ModeSet, t: float, what: str):
+    """Raise NumericError naming t and hbar2 where the NumPy arithmetic inside overflows or turns invalid."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise NumericError(f"{what} leaves the float range at t = {t:g}, hbar2 = {modes.hbar2:g}") from None
 
 
 def rho_time_derivative(modes: ModeSet, t: float) -> Array:

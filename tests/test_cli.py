@@ -5,6 +5,8 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -18,6 +20,7 @@ from phasechain import checks, cli
 from phasechain.checks import SuiteReport
 from phasechain.cli import main
 from phasechain.fields import ComplexField
+from conftest import child_env
 
 
 @pytest.fixture(scope="module")
@@ -530,3 +533,18 @@ def test_every_flag_combination_ends_in_a_contract_exit(tiny, argv):
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() + out.getvalue()
     assert not caught, (argv, [str(w.message) for w in caught])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the process's threads in /proc/self/task")
+def test_the_cli_starts_no_blas_threads():
+    # OpenBLAS starts its pool as NumPy loads, up to OPENBLAS_NUM_THREADS threads capped at the CPU count
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="4")
+    code = "import phasechain.cli, os; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+    # the package alone, or the CLI imported after NumPy, leaves the environment as the caller set it
+    code = ("import os; before = dict(os.environ)\n"
+            "import phasechain; assert dict(os.environ) == before\n"
+            "import numpy, phasechain.cli; assert dict(os.environ) == before")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -212,6 +212,14 @@ def test_a_derivative_that_overflows_is_refused():
         partial_derivative(f, "x", 2, StencilScheme(order=4))
 
 
+@pytest.mark.parametrize("hi, h", [(1e-300, 1.25e-301), (1e200, 1.25e199)], ids=["underflow", "overflow"])
+def test_a_step_power_out_of_range_is_a_numeric_error(hi, h):
+    # h**2 underflows to 0 (a division by zero), or Python's float power raises OverflowError; no warning comes first
+    f = RealField((make_axis("x", 0.0, hi, 8),), np.ones(8))
+    with pytest.raises(NumericError, match=re.escape(f"stencil scale 1 / h**2 leaves the float range at h = {h!r}")):
+        partial_derivative(f, "x", 2, StencilScheme(order=4))
+
+
 def test_an_integral_that_overflows_is_refused():
     f = RealField((make_axis("x", -1.0, 1.0, 8),), np.full(8, 1e308))
     with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):

@@ -184,6 +184,12 @@ def test_a_float_power_that_overflows_is_a_validation_error_naming_omega(name, p
         CLOSED_FORMS[name](p)
 
 
+def test_a_joint_peak_that_overflows_is_a_validation_error_naming_hbar2():
+    # (pi hbar2)^2 underflows to 0 at hbar2 = hbar omega^2 = 1e-300, so the peak 1/(pi hbar2)^2 overflows
+    with pytest.raises(ValidationError, match=re.escape("hbar2 = 1e-300 is too small")):
+        w1234_analytic(0.1, 0.1, 0.1, 0.1, PhysParams(hbar=1e-300))
+
+
 def test_pointwise_joint_exact_first_partials():
     rng = np.random.default_rng(11)
     pts = tuple(rng.uniform(-2, 2, size=40) for _ in range(4))

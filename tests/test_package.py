@@ -207,3 +207,26 @@ def test_star_import_and_dir_list_the_exports():
     assert set(namespace) - {"__builtins__"} == set(phasechain.__all__)
     assert set(phasechain.__all__) <= set(dir(phasechain))
     assert len(phasechain.__all__) == len(set(phasechain.__all__))
+
+
+BLAS_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot"}
+
+
+def matrix_products(path: Path) -> list:
+    """(module, top-level function or class) of each `@`, `@=` and call of a BLAS product like np.matmul in a module."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+            matmult = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            if called in BLAS_CALLS or matmult:
+                found.append((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_matrix_products_stay_in_the_stencil_and_vonneumann():
+    # the CLI caps OpenBLAS at one thread because _stencil sizes each BLAS call for its calling thread and
+    # vonneumann's 8 x 8 matrices lie on no CLI path; a product anywhere else would quietly run on one thread
+    found = [site for path in Path(phasechain.__file__).parent.glob("*.py") for site in matrix_products(path)]
+    assert ("fields", "_stencil") in found
+    assert [(module, name) for module, name in found if module != "vonneumann" and name != "_stencil"] == []

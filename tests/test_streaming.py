@@ -139,21 +139,29 @@ def test_partial_derivative_of_a_complex_field(power, order):
 
 @st.composite
 def polynomial_cases(draw):
-    """(shape, axis, power, order, degree, h, seed): an even shape of rank 1-4, every n >= 2w + 1."""
+    """(shape, axis, power, order, degree, h, seed, lo, hi): an even shape of rank 1-4, every n >= 2w + 1.
+
+    The differentiated axis has up to 40 nodes, so an output range [lo, hi) of it spans several band
+    blocks, ends in a short one, or starts and ends inside one.
+    """
     power = draw(st.integers(1, 6))
     order = draw(st.sampled_from([2, 4, 6]))
     w = stencil_halfwidth(power, order)
-    shape = tuple(draw(st.lists(st.integers(w + 1, w + 4).map(lambda m: 2 * m), min_size=1, max_size=4)))
+    shape = draw(st.lists(st.integers(w + 1, w + 4).map(lambda m: 2 * m), min_size=1, max_size=4))
     axis = draw(st.integers(0, len(shape) - 1))
+    shape[axis] = 2 * draw(st.integers(w + 1, 20))
     degree = draw(st.integers(0, 2 * w))
     h = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    return shape, axis, power, order, degree, h, draw(st.integers(0, 2**32 - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    lo = draw(st.integers(0, shape[axis] - 1))
+    hi = draw(st.integers(lo + 1, shape[axis]))
+    return tuple(shape), axis, power, order, degree, h, seed, lo, hi
 
 
-@settings(max_examples=25)
+@settings(max_examples=60)
 @given(polynomial_cases())
 def test_stencils_are_exact_on_polynomials_up_to_degree_2w(case):
-    shape, k, power, order, degree, h, seed = case
+    shape, k, power, order, degree, h, seed, lo, hi = case
     n, w = shape[k], stencil_halfwidth(power, order)
     # nodes (i - n/2) h are exact, so the samples only round the polynomial's own sums
     axes = [make_axis(name, -1.0, 1.0, m) for name, m in zip(KINEMATIC_ORDER, shape)]
@@ -173,6 +181,12 @@ def test_stencils_are_exact_on_polynomials_up_to_degree_2w(case):
     bound = 4 * (2 * w + 1) * EPS * (pad_oracle(mag, k, power, order, h, absolute=True) + exact_mag)
     inner = (slice(None),) * k + (slice(w, n - w),)
     assert within(got.data[inner], exact_d[inner], bound[inner])
+    # the output rows [lo, hi) alone, checked on those whose taps all fall on the grid
+    part = _stencil(data, k, h, power, StencilScheme(order=order), lo, hi)
+    a = max(lo, w)
+    b = max(a, min(hi, n - w))
+    on_grid = (slice(None),) * k + (slice(a, b),)
+    assert within(part[(slice(None),) * k + (slice(a - lo, b - lo),)], exact_d[on_grid], bound[on_grid])
 
 
 # --- moyal slabs -------------------------------------------------------------

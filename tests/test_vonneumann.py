@@ -7,6 +7,7 @@ import pytest
 
 from phasechain import (
     ModeSet,
+    NumericError,
     ValidationError,
     density_matrix_at,
     rho_time_derivative,
@@ -28,6 +29,22 @@ def test_mode_set_validation():
     assert m.n_modes == 1
     with pytest.raises(ValueError):
         m.energies[0] = 0.0
+
+
+def test_a_subnormal_hbar2_is_refused():
+    # 1 / 1e-320 overflows: NumPy's complex division by such an hbar2 overflowed at every t, 0 included
+    with pytest.raises(ValidationError, match=re.escape("finite 1/hbar2, got 1e-320")):
+        ModeSet([1.0, 2.0], [0.6, 0.8], hbar2=1e-320)
+
+
+@pytest.mark.parametrize("energies, hbar2, t, what", [
+    ([1.0, 2.0], 1e-300, 1e10, "C_n(t)"),  # E t / hbar2 overflows
+    ([800j, 2.0], 1.0, 1.0, "C_n(t)"),  # exp(Im E t / hbar2) overflows
+    ([400j, 2.0], 1.0, 1.0, "rho(t)"),  # C_n fits, |C_n|^2 does not
+])
+def test_an_evolution_out_of_range_is_a_numeric_error(energies, hbar2, t, what):
+    with pytest.raises(NumericError, match=re.escape(f"{what} leaves the float range at t = {t:g}, hbar2 = {hbar2:g}")):
+        density_matrix_at(ModeSet(energies, [0.6, 0.8], hbar2=hbar2), t)
 
 
 def test_mode_text_round_trip():
