@@ -142,12 +142,12 @@ def _cmd_residual(args) -> int:
         raise fields.ValidationError(f"potential file {args.potential} is not UTF-8 text") from None
     scheme = fields.StencilScheme(order=args.order)
     if args.mode == "psi-moyal":
-        # every node counts; reduce slab by slab, and take W's peak from the rows each slab has just read
+        # every node counts; reduce tile by tile, and take W's peak from the points each tile has just read
         rmax = peak = -math.inf
-        for lo, hi, block in moyal.moyal_residual_slabs(w4, u, p, scheme):
+        for index, block in moyal.moyal_residual_slabs(w4, u, p, scheme):
             # np.maximum, unlike Python's max, keeps a NaN
             rmax = float(np.maximum(rmax, fields.max_abs(block)))
-            peak = max(peak, fields.max_abs(w4.data[lo:hi]))
+            peak = max(peak, fields.max_abs(w4.data[index]))
         masked = 0.0
     else:
         res, density, valid = vlasov.chain_residual(args.mode.replace("vlasov", "w"), w4, u, p, scheme,

@@ -196,8 +196,14 @@ def sample_complex(func, axes) -> ComplexField:
 
 def _sample(cls, func, axes):
     axes = _check_axes(axes, *cls._rank_range)
+    shape = tuple(a.n for a in axes)
     data = func(*np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True))
-    return cls(axes, np.array(np.broadcast_to(data, tuple(a.n for a in axes)), dtype=cls._dtype))
+    # a fresh full-shape array that nothing else references (as nothing but `own` references `own`) becomes the
+    # field's data as it is; an input, an array the callable keeps, a view or a broadcast result is copied
+    own = object()
+    fresh = (isinstance(data, np.ndarray) and data.base is None and data.shape == shape and data.dtype == cls._dtype
+             and data.flags.c_contiguous and data.flags.writeable and sys.getrefcount(data) == sys.getrefcount(own))
+    return cls(axes, data if fresh else np.array(np.broadcast_to(data, shape), dtype=cls._dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +265,10 @@ def stencil_coefficients(power: int, order: int) -> tuple[float, ...]:
     return tuple(float(c) for c in rhs)
 
 
+# the same cached table under a private name, for slab tasks, which call no public function
+_coefficients = stencil_coefficients
+
+
 def stencil_halfwidth(power: int, order: int) -> int:
     return (power + 1) // 2 + order // 2 - 1
 
@@ -269,7 +279,7 @@ def _band_matrix(n: int, power: int, order: int) -> Array:
 
     Taps that fall off the grid have no column, which is zero extension.
     """
-    coeffs = stencil_coefficients(power, order)
+    coeffs = _coefficients(power, order)
     w = len(coeffs) // 2
     mat = np.zeros((n, n))
     for j, c in zip(range(-w, w + 1), coeffs):
@@ -377,6 +387,9 @@ def _slab_extrema(data: Array):
 # while they work. A slab task calls only private code (the benchmark's span
 # recorder keeps one span stack per process) and writes only its own rows.
 
+# the bytes of one slab loop's tasks in flight, split evenly among the workers: a task takes as many x-rows as fit
+# its share, at least one each, and a grid loop (_grid_tiles) cuts an x-row that exceeds the share into v-tiles of
+# as many v-rows as fit it, at least one each (16 of the 2 MiB x-row of a 64^4 field on 2 CPUs)
 _SLAB_BYTES = 1 << 20
 
 
@@ -389,9 +402,24 @@ def _workers() -> int:
 
 
 def _row_slabs(n: int, row_bytes: int):
-    """[lo, hi) over n rows of row_bytes each; the workers' slabs together hold about 1 MiB, at least a row each."""
+    """[lo, hi) over n rows of row_bytes each; the workers' slabs together hold about _SLAB_BYTES, a row at least."""
     rows = max(1, _SLAB_BYTES // (_workers() * row_bytes))
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _grid_tiles(data: Array):
+    """(lo, hi, v0, v1) over x-rows [lo, hi) and v-rows [v0, v1) (array axis 1) of a rank >= 2 `data`, in order.
+
+    These are the x-slabs of _row_slabs, with every v-row, while one x-row
+    fits a worker's share of _SLAB_BYTES. A larger x-row is cut into tiles of
+    as many v-rows as fit the share, at least one each.
+    """
+    n, nv = data.shape[:2]
+    share, v_row = _SLAB_BYTES // _workers(), data[0, 0].nbytes
+    if nv * v_row <= share:
+        return [(lo, hi, 0, nv) for lo, hi in _row_slabs(n, nv * v_row)]
+    height = max(1, share // v_row)
+    return [(i, i + 1, v0, min(v0 + height, nv)) for i in range(n) for v0 in range(0, nv, height)]
 
 
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
@@ -430,10 +458,10 @@ def _drop_rows(data: Array, lo: int, hi: int) -> None:
 
 
 class _Job:
-    """One slab task in flight: a worker runs it in the submitter's context, then releases `done`."""
+    """One slab task in flight: a worker runs task(*args) in the submitter's context, then releases `done`."""
 
-    def __init__(self, task, lo: int, hi: int):
-        self.context, self.task, self.lo, self.hi = contextvars.copy_context(), task, lo, hi
+    def __init__(self, task, args: tuple):
+        self.context, self.task, self.args = contextvars.copy_context(), task, args
         self.cancelled, self.value, self.error = False, None, None
         self.done = threading.Lock()
         self.done.acquire()
@@ -454,7 +482,7 @@ def _work(jobs) -> None:
         job = jobs.get()
         if not job.cancelled:
             try:
-                job.value = job.context.run(job.task, job.lo, job.hi)
+                job.value = job.context.run(job.task, *job.args)
             except BaseException as exc:  # raised again in the caller
                 job.error = exc
         job.done.release()
@@ -480,10 +508,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of the threads
 
 
-def _map_slabs(task, ranges):
-    """Yield task(lo, hi) for each [lo, hi) of ranges, in order, computed on the slab pool.
+def _map_slabs(task, ranges, spare: int = 0):
+    """Yield task(*r) for each r of ranges ((lo, hi) pairs, or _grid_tiles' tiles), in order, on the slab pool.
 
-    At most _workers() tasks are in flight. Each runs in a copy of the caller's
+    At most _workers() + spare tasks are in flight, queued, running, or done
+    and not yet taken; a spare task lets a worker start the next task while
+    the caller takes a result. Each runs in a copy of the caller's
     context, so np.errstate carries into the workers. One range, or one worker,
     runs inline and starts no thread, and so does a call from a slab task: its
     jobs would wait behind the tasks that wait for them. A task's exception is
@@ -491,15 +521,15 @@ def _map_slabs(task, ranges):
     """
     workers = _workers()
     if workers == 1 or len(ranges) == 1 or getattr(_worker_thread, "active", False):
-        for lo, hi in ranges:
-            yield task(lo, hi)
+        for r in ranges:
+            yield task(*r)
         return
     jobs, pending = _pool(workers), []
     try:
-        for lo, hi in ranges:
-            if len(pending) == workers:
+        for r in ranges:
+            if len(pending) == workers + spare:
                 yield pending.pop(0).result()
-            pending.append(_Job(task, lo, hi))
+            pending.append(_Job(task, r))
             jobs.put(pending[-1])
         while pending:
             yield pending.pop(0).result()
@@ -513,22 +543,24 @@ def _map_slabs(task, ranges):
                 job.done.acquire()
 
 
-def _map_rows(task, data: Array, halo: int):
-    """Yield task(lo, hi) for each x-slab of `data`, in order, from _map_slabs.
+def _map_rows(task, data: Array, halo: int, ranges=None, spare: int = 0):
+    """Yield task(*r) for each r of ranges (by default the x-slabs of `data`), in order, from _map_slabs.
 
-    halo is the number of rows beyond [lo, hi) on either side that a task reads
-    from `data`. When the caller asks for the next result, the rows no later
-    slab reads (those more than halo rows before the end of the slab just
-    taken) are dropped with _drop_rows, and once the loop ends all of them, so
-    a loop over a mapped field keeps only the rows in flight and their halo
-    resident.
+    Each r starts with the x-rows [lo, hi) it covers, and ranges run in x
+    order: _row_slabs' slabs, or _grid_tiles' tiles. halo is the number of
+    rows beyond [lo, hi) on either side that a task reads from `data`. When
+    the caller asks for the next result, the rows no later task reads (those
+    more than halo rows before the next range's lo) are dropped with
+    _drop_rows, and once the loop ends all of them, so a loop over a mapped
+    field keeps only the rows in flight and their halo resident. spare is
+    passed to _map_slabs.
     """
-    ranges = _row_slabs(len(data), data[0].nbytes)
+    ranges = _row_slabs(len(data), data[0].nbytes) if ranges is None else ranges
     done = 0
-    for (_, hi), value in zip(ranges, _map_slabs(task, ranges)):
+    for (lo, *_), value in zip([*ranges[1:], (len(data),)], _map_slabs(task, ranges, spare)):
         yield value
-        _drop_rows(data, done, hi - halo)
-        done = max(done, hi - halo)
+        _drop_rows(data, done, lo - halo)
+        done = max(done, lo - halo)
     _drop_rows(data, done, len(data))
 
 
@@ -652,13 +684,14 @@ class PointwiseField:
 # ---------------------------------------------------------------------------
 # evaluation views
 #
-# moyal and vlasov write each equation once against a view: x-rows [lo, hi) of
-# a grid field (_GridView) or a pointwise field at given points (_PointView).
-# A view has `shape`, axis `names`, coord(name) (broadcastable to shape),
-# values() (never written into), d(**powers) (a fresh mixed partial, e.g.
-# d(vdot=1, vddot=3)), times(flux) (a view of field * flux, for a flux callable
-# on the coordinates or given by samples) and restrict(samples) (samples on the
-# whole support, cut to the view).
+# moyal and vlasov write each equation once against a view: a tile of a grid
+# field (_GridView) or a pointwise field at given points (_PointView). A view
+# has `shape`, axis `names`, coord(name) (broadcastable to shape),
+# potential(u) (u(x, v) at the view's points, for a potential u such as a
+# PolynomialPotential; never written into), values() (never written into),
+# d(**powers) (a fresh mixed partial, e.g. d(vdot=1, vddot=3)), times(flux) (a
+# view of field * flux, for a flux callable on the coordinates or given by
+# samples) and restrict(samples) (samples on the whole support, cut to the view).
 
 def _add_product(out: Array, d: Array, coef):
     """out += coef * d, multiplying the fresh derivative d in place instead of into a temporary.
@@ -669,50 +702,74 @@ def _add_product(out: Array, d: Array, coef):
 
 
 class _GridView:
-    """x-rows [lo, hi) of a grid field.
+    """x-rows [lo, hi) and v-rows [v0, v1) (all of them by default) of a grid field of rank >= 2.
 
-    Only d_x couples rows, and it reads its stencil-halfwidth neighbours in
-    place from the whole field, so d_x is never combined with another axis;
-    other axes chain last axis first. A view equals the same rows of the
-    whole-field evaluation within the stencil rounding bound.
+    Only d_x and d_v couple the points of different views, and each reads its
+    stencil-halfwidth neighbours in place from the whole field. d_x is never
+    combined with another axis, and a product from times takes none. Other
+    axes chain last axis first, so d_v comes last, on the view's x-rows
+    widened by its halfwidth along v (for a product, the field times the
+    fluxes there). A view equals the same points of the whole-field
+    evaluation within the stencil rounding bound. The views of one slab loop
+    share the dict `potentials`, where each potential is evaluated once, on
+    the field's (x, v) nodes.
     """
 
-    def __init__(self, field: RealField, scheme: StencilScheme, lo: int, hi: int, rows: Array | None = None):
-        self.field, self.scheme, self.lo, self.hi = field, scheme, lo, hi
+    def __init__(self, field: RealField, scheme: StencilScheme, potentials: dict, lo: int, hi: int, v0: int = 0,
+                 v1: int | None = None, fluxes: tuple = ()):
+        self.field, self.scheme, self._potentials, self.lo, self.hi = field, scheme, potentials, lo, hi
+        self.v0, self.v1 = v0, field.axes[1].n if v1 is None else v1
         self.names = tuple(a.name for a in field.axes)
-        self._rows = field.data[lo:hi] if rows is None else rows
-        # a product from times has no neighbour rows for d_x
-        self._x_source = field.data if rows is None else None
-        self.shape = self._rows.shape
+        self._fluxes = fluxes  # the factors of a product from times
+        self.shape = (hi - lo, self.v1 - v0) + field.data.shape[2:]
 
-    def coord(self, name: str) -> Array:
+    def coord(self, name: str, v_rows: slice | None = None) -> Array:
+        """The coordinate on the view's points, or on its x-rows and the given v-rows."""
         k = self.names.index(name)
-        pts = self.field.axes[k].points()
-        return (pts[self.lo:self.hi] if k == 0 else pts).reshape((-1,) + (1,) * (len(self.names) - 1 - k))
+        cut = (slice(self.lo, self.hi), v_rows or slice(self.v0, self.v1), slice(None), slice(None))[k]
+        return self.field.axes[k].points()[cut].reshape((-1,) + (1,) * (len(self.names) - 1 - k))
+
+    def potential(self, u) -> Array:
+        values = self._potentials.get(u)
+        if values is None:  # two tasks may both evaluate it; either result is the same
+            values = self._potentials[u] = u(*self.field.mesh()[:2])
+        return values[self.lo:self.hi, self.v0:self.v1]
+
+    def _block(self, a: int, b: int) -> Array:
+        """The view's field times its fluxes (if any) on its x-rows and v-rows [a, b)."""
+        block = self.field.data[self.lo:self.hi, a:b]
+        for flux in self._fluxes:
+            block = block * (flux(*(self.coord(n, slice(a, b)) for n in self.names)) if callable(flux)
+                             else np.broadcast_to(flux, self.field.data.shape)[self.lo:self.hi, a:b])
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                raise ValidationError("field times flux contains non-finite values")
+        return block
 
     def values(self) -> Array:
-        return self._rows
+        return self._block(self.v0, self.v1)
 
     def d(self, **powers) -> Array:
         active = sorted(((self.names.index(n), p) for n, p in powers.items() if p), reverse=True)
-        if active[-1][0] == 0:
-            if len(active) > 1 or self._x_source is None:
+        k, p = active[-1]
+        if k == 0:
+            if len(active) > 1 or self._fluxes:
                 raise ValidationError("a grid view takes d_x alone, and only of the field's own rows")
-            return _stencil(self._x_source, 0, self.field.axes[0].step, active[0][1], self.scheme, self.lo, self.hi)
-        out = self._rows
+            return _stencil(self.field.data[:, self.v0:self.v1], 0, self.field.axes[0].step, p, self.scheme,
+                            self.lo, self.hi)
+        w = stencil_halfwidth(p, self.scheme.order) if k == 1 else 0
+        a, b = max(self.v0 - w, 0), min(self.v1 + w, self.field.axes[1].n)
+        out = self._block(a, b)
         for k, p in active:
-            out = _stencil(out, k, self.field.axes[k].step, p, self.scheme)
+            out = _stencil(out, k, self.field.axes[k].step, p, self.scheme,
+                           *((self.v0 - a, self.v1 - a) if k == 1 else ()))
         return out
 
     def times(self, flux) -> "_GridView":
-        flux = flux(*map(self.coord, self.names)) if callable(flux) else self.restrict(flux)
-        product = self._rows * flux
-        if not (np.isfinite(product.min()) and np.isfinite(product.max())):
-            raise ValidationError("field times flux contains non-finite values")
-        return _GridView(self.field, self.scheme, self.lo, self.hi, product)
+        return _GridView(self.field, self.scheme, self._potentials, self.lo, self.hi, self.v0, self.v1,
+                         self._fluxes + (flux,))
 
     def restrict(self, samples) -> Array:
-        return np.broadcast_to(samples, self.field.data.shape)[self.lo:self.hi]
+        return np.broadcast_to(samples, self.field.data.shape)[self.lo:self.hi, self.v0:self.v1]
 
 
 class _PointView:
@@ -731,6 +788,9 @@ class _PointView:
 
     def coord(self, name: str) -> Array:
         return self.coords[self.names.index(name)]
+
+    def potential(self, u) -> Array:
+        return u(self.coord("x"), self.coord("v"))
 
     def values(self) -> Array:
         if self._values is None:
@@ -754,16 +814,27 @@ class _PointView:
 
 
 def _grid_slabs(field: RealField, scheme: StencilScheme, body):
-    """Yield (lo, hi, body(view)) for each x-slab's _GridView, in order; a view's one x-stencil, d/dx, sets the halo."""
-    return _map_rows(lambda lo, hi: (lo, hi, body(_GridView(field, scheme, lo, hi))), field.data,
-                     stencil_halfwidth(1, scheme.order))
+    """Yield (index, body(view)) for the _GridView of each of the field's _grid_tiles, in order.
+
+    index is the tile's (x-rows, v-rows) pair of slices, so field.data[index]
+    holds its points. A view's one x-stencil, d/dx, sets the halo.
+    """
+    potentials = {}
+
+    def task(lo, hi, v0, v1):
+        return (slice(lo, hi), slice(v0, v1)), body(_GridView(field, scheme, potentials, lo, hi, v0, v1))
+
+    tiles = _grid_tiles(field.data)
+    # a v-tile is short work: there one spare tile keeps the workers busy while the caller takes a result
+    spare = int(tiles[0][3] < field.data.shape[1])
+    return _map_rows(task, field.data, stencil_halfwidth(1, scheme.order), tiles, spare)
 
 
 def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
-    """body(view) on each x-slab of a grid field, assembled into one array of the field's shape."""
+    """body(view) on each tile of a grid field, assembled into one array of the field's shape."""
     out = np.empty_like(field.data)
-    for lo, hi, block in _grid_slabs(field, scheme, body):
-        out[lo:hi] = block
+    for index, block in _grid_slabs(field, scheme, body):
+        out[index] = block
     return out
 
 

@@ -220,9 +220,9 @@ def closure_coefficients(u: PolynomialPotential, params, var: str) -> tuple[tupl
 
 def _add_series(out: Array, view, rows, sign: float) -> Array:
     """out + sign * (the series of the module docstring, over rows of _series_rows) on a view, in out."""
-    x, v = view.coord("x"), view.coord("v")
     for term in rows:
-        _add_product(out, view.d(vdot=term.vdot_power, vddot=term.vddot_power), sign * term.coeff * term.du(x, v))
+        _add_product(out, view.d(vdot=term.vdot_power, vddot=term.vddot_power),
+                     sign * term.coeff * view.potential(term.du))
     return out
 
 
@@ -233,7 +233,6 @@ def _continuity(view, fluxes, rows, dt_term) -> Array:
     fluxes holds (axis, flux) pairs. On a view with vdot and vddot the (0, 0)
     row joins the pair, (vddot - (1/m) dU/dv) d_vdot f, so d_vdot f is taken once.
     """
-    x, v = view.coord("x"), view.coord("v")
     fold = bool(rows) and (rows[0].l, rows[0].n) == (0, 0) and {"vdot", "vddot"} <= set(view.names)
     out = np.zeros(view.shape)
     if dt_term is not None:
@@ -242,7 +241,7 @@ def _continuity(view, fluxes, rows, dt_term) -> Array:
         if a in view.names and b in view.names:
             d, coef = view.d(**{a: 1}), view.coord(b)
             if fold and b == "vddot":
-                coef = coef - rows[0].coeff * rows[0].du(x, v)
+                coef = coef - rows[0].coeff * view.potential(rows[0].du)
             _add_product(out, d, coef)
             del d  # else the next pair's derivative is made while this one is still held
     for axis, flux in fluxes:
@@ -284,13 +283,15 @@ def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
 
 def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, *,
                          dt_term=None):
-    """Yield (lo, hi, rows): the grid moyal_residual on x-rows [lo, hi), in order.
+    """Yield (index, block): the grid moyal_residual on the tile w4.data[index], in x order.
 
-    Each block equals the same rows of the dense residual within the stencil
+    index is a pair of slices, x-rows and v-rows: a tile is a slab of whole
+    x-rows, or, where one x-row is large, a run of v-rows of one x-row. Each
+    block equals the same points of the dense residual within the stencil
     rounding bound, so a caller can reduce the residual (its max, say) without
-    a second dense field. The slab height is set from the field's row size,
-    and the slabs are computed on the slab pool, a few ahead of the caller.
-    The rows of a W read from a file are dropped from memory behind the caller.
+    a second dense field. The tiles are sized from the field's row size and
+    computed on the slab pool, a few ahead of the caller. The rows of a W read
+    from a file are dropped from memory behind the caller.
     """
     require_axes(w4, KINEMATIC_ORDER)
     rows = _series_rows(u, params)

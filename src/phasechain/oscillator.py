@@ -179,6 +179,21 @@ def _gaussian(expo: Array, rate: float, amp: float) -> Array:
     return expo if expo.ndim else expo[()]
 
 
+def _amplitude(numerator: float, denominator: float, what: str) -> float:
+    """sqrt(numerator / denominator), a closed form's amplitude; a ValidationError naming `what` where it overflows.
+
+    A denominator that underflows to 0 raises ZeroDivisionError, and a tiny
+    nonzero one gives an infinite quotient: both are refused.
+    """
+    try:
+        amp = math.sqrt(numerator / denominator)
+    except ZeroDivisionError:
+        amp = math.inf
+    if not amp < math.inf:
+        raise ValidationError(f"{what} is too small: the amplitude overflows")
+    return amp
+
+
 def _gamma_value(x, v, vdot, vddot, w2) -> Array:
     """(v^2 + w2 x^2) + (w2 v - vddot)^2 / w2^2 + (w2 x + vdot)^2 / w2, as a fresh array."""
     return _add(_add(_energy(x, v, w2), _group(w2, v, np.subtract, vddot, w2**2)),
@@ -245,7 +260,9 @@ def w123_analytic(x, v, vdot, p: PhysParams) -> Array:
     x, v, vdot = (np.asarray(c, dtype=np.float64) for c in (x, v, vdot))
     w2 = p.omega**2
     expo = _add(_energy(x, v, w2), _group(w2, x, np.add, vdot, w2))
-    return _gaussian(expo, p.m / (p.hbar * p.omega), math.sqrt(p.m / (math.pi**3 * p.hbar**3 * p.omega**3)))
+    amp = _amplitude(p.m, math.pi**3 * p.hbar**3 * p.omega**3,
+                     f"hbar = {p.hbar:g} at omega = {p.omega:g}, in sqrt(m / (pi^3 hbar^3 omega^3)),")
+    return _gaussian(expo, p.m / (p.hbar * p.omega), amp)
 
 
 @_omega_guard
@@ -256,7 +273,8 @@ def w124_analytic(x, v, vddot, p: PhysParams) -> Array:
     w2 = p.omega**2
     # (w2 v - vddot)^2 is (vddot - w2 v)^2 bit for bit: a rounded difference only changes sign when swapped
     expo = _add(_energy(x, v, w2), _group(w2, v, np.subtract, vddot, w2**2))
-    return _gaussian(expo, p.m / (p.hbar * p.omega), math.sqrt(p.m * p.omega / (math.pi**3 * p.hbar2**3)))
+    amp = _amplitude(p.m * p.omega, math.pi**3 * p.hbar2**3, f"hbar2 = {p.hbar2:g}, in sqrt(m omega / (pi^3 hbar2^3)),")
+    return _gaussian(expo, p.m / (p.hbar * p.omega), amp)
 
 
 @_omega_guard

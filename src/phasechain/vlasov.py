@@ -151,13 +151,12 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
 
 def _closure_series(view, terms, axis: str) -> Array:
     """The closure flux times f on a view: sum over terms (l, c, dU) of c dU d^{2l}f/d axis^{2l}."""
-    x, v = view.coord("x"), view.coord("v")
     out = np.zeros(view.shape)
     for l, c, du in terms:
         if l:
-            _add_product(out, view.d(**{axis: 2 * l}), c * du(x, v))
+            _add_product(out, view.d(**{axis: 2 * l}), c * view.potential(du))
         else:  # the first term, if any (terms run from l = 0): f times its weight, written straight into out
-            np.multiply(view.values(), c * du(x, v), out=out)
+            np.multiply(view.values(), c * view.potential(du), out=out)
     return out
 
 
@@ -215,8 +214,8 @@ def vlasov_moyal_velocity_flux(f12, u1: PolynomialPotential, params, scheme: Ste
 def _closure_moment(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None):
     """The integrand of the closure body <vddot>_{1234} w4 on the rank-4 x-rows [lo, hi), for a vdot moment."""
     scheme = StencilScheme() if scheme is None else scheme
-    terms = closure_coefficients(u, params, "x")
-    return lambda lo, hi: _closure_series(_GridView(w4, scheme, lo, hi), terms, "vddot")
+    terms, potentials = closure_coefficients(u, params, "x"), {}
+    return lambda lo, hi: _closure_series(_GridView(w4, scheme, potentials, lo, hi), terms, "vddot")
 
 
 def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None = None,
@@ -329,7 +328,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
         side_b = side_a.copy()
         flux_times_f = np.zeros(view.shape)
         for l, c, du in terms:
-            coeff = c * du(view.coord("x"))
+            coeff = c * view.potential(du)
             flux_times_f += coeff * derivs[2 * l]
             side_b += coeff * derivs[2 * l + 1]
         side_a += _stencil(flux_times_f, 3, f4.axes[3].step, 1, scheme)
@@ -337,7 +336,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
         return [np.max(np.abs(s), where=mask, initial=0.0) for s in (side_a - side_b, side_a, side_b)]
 
     # np.max, unlike Python's max, keeps a NaN
-    gap, a, b = np.max([maxima for _, _, maxima in _grid_slabs(f4, scheme, body)], axis=0)
+    gap, a, b = np.max([maxima for _, maxima in _grid_slabs(f4, scheme, body)], axis=0)
     return float(gap) / max(float(a), float(b), np.finfo(float).tiny)
 
 

@@ -68,10 +68,23 @@ class ModeSet:
         return "\n".join(lines) + "\n"
 
 
+# a phase Re E_n t / hbar2 this large is a float whose last bit is worth a radian or more: exp(-i E_n t / hbar2)
+# is finite but carries no phase
+_PHASE_LIMIT = 2.0**52
+
+
 def coefficients_at(modes: ModeSet, t: float) -> Array:
-    """C_n(t) = c_n exp(-i E_n t / hbar2); |C_n| grows for Im E_n > 0."""
+    """C_n(t) = c_n exp(-i E_n t / hbar2); |C_n| grows for Im E_n > 0.
+
+    Raises NumericError where the arithmetic overflows, or where a phase
+    |Re E_n t / hbar2| reaches 2^52, beyond which a float phase is no phase.
+    """
     with _in_range(modes, t, "C_n(t)"):
-        return modes.coeffs * np.exp(-1j * modes.energies * t / modes.hbar2)
+        exponent = -1j * modes.energies * t / modes.hbar2
+        if np.abs(exponent.imag).max() >= _PHASE_LIMIT:
+            raise NumericError(f"C_n(t) has no phase left at t = {t:g}, hbar2 = {modes.hbar2:g}: "
+                               f"|Re E_n t / hbar2| reaches 2^52")
+        return modes.coeffs * np.exp(exponent)
 
 
 def density_matrix_at(modes: ModeSet, t: float) -> Array:
@@ -95,7 +108,8 @@ def rho_time_derivative(modes: ModeSet, t: float) -> Array:
     """Exact d0 rho, entrywise (i/hbar2)(conj(E_n) - E_k) rho_kn."""
     rho = density_matrix_at(modes, t)
     e = modes.energies
-    return (1j / modes.hbar2) * (np.conj(e)[None, :] - e[:, None]) * rho
+    with _in_range(modes, t, "d0 rho(t)"):
+        return (1j / modes.hbar2) * (np.conj(e)[None, :] - e[:, None]) * rho
 
 
 @dataclass(frozen=True)
@@ -121,11 +135,13 @@ def von_neumann_residual(modes: ModeSet, t: float, dt: float = 1e-4) -> VonNeuma
         raise ValidationError(f"dt must be positive, got {dt}")
     rho = density_matrix_at(modes, t)
     h = np.diag(modes.energies)
-    rhs = (1j / modes.hbar2) * (rho @ np.conj(h) - h @ rho)
     exact = rho_time_derivative(modes, t)
-    commutator = float(np.abs(rhs - exact).max())
-    fd = (density_matrix_at(modes, t + dt) - density_matrix_at(modes, t - dt)) / (2.0 * dt)
-    fd_abs = float(np.abs(fd - exact).max())
-    scale = float(np.abs(exact).max())
+    rho_plus, rho_minus = density_matrix_at(modes, t + dt), density_matrix_at(modes, t - dt)
+    with _in_range(modes, t, "the von Neumann residual"):
+        rhs = (1j / modes.hbar2) * (rho @ np.conj(h) - h @ rho)
+        commutator = float(np.abs(rhs - exact).max())
+        fd = (rho_plus - rho_minus) / (2.0 * dt)
+        fd_abs = float(np.abs(fd - exact).max())
+        scale = float(np.abs(exact).max())
     fd_rel = fd_abs / scale if scale > 0 else fd_abs
     return VonNeumannCheck(commutator, fd_abs, fd_rel)

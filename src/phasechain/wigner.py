@@ -145,12 +145,17 @@ def transform_rows(psi: ComplexField, params, shifts):
         pref = math.nan
     if not 0.0 < pref < math.inf:
         raise NumericError(f"transform prefactor out of range at hbar2 = {plan.hbar2:g}")
-    # column windows, gathered once: minus[j, r, x] = conj(psi[x, j-l]), plus[j, r, x] = psi[x, j+l], with shift
-    # l = r for r < nv/2 and r - nv above (ifftshift folded in; l = 0 alone if v is not shifted), zero off the grid
+    # the shifted factors, read in place: win[x, j, t] = psi[x, j + t - nv/2] (zero off the grid) and rev[y, j, t]
+    # = conj(psi[nx-1-y, j + t - nv/2]); shift l is window column t = nv/2 + l of win and nv/2 - l of rev. `runs`
+    # holds (kernel columns, win columns, rev columns) for the shifts in FFT order (ifftshift folded in): l = r
+    # for r < nr/2, and r - nr above (l = 0 alone if v is not shifted)
     padded = np.pad(psi.data, ((0, 0), (nv // 2, nv // 2)))
-    col, centered = np.arange(nv)[:, None], (np.arange(nr) + nv // 2) % nv
-    minus = np.ascontiguousarray(np.moveaxis(np.conj(padded[:, col + nv - centered]), 0, 2))
-    plus = np.ascontiguousarray(np.moveaxis(padded[:, col + centered], 0, 2))
+    win = np.lib.stride_tricks.sliding_window_view(padded, nv + 1, axis=1)
+    rev = np.lib.stride_tricks.sliding_window_view(np.conj(padded), nv + 1, axis=1)[::-1]
+    h, up, down = nv // 2, nr - nr // 2, nr // 2
+    runs = [(slice(0, up), slice(h, h + up), slice(h, h - up, -1))]
+    if down:
+        runs.append((slice(up, nr), slice(h - down, h), slice(h + down, h, -1)))
     # one kernel buffer per task in flight, for one slab of the kernel's v-rows at a time (at least one, at
     # most all); both FFTs overwrite it in place, and each v-row's FFT lines are its own
     chunk = _row_slabs(nv, 16 * nr * nq)[0][1]
@@ -166,14 +171,21 @@ def transform_rows(psi: ComplexField, params, shifts):
         max_imag = 0.0
         for i in range(lo, hi):
             m = min(i, nx - 1 - i) if nq > 1 else 0
+            # kernel columns q, rows i + k of psi and rows y + k of rev (row i - k of psi) for the shifts k = q of
+            # q <= m, then for k = q - nq of q >= nq - m; the factors as (v-row, r, q) views, with their columns
+            y = nx - 1 - i
+            shifts = [(slice(0, m + 1), slice(i, i + m + 1), slice(y, y + m + 1))]
+            if m:
+                shifts.append((slice(nq - m, nq), slice(i - m, i), slice(y - m, y)))
+            factors = [(rev[ys, :, minus].transpose(1, 2, 0), win[xs, :, plus].transpose(1, 2, 0),
+                        (slice(None), rs, qs)) for qs, xs, ys in shifts for rs, plus, minus in runs]
             for j in range(0, nv, chunk):
-                # part[j', r, q] = minus[j+j', r, i-k] plus[j+j', r, i+k] with k = q for q < nq/2 and q - nq
+                # part[j', r, q] = conj(psi[i-k, j+j'-l]) psi[i+k, j+j'+l] with k = q for q < nq/2 and q - nq
                 # above; rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
-                mi, pl, part = minus[j : j + chunk], plus[j : j + chunk], ker[: min(chunk, nv - j)]
-                np.multiply(mi[..., i::-1][..., : m + 1], pl[..., i : i + m + 1], out=part[..., : m + 1])
+                part = ker[: min(chunk, nv - j)]
+                for conj_factor, factor, columns in factors:
+                    np.multiply(conj_factor[j : j + chunk], factor[j : j + chunk], out=part[columns])
                 part[..., m + 1 : nq - m] = 0.0
-                if m:
-                    np.multiply(mi[..., i + m : i : -1], pl[..., i - m : i], out=part[..., nq - m :])
                 np.fft.ifft(part, axis=2, norm="forward", out=part)
                 np.fft.fft(part, axis=1, out=part)
                 # max_abs, spelled out: a slab task calls no public function

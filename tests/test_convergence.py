@@ -45,7 +45,7 @@ def rungs():
 def residuals(w4, order):
     """max |residual| of psi-moyal (every node) and of each chain member (its valid points)."""
     scheme = StencilScheme(order=order)
-    out = {"psi-moyal": max(max_abs(block) for _, _, block in moyal_residual_slabs(w4, U, P, scheme))}
+    out = {"psi-moyal": max(max_abs(block) for _, block in moyal_residual_slabs(w4, U, P, scheme))}
     for member in ("w123", "w124", "w12"):
         res, _, valid = chain_residual(member, w4, U, P, scheme, MASK_THRESHOLD)
         out[member] = float(np.abs(res.data[valid]).max())

@@ -91,7 +91,7 @@ LOOPS = {
     "integrate_axis": lambda w4: integrate_axis(w4, "vddot", weight=P.m).data,
     "mean_flux_from_w4": lambda w4: mean_flux_from_w4(w4, "124-vel", P, 0.2).values.data,
     "accel_flux_124_from_w4": lambda w4: accel_flux_124_from_w4(w4, QUARTIC, P, StencilScheme(order=6), 0.2).values.data,
-    "moyal_residual_slabs": lambda w4: np.concatenate([b for _, _, b in moyal_residual_slabs(
+    "moyal_residual_slabs": lambda w4: np.concatenate([b for _, b in moyal_residual_slabs(
         w4, QUARTIC, P, StencilScheme(order=6))]),
     "_over_slabs": lambda w4: np.concatenate([
         transport_lhs(w4, QUARTIC, P, StencilScheme(order=2)).data,

@@ -190,6 +190,18 @@ def test_a_joint_peak_that_overflows_is_a_validation_error_naming_hbar2():
         w1234_analytic(0.1, 0.1, 0.1, 0.1, PhysParams(hbar=1e-300))
 
 
+@pytest.mark.parametrize("hbar", [1e-300, 1e-105])  # hbar^3 underflows to 0; a subnormal hbar^3 gives an inf ratio
+def test_a_vddot_marginal_amplitude_that_overflows_is_a_validation_error_naming_hbar(hbar):
+    with pytest.raises(ValidationError, match=re.escape(f"hbar = {hbar:g} at omega = 1")):
+        w123_analytic(0.1, 0.1, 0.1, PhysParams(hbar=hbar))
+
+
+@pytest.mark.parametrize("hbar", [1e-300, 1e-105])
+def test_a_vdot_marginal_amplitude_that_overflows_is_a_validation_error_naming_hbar2(hbar):
+    with pytest.raises(ValidationError, match=re.escape(f"hbar2 = {hbar:g}")):
+        w124_analytic(0.1, 0.1, 0.1, PhysParams(hbar=hbar))
+
+
 def test_pointwise_joint_exact_first_partials():
     rng = np.random.default_rng(11)
     pts = tuple(rng.uniform(-2, 2, size=40) for _ in range(4))

@@ -162,9 +162,9 @@ def test_a_chain_residual_makes_one_pass_over_w(small_w4, monkeypatch, mode):
     fields, cli = importlib.import_module("phasechain.fields"), importlib.import_module("phasechain.cli")
     ranks, map_rows = [], fields._map_rows
 
-    def counted(task, data, halo):
+    def counted(task, data, *args):
         ranks.append(data.ndim)
-        return map_rows(task, data, halo)
+        return map_rows(task, data, *args)
 
     monkeypatch.setattr(fields, "_map_rows", counted)
     assert cli.main(["residual", "--in", str(small_w4), "--potential", str(small_w4.with_name("u.txt")),

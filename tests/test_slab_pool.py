@@ -187,8 +187,8 @@ fields._workers = lambda: 2
 axes = tuple(make_axis(name, -4.0, 4.0, 32) for name in ("x", "v", "vdot", "vddot"))
 rows = moyal_residual_slabs(RealField(axes, np.random.default_rng(0).random((32,) * 4)),
                             u12_polynomial(PhysParams()), PhysParams(), StencilScheme(order=4))
-lo, hi, block = next(rows)
-assert lo == 0 and hi < 32
+(x_rows, v_rows), block = next(rows)
+assert x_rows.start == 0 and x_rows.stop < 32 and v_rows == slice(0, 32)
 """
 
 
@@ -313,8 +313,9 @@ def test_moyal_slabs_do_not_depend_on_the_worker_count(monkeypatch, w4):
 
     def blocks():
         got = list(moyal_residual_slabs(w4, QUARTIC, P, scheme, dt_term=dt))
-        assert [(lo, hi) for lo, hi, _ in got] == [(lo, min(lo + 2, SHAPE[0])) for lo in range(0, SHAPE[0], 2)]
-        return np.concatenate([b for _, _, b in got])
+        assert [index for index, _ in got] == [
+            (slice(lo, min(lo + 2, SHAPE[0])), slice(0, SHAPE[1])) for lo in range(0, SHAPE[0], 2)]
+        return np.concatenate([b for _, b in got])
 
     assert same_bytes(per_worker_count(monkeypatch, blocks, 2, ROW))
 

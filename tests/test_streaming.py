@@ -6,6 +6,8 @@ stencil is checked bit for bit.
 """
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,14 +22,18 @@ from phasechain import (
     RealField,
     StencilScheme,
     accel_flux_124_from_w4,
+    divergence_series_gap,
     make_axis,
     mean_flux_from_w4,
     moyal_residual,
     moyal_residual_slabs,
     moyal_rhs,
     read_field,
+    sample_real,
     stencil_coefficients,
+    transform_rows,
     transport_lhs,
+    vlasov_residual,
     write_field,
 )
 from phasechain.checks import _check_transform, _peak_rss_mb, _traced_peak_mb
@@ -246,10 +252,10 @@ def test_residual_slabs_equal_dense_residual(w4, slab_rows, order):
     (lhs, lhs_err), (rhs, rhs_err), (res, res_err) = dense_moyal(w4, MIXED_QUARTIC, scheme)
     assert len(build_term_table(MIXED_QUARTIC, P)) >= 3  # the series is live
     blocks = list(moyal_residual_slabs(w4, MIXED_QUARTIC, P, scheme))
-    assert [(lo, hi) for lo, hi, _ in blocks] == [
-        (lo, min(lo + slab_rows, SHAPE[0])) for lo in range(0, SHAPE[0], slab_rows)]
-    for lo, hi, block in blocks:
-        assert within(block, res[lo:hi], res_err[lo:hi])
+    assert [index for index, _ in blocks] == [
+        (slice(lo, min(lo + slab_rows, SHAPE[0])), slice(0, SHAPE[1])) for lo in range(0, SHAPE[0], slab_rows)]
+    for index, block in blocks:
+        assert within(block, res[index], res_err[index])
     assert within(moyal_residual(w4, MIXED_QUARTIC, P, scheme).data, res, res_err)
     assert within(transport_lhs(w4, MIXED_QUARTIC, P, scheme).data, lhs, lhs_err)
     assert within(moyal_rhs(w4, MIXED_QUARTIC, P, scheme).data, rhs, rhs_err)
@@ -259,7 +265,7 @@ def test_residual_slabs_carry_the_time_derivative_and_step(w4, slab_rows):
     scheme = StencilScheme(order=4, h=0.3)
     dt = np.random.default_rng(1).standard_normal(SHAPE)
     (lhs, lhs_err), _, (res, res_err) = dense_moyal(w4, MIXED_QUARTIC, scheme, dt_term=dt)
-    got = np.concatenate([b for _, _, b in moyal_residual_slabs(w4, MIXED_QUARTIC, P, scheme, dt_term=dt)])
+    got = np.concatenate([b for _, b in moyal_residual_slabs(w4, MIXED_QUARTIC, P, scheme, dt_term=dt)])
     assert within(got, res, res_err)
     assert within(transport_lhs(w4, MIXED_QUARTIC, P, scheme, dt_term=dt).data, lhs, lhs_err)
 
@@ -270,9 +276,63 @@ def test_slab_heights_agree_within_the_bound(w4, monkeypatch):
     blocks = {}
     for rows in (1, 3, SHAPE[0]):
         set_slab_rows(monkeypatch, rows)
-        blocks[rows] = np.concatenate([b for _, _, b in moyal_residual_slabs(w4, MIXED_QUARTIC, P, scheme)])
+        blocks[rows] = np.concatenate([b for _, b in moyal_residual_slabs(w4, MIXED_QUARTIC, P, scheme)])
     for rows in (1, 3):
         assert within(blocks[rows], blocks[SHAPE[0]], 2 * res_err)
+
+
+# --- v-tiles ---------------------------------------------------------------------
+
+def set_tile(monkeypatch, v_rows):
+    """A slab budget whose grid loops cut every x-row of the rank-4 test field into tiles of v_rows v-rows."""
+    if v_rows == 1:
+        monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 1)
+    elif v_rows != "default":
+        monkeypatch.setattr(fields_mod, "_SLAB_BYTES", v_rows * 8 * math.prod(SHAPE[2:]) * fields_mod._workers())
+
+
+def dense_w124_residual(f3, fluxes, scheme):
+    """The w124 continuity residual v d_x f + d_v (F_v f) + d_vddot (F_vddot f) from the pad oracle, with its bound."""
+    def d(data, k):
+        return oracle_d(exact(data), k, 1, scheme.order, f3.axes[k].step)
+
+    v = f3.axes[1].points()[None, :, None]
+    terms = [(v, d(f3.data, 0)), (1.0, d(fluxes["v"] * f3.data, 1)), (1.0, d(fluxes["vddot"] * f3.data, 2))]
+    return sum(c * ref for c, (ref, _, _) in terms), sum(np.abs(c) * err for c, (_, _, err) in terms)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("v_rows", ["default", 1, 3])
+def test_every_grid_loop_gives_the_same_values_whatever_the_tiles(w4, monkeypatch, v_rows, order):
+    # the default budget takes whole x-rows; one v-row and 3 v-rows (which do not divide nv = 10) cut each
+    # x-row into v-tiles, whose edge tiles meet the v-halo of 1 to 3 nodes that orders 2 to 6 read
+    scheme = StencilScheme(order=order)
+    (lhs, lhs_err), (rhs, rhs_err), (res, res_err) = dense_moyal(w4, MIXED_QUARTIC, scheme)
+    rng = np.random.default_rng(order)
+    f3 = RealField((w4.axes[0], w4.axes[1], w4.axes[3]), rng.standard_normal((SHAPE[0], SHAPE[1], SHAPE[3])))
+    fluxes = {"v": rng.standard_normal(f3.data.shape), "vddot": rng.standard_normal(f3.data.shape)}
+    w124, w124_err = dense_w124_residual(f3, fluxes, scheme)
+    u1 = PolynomialPotential(((2, 0, 0.5), (4, 0, 0.01)))
+    w = stencil_halfwidth(1, order)
+    gap_bound = 8 * (2 * w + 1) * EPS * sum(map(abs, stencil_coefficients(1, order)))  # two sides' stencil bounds
+    default_gap = divergence_series_gap(u1, w4, P, scheme)
+    set_tile(monkeypatch, v_rows)
+    if v_rows == "default":
+        want = [(slice(lo, hi), slice(0, SHAPE[1])) for lo, hi in fields_mod._row_slabs(SHAPE[0], w4.data[0].nbytes)]
+    else:
+        want = [(slice(i, i + 1), slice(v0, min(v0 + v_rows, SHAPE[1])))
+                for i in range(SHAPE[0]) for v0 in range(0, SHAPE[1], v_rows)]
+    blocks = list(moyal_residual_slabs(w4, MIXED_QUARTIC, P, scheme))
+    assert [index for index, _ in blocks] == want
+    for index, block in blocks:
+        assert within(block, res[index], res_err[index])
+    assert within(moyal_residual(w4, MIXED_QUARTIC, P, scheme).data, res, res_err)
+    assert within(transport_lhs(w4, MIXED_QUARTIC, P, scheme).data, lhs, lhs_err)
+    assert within(moyal_rhs(w4, MIXED_QUARTIC, P, scheme).data, rhs, rhs_err)
+    # a product view (flux times f) takes d_v on its tile's v-rows widened by the halo
+    assert within(vlasov_residual("w124", f3, fluxes, P, scheme).data, w124, w124_err)
+    gap = divergence_series_gap(u1, w4, P, scheme)
+    assert gap <= gap_bound and abs(gap - default_gap) <= gap_bound
 
 
 # --- flux moments ------------------------------------------------------------
@@ -366,6 +426,87 @@ def test_field_io_copies_nothing(session32):
     assert write_mb <= payload_mb + 1.0
     assert read_mb <= 1.0  # the payload views a read-only mapping of the file
     assert same_bits(back.data, field.data)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fields_mod._workers.cache_clear()
+    yield
+    fields_mod._workers.cache_clear()
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes that fn(*args) allocates, as tracemalloc sees them across threads."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_residual_slab_pass_holds_a_few_slab_budgets(two_workers):
+    # 2 MiB x-rows, four times a worker's share: a task holds a 512 KiB v-tile and its temporaries (a task
+    # that took a whole x-row peaked at 10 budgets)
+    axes = tuple(make_axis(name, -3.0, 3.0, n) for name, n in zip(KINEMATIC_ORDER, (6, 64, 64, 64)))
+    w4 = RealField(axes, np.random.default_rng(2).standard_normal((6, 64, 64, 64)))
+
+    def one_pass():
+        for _ in moyal_residual_slabs(w4, MIXED_QUARTIC, P, StencilScheme(order=4)):
+            pass
+
+    assert traced_peak(one_pass) <= 5 * fields_mod._SLAB_BYTES
+
+
+def test_the_transform_gathers_no_shifted_window(two_workers):
+    # the transform holds a block buffer of one x-row (nv^2 nx doubles) and a kernel per worker; gathering the
+    # shifted factors took two more arrays of nx nv^2 complex values (4 MiB each at 64^2)
+    n = 64
+    axes = (make_axis("x", -8.0, 8.0, n), make_axis("v", -8.0, 8.0, n))
+    psi = ComplexField(axes, np.random.default_rng(3).standard_normal((n, n)) + 0j)
+    window = 16 * n**3
+    held = 2 * 8 * n**3 + fields_mod._SLAB_BYTES
+
+    def stream():
+        _, rows = transform_rows(psi, P, ("x", "v"))
+        for _ in rows:
+            pass
+
+    assert traced_peak(stream) < held + window
+
+
+def test_sampling_holds_one_field():
+    axes = tuple(make_axis(name, -3.0, 3.0, 32) for name in KINEMATIC_ORDER)
+    field_bytes = 8 * 32**4
+    assert traced_peak(sample_real, lambda x, v, vd, vdd: x + v + vd + vdd, axes) <= 1.25 * field_bytes
+
+
+def test_sampling_neither_aliases_nor_freezes_what_the_callable_holds():
+    axes = tuple(make_axis(name, -3.0, 3.0, 8) for name in KINEMATIC_ORDER)
+    kept = np.ones((8,) * 4)
+    field = sample_real(lambda *coords: kept, axes)
+    assert not np.shares_memory(field.data, kept) and kept.flags.writeable
+    kept[0, 0, 0, 0] = 2.0
+    assert field.data[0, 0, 0, 0] == 1.0
+    seen = []
+
+    def remember(x):
+        seen.append(x)
+        return x
+
+    line = sample_real(remember, axes[:1])
+    assert not np.shares_memory(line.data, seen[0]) and seen[0].flags.writeable
+    stored = []
+
+    def store(*coords):
+        stored.append(sum(coords))
+        return stored[-1]
+
+    field = sample_real(store, axes)
+    assert not np.shares_memory(field.data, stored[0]) and stored[0].flags.writeable
+    # a fresh result nothing else holds is the field's data, frozen
+    assert not sample_real(lambda *coords: sum(coords), axes).data.flags.writeable
 
 
 def test_transform_gate_measures_only_check_1():

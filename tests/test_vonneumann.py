@@ -47,6 +47,29 @@ def test_an_evolution_out_of_range_is_a_numeric_error(energies, hbar2, t, what):
         density_matrix_at(ModeSet(energies, [0.6, 0.8], hbar2=hbar2), t)
 
 
+def test_a_derivative_out_of_range_is_a_numeric_error():
+    # rho(0) fits; conj(E_n) - E_k = 3e308 does not
+    with pytest.raises(NumericError, match=re.escape("d0 rho(t) leaves the float range at t = 0, hbar2 = 1")):
+        rho_time_derivative(ModeSet([1.5e308, -1.5e308], [0.6, 0.8]), 0.0)
+
+
+def test_a_phase_with_no_significant_bits_is_a_numeric_error():
+    # every value stays finite, but at t = +-dt the phase E t = 1e296 has no digit below 2^52; the centered
+    # difference used to compare garbage phases with d0 rho and report a residual of 9.6e299
+    modes = ModeSet([1e300, -1e300], [0.6, 0.8])
+    with pytest.raises(NumericError, match=re.escape("C_n(t) has no phase left at t = 0.0001, hbar2 = 1")):
+        von_neumann_residual(modes, 0.0)
+    with pytest.raises(NumericError, match=re.escape("reaches 2^52")):
+        density_matrix_at(modes, 1.0)
+    assert np.isfinite(density_matrix_at(ModeSet([2.0**51, 1.0], [0.6, 0.8]), 1.0)).all()
+
+
+def test_a_residual_out_of_range_is_a_numeric_error():
+    # rho = 1e300 and a zero derivative fit, rho H = 1e310 does not (the commutator was NaN)
+    with pytest.raises(NumericError, match=re.escape("the von Neumann residual leaves the float range at t = 0")):
+        von_neumann_residual(ModeSet([1e10, 1e10], [1e150, 1e150]), 0.0)
+
+
 def test_mode_text_round_trip():
     m = ModeSet(np.array([1.0, 2.0 + 0.5j]), np.array([1.0 + 1.0j, -0.25]), hbar2=0.7)
     again = ModeSet.from_text(m.to_text(), hbar2=0.7)
