@@ -196,14 +196,8 @@ def sample_complex(func, axes) -> ComplexField:
 
 def _sample(cls, func, axes):
     axes = _check_axes(axes, *cls._rank_range)
-    shape = tuple(a.n for a in axes)
     data = func(*np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True))
-    # a fresh full-shape array that nothing else references (as nothing but `own` references `own`) becomes the
-    # field's data as it is; an input, an array the callable keeps, a view or a broadcast result is copied
-    own = object()
-    fresh = (isinstance(data, np.ndarray) and data.base is None and data.shape == shape and data.dtype == cls._dtype
-             and data.flags.c_contiguous and data.flags.writeable and sys.getrefcount(data) == sys.getrefcount(own))
-    return cls(axes, data if fresh else np.array(np.broadcast_to(data, shape), dtype=cls._dtype))
+    return cls(axes, np.array(np.broadcast_to(data, tuple(a.n for a in axes)), dtype=cls._dtype))
 
 
 # ---------------------------------------------------------------------------

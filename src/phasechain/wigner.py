@@ -174,11 +174,11 @@ def transform_rows(psi: ComplexField, params, shifts):
             # kernel columns q, rows i + k of psi and rows y + k of rev (row i - k of psi) for the shifts k = q of
             # q <= m, then for k = q - nq of q >= nq - m; the factors as (v-row, r, q) views, with their columns
             y = nx - 1 - i
-            shifts = [(slice(0, m + 1), slice(i, i + m + 1), slice(y, y + m + 1))]
+            row_shifts = [(slice(0, m + 1), slice(i, i + m + 1), slice(y, y + m + 1))]
             if m:
-                shifts.append((slice(nq - m, nq), slice(i - m, i), slice(y - m, y)))
+                row_shifts.append((slice(nq - m, nq), slice(i - m, i), slice(y - m, y)))
             factors = [(rev[ys, :, minus].transpose(1, 2, 0), win[xs, :, plus].transpose(1, 2, 0),
-                        (slice(None), rs, qs)) for qs, xs, ys in shifts for rs, plus, minus in runs]
+                        (slice(None), rs, qs)) for qs, xs, ys in row_shifts for rs, plus, minus in runs]
             for j in range(0, nv, chunk):
                 # part[j', r, q] = conj(psi[i-k, j+j'-l]) psi[i+k, j+j'+l] with k = q for q < nq/2 and q - nq
                 # above; rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
