@@ -109,7 +109,7 @@ def read_field(path):
 
     The file is mapped read-only and the payload array views the mapping, so
     nothing is copied; the mapping lives as long as the field's data. The
-    x-slab loops over the field drop the mapped rows they have passed from
+    tile loops over the field drop the mapped rows they have passed from
     the process, and a later read maps them again from the page cache.
     """
     with open(path, "rb") as fh:

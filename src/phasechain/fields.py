@@ -374,16 +374,16 @@ def _slab_extrema(data: Array):
 
 
 # ---------------------------------------------------------------------------
-# x-slabs and the slab pool
+# tiles and the slab pool
 #
 # x-rows are independent for everything but d_x, which reads its neighbours in
 # place, so slab loops run on a thread pool: NumPy and BLAS release the GIL
 # while they work. A slab task calls only private code (the benchmark's span
 # recorder keeps one span stack per process) and writes only its own rows.
 
-# the bytes of one slab loop's tasks in flight, split evenly among the workers: a task takes as many x-rows as fit
-# its share, at least one each, and a grid loop (_grid_tiles) cuts an x-row that exceeds the share into v-tiles of
-# as many v-rows as fit it, at least one each (16 of the 2 MiB x-row of a 64^4 field on 2 CPUs)
+# the bytes of one slab loop's tasks in flight, split evenly among the workers: a tile (_grid_tiles) takes as many
+# x-rows as fit its share, or, where one x-row exceeds the share, as many of its v-rows, at least one each (16 of
+# the 2 MiB x-row of a 64^4 field on 2 CPUs); the transform's x-slabs and the finiteness scan take whole x-rows
 _SLAB_BYTES = 1 << 20
 
 
@@ -537,50 +537,6 @@ def _map_slabs(task, ranges, spare: int = 0):
                 job.done.acquire()
 
 
-def _map_rows(task, data: Array, halo: int, ranges=None, spare: int = 0):
-    """Yield task(*r) for each r of ranges (by default the x-slabs of `data`), in order, from _map_slabs.
-
-    Each r starts with the x-rows [lo, hi) it covers, and ranges run in x
-    order: _row_slabs' slabs, or _grid_tiles' tiles. halo is the number of
-    rows beyond [lo, hi) on either side that a task reads from `data`. When
-    the caller asks for the next result, the rows no later task reads (those
-    more than halo rows before the next range's lo) are dropped with
-    _drop_rows, and once the loop ends all of them, so a loop over a mapped
-    field keeps only the rows in flight and their halo resident. spare is
-    passed to _map_slabs.
-    """
-    ranges = _row_slabs(len(data), data[0].nbytes) if ranges is None else ranges
-    done = 0
-    for (lo, *_), value in zip([*ranges[1:], (len(data),)], _map_slabs(task, ranges, spare)):
-        yield value
-        _drop_rows(data, done, lo - halo)
-        done = max(done, lo - halo)
-    _drop_rows(data, done, len(data))
-
-
-def _axis_sums(data: Array, k: int, scale: float, *integrands) -> list:
-    """scale * the sums over array axis k of data and of each integrand(lo, hi) (its values on rows [lo, hi)).
-
-    The sums keep data's dtype and are taken one x-slab at a time (halo 0), or
-    over axis 0 in one task over all rows, since every row adds into each value.
-    """
-    sums = [np.empty(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype) for _ in range(1 + len(integrands))]
-    parts = (lambda lo, hi: data[lo:hi], *integrands)
-
-    def task(lo, hi):
-        rows = slice(lo, hi) if k else ...  # a sum over axis 0 fills each whole output
-        for out, part in zip(sums, parts):
-            out[rows] = part(lo, hi).sum(axis=k) * scale
-
-    if k:
-        for _ in _map_rows(task, data, 0):
-            pass
-    else:
-        task(0, len(data))
-        _drop_rows(data, 0, len(data))
-    return sums
-
-
 def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilScheme) -> RealField:
     """Central finite-difference partial along a named axis, zero extension outside.
 
@@ -601,7 +557,7 @@ def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
     or a float when the last axis is integrated away.
     """
     k = field.axis_index(axis)
-    total, = _axis_sums(field.data, k, weight * field.axes[k].step)
+    total, = _axis_sums(field, k, weight * field.axes[k].step, StencilScheme())
     rest = field.axes[:k] + field.axes[k + 1 :]
     if not (rest or np.isfinite(total)):  # a rank >= 2 result is checked by its constructor
         raise ValidationError("field data contains non-finite values")
@@ -807,21 +763,30 @@ class _PointView:
         return np.asarray(samples)
 
 
-def _grid_slabs(field: RealField, scheme: StencilScheme, body):
-    """Yield (index, body(view)) for the _GridView of each of the field's _grid_tiles, in order.
+def _grid_slabs(field: RealField, scheme: StencilScheme, body, halo: int | None = None):
+    """Yield (index, body(view)) for the _GridView of each of the field's _grid_tiles, in order, from _map_slabs.
 
     index is the tile's (x-rows, v-rows) pair of slices, so field.data[index]
-    holds its points. A view's one x-stencil, d/dx, sets the halo.
+    holds its points. halo, the x-rows beyond a tile that a body reads, is by
+    default that of a view's one x-stencil, d/dx. As each result is taken,
+    _drop_rows drops the rows no later tile reads, and at the end the rest:
+    a loop keeps only its tiles in flight and their halo of a mapped field.
     """
-    potentials = {}
+    data, potentials = field.data, {}
+    halo = stencil_halfwidth(1, scheme.order) if halo is None else halo
 
     def task(lo, hi, v0, v1):
         return (slice(lo, hi), slice(v0, v1)), body(_GridView(field, scheme, potentials, lo, hi, v0, v1))
 
-    tiles = _grid_tiles(field.data)
+    tiles = _grid_tiles(data)
     # a v-tile is short work: there one spare tile keeps the workers busy while the caller takes a result
-    spare = int(tiles[0][3] < field.data.shape[1])
-    return _map_rows(task, field.data, stencil_halfwidth(1, scheme.order), tiles, spare)
+    spare = int(tiles[0][3] < data.shape[1])
+    done = 0
+    for (lo, *_), value in zip([*tiles[1:], (len(data),)], _map_slabs(task, tiles, spare)):
+        yield value
+        _drop_rows(data, done, lo - halo)
+        done = max(done, lo - halo)
+    _drop_rows(data, done, len(data))
 
 
 def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
@@ -833,11 +798,47 @@ def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
 
 
 def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
-    """body at the points of a PointwiseField (an array), or on a grid field's x-slabs (a RealField)."""
+    """body at the points of a PointwiseField (an array), or on a grid field's tiles (a RealField)."""
     if isinstance(field, PointwiseField):
         return body(_PointView(field, axis_names, points, scheme))
     require_axes(field, axis_names)
     return RealField._trusted(field.axes, _over_slabs(field, scheme, body))
+
+
+def _axis_sums(field, k: int, scale: float, scheme: StencilScheme, *bodies) -> list:
+    """scale * the sums over array axis k of the field's data and of each body(view), in the data's dtype.
+
+    Summed tile by tile on _grid_slabs with no halo (no body takes d/dx). The
+    calling thread adds the v-rows of a tile cut along v into their sums in
+    order, as NumPy sums a leading axis, so any tile height gives the same
+    bits. A sum over axis 0 takes one view of the whole field.
+    """
+    data = field.data
+    sums = [np.zeros(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype) for _ in range(1 + len(bodies))]
+    if k == 0:
+        view = _GridView(field, scheme, {}, 0, len(data)) if bodies else None  # a rank-1 field has no v-rows
+        for out, part in zip(sums, (data, *(body(view) for body in bodies))):
+            out[...] = part.sum(axis=0) * scale
+        _drop_rows(data, 0, len(data))
+        return sums
+
+    integrands = (_GridView.values, *bodies)
+
+    def task(view):  # one part at a time, summed before the next is made: two at once made glibc refault its heap
+        if k == 1 and view.shape[1] < data.shape[1]:
+            return [integrand(view) for integrand in integrands]
+        index = (slice(view.lo, view.hi), slice(view.v0, view.v1))[:k]
+        for out, integrand in zip(sums, integrands):
+            out[index] = integrand(view).sum(axis=k) * scale
+        return []
+
+    for (rows, v_rows), parts in _grid_slabs(field, scheme, task, 0):
+        for out, part in zip(sums, parts):
+            for j in range(part.shape[1]):
+                out[rows] += part[:, j]
+            if v_rows.stop == data.shape[1]:
+                out[rows] *= scale
+    return sums
 
 
 def require_axes(field: RealField, axis_names):

@@ -38,7 +38,6 @@ from .fields import (
     _axis_sums,
     _evaluate,
     _grid_slabs,
-    _GridView,
     _over_slabs,
     _PointView,
     _slab_extrema,
@@ -110,22 +109,21 @@ def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, thresh
     return FluxField(kind, RealField._trusted(density.axes, num), mask, threshold, density)
 
 
-def _moment_ratio(field: RealField, k: int, params, threshold: float, *numerators) -> list:
+def _moment_ratio(field: RealField, k: int, params, threshold: float, scheme: StencilScheme, *numerators) -> list:
     """(m step sum_k numerator) / (m step sum_k field) for each (kind, numerator), from one _axis_sums.
 
-    numerator(lo, hi) gives its integrand on the field's x-rows [lo, hi). The
+    Each numerator is a body on views of the field, on the given scheme. The
     fluxes share the denominator as their density, and its support mask.
     """
-    den, *nums = _axis_sums(field.data, k, params.m * field.axes[k].step, *(num for _, num in numerators))
+    den, *nums = _axis_sums(field, k, params.m * field.axes[k].step, scheme, *(num for _, num in numerators))
     density = RealField(field.axes[:k] + field.axes[k + 1 :], den)
     mask = _support_mask(den, threshold)
     return [_masked_ratio(kind, num, density, mask, threshold) for (kind, _), num in zip(numerators, nums)]
 
 
-def _first_moment(field: RealField, k: int):
-    """The first moment's integrand along array axis k: the field times that axis' coordinate, on x-rows [lo, hi)."""
-    coord = field.axes[k].points().reshape((-1,) + (1,) * (field.rank - 1 - k))
-    return lambda lo, hi: field.data[lo:hi] * coord
+def _first_moment(axis: str):
+    """The body of the first moment along an axis: the field times that axis' coordinate, on a view."""
+    return lambda view: view.values() * view.coord(axis)
 
 
 def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
@@ -134,7 +132,7 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
     The flux is the m-weighted first moment along the traced axis divided by
     the m-weighted zeroth moment, masked where the zeroth moment falls below
     mask_threshold times its peak. '12-vel' first reduces the vddot axis.
-    Both moments are accumulated one x-slab at a time.
+    Both moments are accumulated one tile at a time.
     """
     if which not in MOMENT_KINDS:
         raise ValidationError(f"unknown moment kind {which!r}; expected one of {sorted(MOMENT_KINDS)}")
@@ -145,8 +143,8 @@ def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float =
     for name in reduce_first:
         if name in present:
             field = integrate_axis(field, name, weight=params.m)
-    k = field.axis_index(traced)
-    return _moment_ratio(field, k, params, mask_threshold, (which, _first_moment(field, k)))[0]
+    return _moment_ratio(field, field.axis_index(traced), params, mask_threshold, StencilScheme(),
+                         (which, _first_moment(traced)))[0]
 
 
 def _closure_series(view, terms, axis: str) -> Array:
@@ -211,11 +209,10 @@ def vlasov_moyal_velocity_flux(f12, u1: PolynomialPotential, params, scheme: Ste
     return _closure_flux(f12, {2: ("12-vel", MEMBERS["w12"][0])}, terms, "v", scheme, points, mask_threshold)
 
 
-def _closure_moment(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None):
-    """The integrand of the closure body <vddot>_{1234} w4 on the rank-4 x-rows [lo, hi), for a vdot moment."""
-    scheme = StencilScheme() if scheme is None else scheme
-    terms, potentials = closure_coefficients(u, params, "x"), {}
-    return lambda lo, hi: _closure_series(_GridView(w4, scheme, potentials, lo, hi), terms, "vddot")
+def _closure_moment(u: PolynomialPotential, params):
+    """The integrand of the closure body <vddot>_{1234} w4 on a rank-4 view, for a vdot moment."""
+    terms = closure_coefficients(u, params, "x")
+    return lambda view: _closure_series(view, terms, "vddot")
 
 
 def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None = None,
@@ -225,11 +222,12 @@ def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme
     Averages the rank-4 series closure over vdot:
     <vddot>_{124} = m Int <vddot>_{1234} w4 dvdot / (m Int w4 dvdot).
     The numerator integrates the closure body, <vddot>_{1234} w4, so it never
-    divides by w4. Both integrals are accumulated one x-slab at a time.
+    divides by w4. Both integrals are accumulated one tile at a time.
     """
     check_mask_threshold(mask_threshold)
     require_axes(w4, KINEMATIC_ORDER)
-    return _moment_ratio(w4, 2, params, mask_threshold, ("124-accel", _closure_moment(w4, u, params, scheme)))[0]
+    scheme = StencilScheme() if scheme is None else scheme
+    return _moment_ratio(w4, 2, params, mask_threshold, scheme, ("124-accel", _closure_moment(u, params)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +283,8 @@ def chain_residual(member: str, w4: RealField, u: PolynomialPotential, params, s
     check_mask_threshold(mask_threshold)
     require_axes(w4, KINEMATIC_ORDER)
     if member == "w124":
-        fluxes = _moment_ratio(w4, 2, params, mask_threshold, ("124-vel", _first_moment(w4, 2)),
-                               ("124-accel", _closure_moment(w4, u, params, scheme)))
+        fluxes = _moment_ratio(w4, 2, params, mask_threshold, scheme, ("124-vel", _first_moment("vdot")),
+                               ("124-accel", _closure_moment(u, params)))
     elif member in ("w123", "w12"):
         fluxes = [mean_flux_from_w4(w4, {"w123": "123-accel", "w12": "12-vel"}[member], params, mask_threshold)]
     else:
@@ -308,7 +306,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     independently, the transport-plus-correction-series form, using one shared
     discrete derivative (repeated first differences along vddot) so the two
     sides are algebraically identical. Returns max |difference| over the
-    support mask, relative to the larger side, reduced one x-slab at a time.
+    support mask, relative to the larger side, reduced one tile at a time.
     Requires a velocity-independent potential.
     """
     if not u1.v_independent:

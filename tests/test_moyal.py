@@ -291,6 +291,25 @@ def test_dt_term_shifts_transport():
     assert np.allclose(shifted.data, base.data + 0.7, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("operator", ["transport_lhs", "moyal_residual", "w123"])
+def test_dt_term_shifts_a_pointwise_residual(operator):
+    # a pointwise view takes the time derivative's samples at its own points, as they are given
+    rng = np.random.default_rng(23)
+    pts = tuple(rng.uniform(-2.0, 2.0, size=300) for _ in range(4))
+    u = PolynomialPotential(u12_polynomial(P).terms + ((4, 0, 0.01),))
+    w4 = w1234_field(P)
+    dt = rng.standard_normal(300) * w4.values(pts)
+    call = {
+        "transport_lhs": lambda **kw: transport_lhs(w4, u, P, SCHEME, points=pts, **kw),
+        "moyal_residual": lambda **kw: moyal_residual(w4, u, P, SCHEME, points=pts, **kw),
+        "w123": lambda **kw: vlasov_residual("w123", w123_field(P), {"vdot": lambda x, v, vd: P.omega**2 * v},
+                                             P, SCHEME, u, points=pts[:3], **kw),
+    }[operator]
+    base, shifted = call(), call(dt_term=dt)
+    # the residual adds its terms to dt_term rather than to 0: only the rounding of those sums differs
+    assert np.abs(shifted - (base + dt)).max() <= 16 * np.finfo(float).eps * np.abs(dt).max()
+
+
 def test_mode_validation():
     u = u12_polynomial(P)
     field = w1234_field(P)

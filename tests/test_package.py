@@ -160,13 +160,14 @@ def test_a_command_runs_only_the_modules_it_calls(small_w4, tmp_path, argv, load
 def test_a_chain_residual_makes_one_pass_over_w(small_w4, monkeypatch, mode):
     # vlasov124's two fluxes share their denominator, so one pass sums it and both numerators
     fields, cli = importlib.import_module("phasechain.fields"), importlib.import_module("phasechain.cli")
-    ranks, map_rows = [], fields._map_rows
+    ranks, grid_slabs = [], fields._grid_slabs
 
-    def counted(task, data, *args):
-        ranks.append(data.ndim)
-        return map_rows(task, data, *args)
+    def counted(field, *args):
+        ranks.append(field.rank)
+        return grid_slabs(field, *args)
 
-    monkeypatch.setattr(fields, "_map_rows", counted)
+    for module in ("fields", "moyal", "vlasov"):  # every module that runs a grid loop
+        monkeypatch.setattr(importlib.import_module(f"phasechain.{module}"), "_grid_slabs", counted)
     assert cli.main(["residual", "--in", str(small_w4), "--potential", str(small_w4.with_name("u.txt")),
                      "--mode", mode]) == 0
     assert ranks.count(4) == 1
@@ -230,3 +231,22 @@ def test_matrix_products_stay_in_the_stencil_and_vonneumann():
     found = [site for path in Path(phasechain.__file__).parent.glob("*.py") for site in matrix_products(path)]
     assert ("fields", "_stencil") in found
     assert [(module, name) for module, name in found if module != "vonneumann" and name != "_stencil"] == []
+
+
+def call_sites(name: str) -> list:
+    """(module, top-level function or class) of each call of the function `name` in the package's modules."""
+    found = []
+    for path in sorted(Path(phasechain.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == name:
+                    found.append((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_every_grid_pass_runs_on_the_one_tiler():
+    # grid loops and reductions alike take their tasks from _grid_slabs; only the transform's rows and the
+    # finiteness scan cut x-rows of their own
+    assert sorted(set(call_sites("_map_slabs"))) == [("fields", "_grid_slabs"), ("wigner", "transform_rows")]
+    assert set(call_sites("_row_slabs")) == {("fields", "_slab_extrema"), ("fields", "_grid_tiles"),
+                                             ("wigner", "transform_rows")}

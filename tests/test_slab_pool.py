@@ -351,11 +351,15 @@ def test_fluxes_do_not_depend_on_the_worker_count(monkeypatch, w4, kind):
     assert same_bytes(per_worker_count(monkeypatch, flux, 1, ROW))
 
 
+@pytest.mark.parametrize("v_rows", [None, 1, 3])
 @pytest.mark.parametrize("axis", ["x", "v", "vdot", "vddot"])
-def test_integrate_axis_does_not_depend_on_the_worker_count(monkeypatch, w4, axis):
+def test_integrate_axis_does_not_depend_on_the_worker_count(monkeypatch, w4, axis, v_rows):
+    # one x-row per task, or tiles of 1 or 3 v-rows (3 does not divide nv = 8): a sum over v adds the v-rows of
+    # each x-row in order, whichever tasks hold them
     k = w4.axis_index(axis)
     dense = w4.data.sum(axis=k) * (P.m * w4.axes[k].step)
-    results = per_worker_count(monkeypatch, lambda: integrate_axis(w4, axis, weight=P.m).data, 1, ROW)
+    slab = (1, ROW) if v_rows is None else (v_rows, ROW // SHAPE[1])
+    results = per_worker_count(monkeypatch, lambda: integrate_axis(w4, axis, weight=P.m).data, *slab)
     assert same_bytes([dense] + results)
     psi = ComplexField((w4.axes[0], w4.axes[1]), w4.data[:, :, 0, 0] + 1j * w4.data[:, :, 1, 1])
     dense = psi.data.sum(axis=1) * psi.axes[1].step

@@ -1,4 +1,4 @@
-"""Banded-matrix stencils and x-slab evaluation against dense references, and bounded memory.
+"""Banded-matrix stencils and tile evaluation against dense references, and bounded memory.
 
 The stencil kernel sums in BLAS order, so stencil results are checked against
 the zero-padded tap sum within a stated rounding bound; everything without a
@@ -22,7 +22,9 @@ from phasechain import (
     RealField,
     StencilScheme,
     accel_flux_124_from_w4,
+    chain_residual,
     divergence_series_gap,
+    integrate_axis,
     make_axis,
     mean_flux_from_w4,
     moyal_residual,
@@ -302,10 +304,21 @@ def dense_w124_residual(f3, fluxes, scheme):
 
 @pytest.mark.parametrize("order", [2, 4, 6])
 @pytest.mark.parametrize("v_rows", ["default", 1, 3])
-def test_every_grid_loop_gives_the_same_values_whatever_the_tiles(w4, monkeypatch, v_rows, order):
+def test_every_grid_loop_gives_the_same_values_whatever_the_tiles(w4, positive_w4, monkeypatch, v_rows, order):
     # the default budget takes whole x-rows; one v-row and 3 v-rows (which do not divide nv = 10) cut each
     # x-row into v-tiles, whose edge tiles meet the v-halo of 1 to 3 nodes that orders 2 to 6 read
     scheme = StencilScheme(order=order)
+
+    def reductions():
+        # the moments, and the chain residual's density and mask, with the w124 residual and its closing fluxes
+        fluxes = [mean_flux_from_w4(positive_w4, kind, P, 0.2) for kind in ("123-accel", "124-vel", "12-vel")]
+        fluxes.append(accel_flux_124_from_w4(positive_w4, MIXED_QUARTIC, P, scheme, 0.2))
+        residual, density, valid = chain_residual("w124", positive_w4, MIXED_QUARTIC, P, scheme, 0.2)
+        sums = [integrate_axis(w4, a.name, weight=P.m).data for a in w4.axes]
+        sums += [a for fl in fluxes for a in (fl.values.data, fl.density.data, fl.mask)] + [density.data, valid]
+        return sums, residual, density, {"v": fluxes[1].values.data, "vddot": fluxes[3].values.data}
+
+    default_sums = reductions()[0]
     (lhs, lhs_err), (rhs, rhs_err), (res, res_err) = dense_moyal(w4, MIXED_QUARTIC, scheme)
     rng = np.random.default_rng(order)
     f3 = RealField((w4.axes[0], w4.axes[1], w4.axes[3]), rng.standard_normal((SHAPE[0], SHAPE[1], SHAPE[3])))
@@ -332,6 +345,11 @@ def test_every_grid_loop_gives_the_same_values_whatever_the_tiles(w4, monkeypatc
     assert within(vlasov_residual("w124", f3, fluxes, P, scheme).data, w124, w124_err)
     gap = divergence_series_gap(u1, w4, P, scheme)
     assert gap <= gap_bound and abs(gap - default_gap) <= gap_bound
+    # the moments sum their tiles in x and v order, so every tile height gives the default's bits; the residual
+    # takes its stencils on the tiles of the density, so it is held to the pad oracle's bound
+    sums, residual, density, closing = reductions()
+    assert len(sums) == len(default_sums) and all(same_bits(a, b) for a, b in zip(sums, default_sums))
+    assert within(residual.data, *dense_w124_residual(density, closing, scheme))
 
 
 # --- flux moments ------------------------------------------------------------

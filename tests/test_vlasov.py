@@ -227,9 +227,9 @@ def test_a_chain_residual_refuses_an_unknown_member(member):
 def test_a_flux_function_sums_only_its_own_numerator(monkeypatch, kind):
     counts, axis_sums = [], vlasov_mod._axis_sums
 
-    def counted(data, k, scale, *integrands):
-        counts.append(len(integrands))
-        return axis_sums(data, k, scale, *integrands)
+    def counted(field, k, scale, scheme, *bodies):
+        counts.append(len(bodies))
+        return axis_sums(field, k, scale, scheme, *bodies)
 
     monkeypatch.setattr(vlasov_mod, "_axis_sums", counted)
     w4 = signed_w4()
