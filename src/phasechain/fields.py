@@ -381,10 +381,10 @@ def _slab_extrema(data: Array):
 # while they work. A slab task calls only private code (the benchmark's span
 # recorder keeps one span stack per process) and writes only its own rows.
 
-# the bytes of one slab loop's tasks in flight, split evenly among the workers: a tile (_grid_tiles) takes as many
-# x-rows as fit its share, or, where one x-row exceeds the share, as many of its v-rows, at least one each (16 of
-# the 2 MiB x-row of a 64^4 field on 2 CPUs); the transform's x-slabs and the finiteness scan take whole x-rows
-_SLAB_BYTES = 1 << 20
+# the bytes of one slab task, whatever the worker count, so tiles (and a stencil's BLAS sum order) follow only the
+# field's shape: a tile (_grid_tiles) takes the x-rows that fit, or, where one x-row is larger, as many of its v-rows,
+# at least one (16 of a 64^4 field's 2 MiB x-row); the transform's x-slabs and the finiteness scan take x-rows
+_TILE_BYTES = 1 << 19
 
 
 @lru_cache(maxsize=None)
@@ -396,8 +396,8 @@ def _workers() -> int:
 
 
 def _row_slabs(n: int, row_bytes: int):
-    """[lo, hi) over n rows of row_bytes each; the workers' slabs together hold about _SLAB_BYTES, a row at least."""
-    rows = max(1, _SLAB_BYTES // (_workers() * row_bytes))
+    """[lo, hi) over n rows of row_bytes each; a slab holds about _TILE_BYTES, a row at least."""
+    rows = max(1, _TILE_BYTES // row_bytes)
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
@@ -405,15 +405,14 @@ def _grid_tiles(data: Array):
     """(lo, hi, v0, v1) over x-rows [lo, hi) and v-rows [v0, v1) (array axis 1) of a rank >= 2 `data`, in order.
 
     These are the x-slabs of _row_slabs, with every v-row, while one x-row
-    fits a worker's share of _SLAB_BYTES. A larger x-row is cut into tiles of
-    as many v-rows as fit the share, at least one each.
+    fits _TILE_BYTES. A larger x-row is cut into the v-slabs of _row_slabs,
+    one x-row each. The tiles depend only on the shape, not on the workers.
     """
     n, nv = data.shape[:2]
-    share, v_row = _SLAB_BYTES // _workers(), data[0, 0].nbytes
-    if nv * v_row <= share:
+    v_row = data[0, 0].nbytes
+    if nv * v_row <= _TILE_BYTES:
         return [(lo, hi, 0, nv) for lo, hi in _row_slabs(n, nv * v_row)]
-    height = max(1, share // v_row)
-    return [(i, i + 1, v0, min(v0 + height, nv)) for i in range(n) for v0 in range(0, nv, height)]
+    return [(i, i + 1, v0, v1) for i in range(n) for v0, v1 in _row_slabs(nv, v_row)]
 
 
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)

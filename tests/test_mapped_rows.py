@@ -74,7 +74,7 @@ def dropped(monkeypatch):
 
 @pytest.fixture
 def one_row_slabs(monkeypatch):
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 8 * math.prod(SHAPE[1:]) * fields_mod._workers())
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", 8 * math.prod(SHAPE[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,7 @@ def psi_path(tmp_path_factory):
 
 @pytest.mark.parametrize("rows", [1, 3, 16])
 def test_streamed_w4_equals_the_written_wigner4(psi_path, tmp_path, monkeypatch, capsys, rows):
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", rows * 8 * 32 * 32 * 16 * fields_mod._workers())
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", rows * 8 * 32 * 32 * 16)
     assert main(["wigner", "--in", str(psi_path), "--m", "1.3", "--out", str(tmp_path / "w4.fld")]) == 0
     w4 = wigner4(read_field(psi_path), P)
     write_field(w4, tmp_path / "ref.fld")
@@ -231,7 +231,7 @@ def test_row_buffers_hold_with_more_workers_than_cores(psi_path, monkeypatch):
     try:
         set_workers(1)
         ref = wigner4(psi, P).data
-        monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -250,3 +250,5 @@ def test_every_grid_pass_runs_on_the_one_tiler():
     assert sorted(set(call_sites("_map_slabs"))) == [("fields", "_grid_slabs"), ("wigner", "transform_rows")]
     assert set(call_sites("_row_slabs")) == {("fields", "_slab_extrema"), ("fields", "_grid_tiles"),
                                              ("wigner", "transform_rows")}
+    # the worker count sizes only the pool and the transform's buffer lists, never a tile
+    assert set(call_sites("_workers")) == {("fields", "_map_slabs"), ("wigner", "transform_rows")}

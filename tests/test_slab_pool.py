@@ -1,9 +1,8 @@
 """The slab pool: N workers give one worker's results bit for bit, errors and np.errstate cross the threads.
 
 The worker count is the size of the process's CPU affinity, so the tests set
-it by patching os.sched_getaffinity. The slab budget is split among the
-workers; the tests scale it with the worker count so that every count cuts
-the same slabs, and compare bytes.
+it by patching os.sched_getaffinity. The tile budget is per task, so every
+count cuts the same slabs; the tests compare bytes.
 """
 
 import contextlib
@@ -45,13 +44,14 @@ from phasechain import (
     transport_lhs,
     vlasov_moyal_accel_flux,
     vlasov_residual,
+    w1234_analytic,
     wigner3,
     wigner4,
     wigner24,
     write_field,
 )
 from phasechain.cli import main
-from phasechain.fields import _map_slabs, _row_slabs, _stencil
+from phasechain.fields import _grid_tiles, _map_slabs, _row_slabs, _stencil
 
 from conftest import child_env
 
@@ -75,12 +75,12 @@ def fresh_worker_count():
 
 
 def per_worker_count(monkeypatch, compute, slab_rows=None, row_bytes=None):
-    """compute() once for each worker count; slab_rows x-rows per slab whatever the count, if given."""
+    """compute() once for each worker count; slab_rows x-rows per slab, if given."""
+    if slab_rows is not None:
+        monkeypatch.setattr(fields_mod, "_TILE_BYTES", slab_rows * row_bytes)
     results = []
     for n in WORKERS:
         set_workers(monkeypatch, n)
-        if slab_rows is not None:
-            monkeypatch.setattr(fields_mod, "_SLAB_BYTES", slab_rows * row_bytes * n)
         results.append(compute())
     return results
 
@@ -213,7 +213,7 @@ def test_a_slab_task_may_start_a_slab_loop(monkeypatch, w4):
     # the inner loop runs on the worker that asked for it: queued on the pool, its jobs would wait behind
     # the outer tasks, which wait for them
     set_workers(monkeypatch, 2)
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 1)  # one row a slab, inner and outer
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)  # one row a slab, inner and outer
     want = integrate_axis(w4, "vddot").data
     got = []
 
@@ -261,14 +261,18 @@ def test_a_task_error_surfaces_unchanged_after_the_tasks_in_flight(monkeypatch):
     assert set(finished) <= {0, 1, 2, 4}
 
 
-def test_slabs_split_the_budget_among_the_workers(monkeypatch):
-    data = np.zeros((10, 256))  # 2 KiB rows
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 8 * 2048)
-    heights = {}
+def test_tiles_do_not_depend_on_the_worker_count(monkeypatch):
+    # the budget is per task: 8 rows of 64 KiB, 4 x-rows of 128 KiB and 16 v-rows of a 2 MiB x-row on any host
+    x_slabbed, v_tiled = np.empty((10, 16, 32, 32)), np.empty((2, 64, 64, 64))
+    cuts = {}
     for n in (1, 2, 3, 16):
         set_workers(monkeypatch, n)
-        heights[n] = {hi - lo for lo, hi in _row_slabs(len(data), data[0].nbytes)[:-1]}
-    assert heights == {1: {8}, 2: {4}, 3: {2}, 16: {1}}
+        cuts[n] = (_row_slabs(20, 1 << 16), _grid_tiles(x_slabbed), _grid_tiles(v_tiled))
+    rows, x_slabs, v_tiles = cuts[1]
+    assert rows == [(0, 8), (8, 16), (16, 20)]
+    assert x_slabs == [(0, 4, 0, 16), (4, 8, 0, 16), (8, 10, 0, 16)]
+    assert v_tiles == [(i, i + 1, v0, v0 + 16) for i in range(2) for v0 in range(0, 64, 16)]
+    assert all(cut == cuts[1] for cut in cuts.values())
 
 
 @pytest.mark.parametrize("madds", [1 << 18, 300])
@@ -318,6 +322,45 @@ def test_moyal_slabs_do_not_depend_on_the_worker_count(monkeypatch, w4):
         return np.concatenate([b for _, b in got])
 
     assert same_bytes(per_worker_count(monkeypatch, blocks, 2, ROW))
+
+
+def default_tile_residual():
+    """The quartic residual, in W's layout, of a W with 2 MiB x-rows, cut into v-tiles by the default budget."""
+    axes = tuple(make_axis(name, -box, box, n) for name, box, n in
+                 zip(("x", "v", "vdot", "vddot"), (8.0, 8.0, 6.28318, 6.28318), (4, 64, 64, 64)))
+    w4 = RealField(axes, w1234_analytic(*np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True), P))
+    residual = np.empty_like(w4.data)
+    for index, block in moyal_residual_slabs(w4, QUARTIC, P, StencilScheme(order=4)):
+        residual[index] = block
+    return residual
+
+
+def test_default_tiles_give_the_same_residual_bytes_on_every_worker_count(monkeypatch):
+    # a stencil's sums round by the tile height, so equal bytes need the same v-tiles on every count
+    assert same_bytes(per_worker_count(monkeypatch, default_tile_residual))
+
+
+PINNED_HASH = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {0})
+from test_slab_pool import default_tile_residual
+print(len(os.sched_getaffinity(0)), hashlib.sha256(default_tile_residual().tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 CPUs")
+def test_a_child_pinned_to_one_cpu_computes_the_same_bytes():
+    # the real affinity path: the child pins itself before phasechain counts its CPUs
+    printed = []
+    for how in ("pinned", "free"):
+        done = subprocess.run([sys.executable, "-c", PINNED_HASH, how], cwd=os.path.dirname(__file__),
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout.split())
+    (pinned, pinned_hash), (free, free_hash) = printed
+    assert pinned == "1" and int(free) >= 2
+    assert pinned_hash == free_hash
 
 
 @pytest.mark.parametrize("what", ["transport", "series", "chain4", "w123", "closure", "gap"])
@@ -373,9 +416,9 @@ def test_a_non_finite_flux_is_refused_from_a_worker(monkeypatch, w4):
     flux = np.ones(SHAPE[:3])
     flux[-1, 2, 3] = np.inf  # in the last slab
     w3 = integrate_axis(w4, "vddot")
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", w3.data[0].nbytes)
     for n in WORKERS:
         set_workers(monkeypatch, n)
-        monkeypatch.setattr(fields_mod, "_SLAB_BYTES", w3.data[0].nbytes * n)
         with pytest.raises(ValidationError, match="field times flux contains non-finite values"):
             vlasov_residual("w123", w3, {"vdot": flux}, P, StencilScheme(), QUARTIC)
 
@@ -403,9 +446,9 @@ def test_a_nan_in_any_slab_of_a_payload_is_a_format_error(monkeypatch, w4, tmp_p
     at = len(blob) - 8 if where == -1 else len(blob) - w4.data.nbytes
     blob[at : at + 8] = np.float64(np.nan).tobytes()
     path.write_bytes(bytes(blob))
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", ROW)
     for n in WORKERS:
         set_workers(monkeypatch, n)
-        monkeypatch.setattr(fields_mod, "_SLAB_BYTES", ROW * n)
         with pytest.raises(FieldFormatError, match="non-finite"):
             read_field(path)
 
@@ -507,7 +550,7 @@ def wrap_public_functions(monkeypatch):
 
 def test_slab_tasks_call_no_public_function(monkeypatch, w4, calls_off_the_main_thread):
     set_workers(monkeypatch, 2)
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 1)  # one row a slab, the last one too
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)  # one row a slab, the last one too
     scheme = StencilScheme(order=4)
     u1 = PolynomialPotential(((2, 0, 0.5), (4, 0, 0.02)))
     axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 8))

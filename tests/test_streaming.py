@@ -99,8 +99,7 @@ def positive_w4(w4):
 
 
 def set_slab_rows(monkeypatch, rows):
-    # the slab budget is split among the workers
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", rows * 8 * math.prod(SHAPE[1:]) * fields_mod._workers())
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", rows * 8 * math.prod(SHAPE[1:]))
 
 
 @pytest.fixture(params=[1, 3, "n"])
@@ -285,11 +284,11 @@ def test_slab_heights_agree_within_the_bound(w4, monkeypatch):
 # --- v-tiles ---------------------------------------------------------------------
 
 def set_tile(monkeypatch, v_rows):
-    """A slab budget whose grid loops cut every x-row of the rank-4 test field into tiles of v_rows v-rows."""
+    """A tile budget whose grid loops cut every x-row of the rank-4 test field into tiles of v_rows v-rows."""
     if v_rows == 1:
-        monkeypatch.setattr(fields_mod, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)
     elif v_rows != "default":
-        monkeypatch.setattr(fields_mod, "_SLAB_BYTES", v_rows * 8 * math.prod(SHAPE[2:]) * fields_mod._workers())
+        monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 8 * math.prod(SHAPE[2:]))
 
 
 def dense_w124_residual(f3, fluxes, scheme):
@@ -464,8 +463,8 @@ def traced_peak(fn, *args) -> int:
 
 
 def test_a_residual_slab_pass_holds_a_few_slab_budgets(two_workers):
-    # 2 MiB x-rows, four times a worker's share: a task holds a 512 KiB v-tile and its temporaries (a task
-    # that took a whole x-row peaked at 10 budgets)
+    # 2 MiB x-rows, four tile budgets: each of two workers' tasks holds a 512 KiB v-tile and its temporaries (a
+    # task that took a whole x-row peaked at 20 tile budgets)
     axes = tuple(make_axis(name, -3.0, 3.0, n) for name, n in zip(KINEMATIC_ORDER, (6, 64, 64, 64)))
     w4 = RealField(axes, np.random.default_rng(2).standard_normal((6, 64, 64, 64)))
 
@@ -473,7 +472,7 @@ def test_a_residual_slab_pass_holds_a_few_slab_budgets(two_workers):
         for _ in moyal_residual_slabs(w4, MIXED_QUARTIC, P, StencilScheme(order=4)):
             pass
 
-    assert traced_peak(one_pass) <= 5 * fields_mod._SLAB_BYTES
+    assert traced_peak(one_pass) <= 10 * fields_mod._TILE_BYTES
 
 
 def test_the_transform_gathers_no_shifted_window(two_workers):
@@ -483,7 +482,7 @@ def test_the_transform_gathers_no_shifted_window(two_workers):
     axes = (make_axis("x", -8.0, 8.0, n), make_axis("v", -8.0, 8.0, n))
     psi = ComplexField(axes, np.random.default_rng(3).standard_normal((n, n)) + 0j)
     window = 16 * n**3
-    held = 2 * 8 * n**3 + fields_mod._SLAB_BYTES
+    held = 2 * 8 * n**3 + 2 * fields_mod._TILE_BYTES
 
     def stream():
         _, rows = transform_rows(psi, P, ("x", "v"))

@@ -534,11 +534,6 @@ def whole_field_gap(u1, f4, params, scheme, threshold):
     return float(np.abs(side_a - side_b)[mask].max() / scale)
 
 
-def one_worker_slabs(monkeypatch, rows, row_bytes):
-    monkeypatch.setattr(fields_mod, "_workers", lambda: 1)
-    monkeypatch.setattr(fields_mod, "_SLAB_BYTES", rows * row_bytes)
-
-
 @pytest.mark.parametrize("order", [2, 4, 6])
 def test_the_gap_is_reduced_slab_by_slab_as_the_whole_field_gives_it(monkeypatch, order):
     shape = (12, 6, 10, 14)
@@ -553,7 +548,7 @@ def test_the_gap_is_reduced_slab_by_slab_as_the_whole_field_gives_it(monkeypatch
 
     monkeypatch.setattr(vlasov_mod, "partial_derivative", refused)
     monkeypatch.setattr(RealField, "with_data", refused)
-    one_worker_slabs(monkeypatch, 5, f4.data[0].nbytes)  # three slabs, the last one shorter
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", 5 * f4.data[0].nbytes)  # three slabs, the last one shorter
     got = divergence_series_gap(u1, f4, P, scheme, 0.05)
     assert 0.0 < want < 1e-12
     assert abs(got - want) <= 1e-13 * want
@@ -563,7 +558,8 @@ def test_the_gap_keeps_no_whole_field_temporary(monkeypatch):
     n = 24
     axes = tuple(make_axis(name, -3.0, 3.0, n) for name in ("x", "v", "vdot", "vddot"))
     f4 = RealField(axes, np.random.default_rng(2).standard_normal((n,) * 4))
-    one_worker_slabs(monkeypatch, 1, f4.data[0].nbytes)
+    monkeypatch.setattr(fields_mod, "_workers", lambda: 1)  # one slab in flight: the peak counts one slab's temporaries
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", f4.data[0].nbytes)
     tracemalloc.start()
     try:
         divergence_series_gap(PolynomialPotential(((2, 0, 0.5), (4, 0, 0.01))), f4, P, ORDER4)

@@ -236,7 +236,7 @@ def test_any_kernel_chunk_gives_the_gather_oracle_bit_for_bit(monkeypatch, worke
     fields_mod._workers.cache_clear()
     try:
         for transform, v_row, ref in cases:
-            monkeypatch.setattr(fields_mod, "_SLAB_BYTES", v_rows * 16 * v_row * workers)
+            monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 16 * v_row)
             got = transform(psi, P).data
             assert np.array_equal(got, ref), transform.__name__
             assert transform is not wigner4 or got.tobytes() == ref.tobytes()
