@@ -389,10 +389,9 @@ _TILE_BYTES = 1 << 19
 
 @lru_cache(maxsize=None)
 def _workers() -> int:
-    """Slab workers: the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """Slab workers: the CPUs this process may run on, at most two: two tiles, about 1 MiB, in flight on any host."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, 2)
 
 
 def _row_slabs(n: int, row_bytes: int):

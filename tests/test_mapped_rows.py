@@ -222,26 +222,23 @@ def test_streamed_w4_equals_the_written_wigner4(psi_path, tmp_path, monkeypatch,
 
 def test_row_buffers_hold_with_more_workers_than_cores(psi_path, monkeypatch):
     # one row per slab and a short switch interval: a block buffer handed to two tasks at once, or lost,
-    # would change W's bytes or raise
+    # would change W's bytes or raise. _workers caps a host at two, so the counts are set past the cap
     def set_workers(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        fields_mod._workers.cache_clear()
+        for module in (fields_mod, wigner_mod):
+            monkeypatch.setattr(module, "_workers", lambda: n)
 
     psi = read_field(psi_path)
+    set_workers(1)
+    ref = wigner4(psi, P).data
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        set_workers(1)
-        ref = wigner4(psi, P).data
-        monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for n in (4, 8) * 5:
-                set_workers(n)
-                assert same_bits(wigner4(psi, P).data, ref), n
-        finally:
-            sys.setswitchinterval(interval)
+        for n in (4, 8) * 5:
+            set_workers(n)
+            assert same_bits(wigner4(psi, P).data, ref), n
     finally:
-        fields_mod._workers.cache_clear()
+        sys.setswitchinterval(interval)
 
 
 def test_a_failed_stream_leaves_the_target_as_it_was(psi_path, tmp_path, monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """The slab pool: N workers give one worker's results bit for bit, errors and np.errstate cross the threads.
 
-The worker count is the size of the process's CPU affinity, so the tests set
-it by patching os.sched_getaffinity. The tile budget is per task, so every
+The worker count is the size of the process's CPU affinity, at most two, so
+the tests set it by patching os.sched_getaffinity. The tile budget is per task, so every
 count cuts the same slabs; the tests compare bytes.
 """
 
@@ -261,6 +261,15 @@ def test_a_task_error_surfaces_unchanged_after_the_tasks_in_flight(monkeypatch):
     assert set(finished) <= {0, 1, 2, 4}
 
 
+def test_a_host_runs_two_workers_at_most(monkeypatch):
+    # tiles do not shrink with the worker count, so each more worker would hold another tile in flight
+    counts = {}
+    for n in (1, 2, 3, 8, 64):
+        set_workers(monkeypatch, n)
+        counts[n] = fields_mod._workers()
+    assert counts == {1: 1, 2: 2, 3: 2, 8: 2, 64: 2}
+
+
 def test_tiles_do_not_depend_on_the_worker_count(monkeypatch):
     # the budget is per task: 8 rows of 64 KiB, 4 x-rows of 128 KiB and 16 v-rows of a 2 MiB x-row on any host
     x_slabbed, v_tiled = np.empty((10, 16, 32, 32)), np.empty((2, 64, 64, 64))
@@ -343,7 +352,7 @@ def test_default_tiles_give_the_same_residual_bytes_on_every_worker_count(monkey
 PINNED_HASH = """
 import hashlib, os, sys
 if sys.argv[1] == "pinned":
-    os.sched_setaffinity(0, {0})
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from test_slab_pool import default_tile_residual
 print(len(os.sched_getaffinity(0)), hashlib.sha256(default_tile_residual().tobytes()).hexdigest())
 """

@@ -413,6 +413,22 @@ def session32(tmp_path_factory):
 
 @pytest.mark.parametrize("step", ["wigner", "fluxes", "psi-moyal", "vlasov124"])
 def test_rank4_steps_hold_one_dense_field(session32, capsys, step):
+    step_holds_one_dense_field(session32, capsys, step)
+
+
+@pytest.mark.parametrize("cpus", [4, 8])
+@pytest.mark.parametrize("step", ["wigner", "fluxes", "psi-moyal", "vlasov124"])
+def test_rank4_steps_hold_one_dense_field_on_more_cpus(session32, capsys, monkeypatch, step, cpus):
+    # the gates hold on any host: a task's tile does not shrink with the CPU count, so the workers do not grow
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    fields_mod._workers.cache_clear()
+    try:
+        step_holds_one_dense_field(session32, capsys, step)
+    finally:
+        fields_mod._workers.cache_clear()
+
+
+def step_holds_one_dense_field(session32, capsys, step):
     # each step holds at most one W (8 MiB at 32^2) of traced memory, plus x-slabs and reduced fields
     d = session32
     w4_path = d / "w4.fld"
