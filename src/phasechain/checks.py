@@ -124,34 +124,25 @@ def _check_transform(ctx) -> tuple[bool, str]:
     return ok, f"{detail} traced peak {peak:.0f} MB (tol 1e-06, 60 s, 600 MB)"
 
 
-# v-rows of W's closed form evaluated at once in check 1: 1 MiB, half an x-row of the 64^2 W
-_V_TILE = 32
-
-
 def _transform_fidelity(ctx):
     p = ctx["params"]
     t0 = time.perf_counter()
     axes = (make_axis("x", -8.0, 8.0, 64), make_axis("v", -8.0, 8.0, 64))
     psi = sample_complex(lambda x, v: psi12(x, v, 0.0, p), axes)
-    (ax, av, vdot, vddot), rows = transform_rows(psi, p, ("x", "v"))
-    # W streams past one x-row block at a time: each row is compared with the closed form, _V_TILE v-rows at a
-    # time, and the two m-weighted marginals of check 2 are integrated as integrate_axis does
-    mv, mvd, mvdd = np.meshgrid(av.points(), vdot.points(), vddot.points(), indexing="ij", sparse=True)
+    (ax, av, vdot, vddot), tiles = transform_rows(psi, p, ("x", "v"))
+    # W streams past one tile at a time: each tile is compared with the closed form on its points, and the two
+    # m-weighted marginals of check 2 are integrated as integrate_axis does
+    mesh = np.meshgrid(ax.points(), av.points(), vdot.points(), vddot.points(), indexing="ij", sparse=True)
     w123, w124 = np.empty((ax.n, av.n, vdot.n)), np.empty((ax.n, av.n, vddot.n))
     half = ax.n // 2
-    err, lo = 0.0, 0
-    for block in rows:
-        hi = lo + len(block)
-        for i, xi in enumerate(ax.points()[lo:hi]):
-            for v0 in range(0, av.n, _V_TILE):
-                tile = slice(v0, v0 + _V_TILE)
-                ref = w1234_analytic(xi, mv[tile], mvd, mvdd, p)
-                err = max(err, max_abs(np.subtract(block[i, tile], ref, out=ref)))
-        if lo <= half < hi:
-            peak_err = abs(float(block[half - lo, half, half, half]) - 1.0 / math.pi**2)
-        w123[lo:hi] = block.sum(axis=3) * (p.m * vddot.step)
-        w124[lo:hi] = block.sum(axis=2) * (p.m * vdot.step)
-        lo = hi
+    err = 0.0
+    for (rows, v_rows), block in tiles:
+        ref = w1234_analytic(mesh[0][rows], mesh[1][:, v_rows], mesh[2], mesh[3], p)
+        err = max(err, max_abs(np.subtract(block, ref, out=ref)))
+        if rows.start <= half < rows.stop and v_rows.start <= half < v_rows.stop:
+            peak_err = abs(float(block[half - rows.start, half - v_rows.start, half, half]) - 1.0 / math.pi**2)
+        w123[rows, v_rows] = block.sum(axis=3) * (p.m * vddot.step)
+        w124[rows, v_rows] = block.sum(axis=2) * (p.m * vdot.step)
     elapsed = time.perf_counter() - t0
     ctx["psi"], ctx["w123"], ctx["w124"] = psi, RealField((ax, av, vdot), w123), RealField((ax, av, vddot), w124)
     return err <= 1e-6 and peak_err <= 1e-6, f"max|err| {err:.2e} peak|err| {peak_err:.2e}", elapsed

@@ -99,9 +99,9 @@ def _cmd_wigner(args) -> int:
     plan = wigner.TransformPlan.for_psi(psi, p)
     for dual in (plan.vdot, plan.vddot):
         print(f"dual axis {dual.name}: [{dual.min:.9g}, {dual.max:.9g}) step {dual.step:.9g}, n = {dual.n}")
-    # W goes to the file block by block as the transform makes it, and the transform returns its peak
-    axes, rows = wigner.transform_rows(psi, p, {"4": ("x", "v"), "3": ("v",), "24": ("x",)}[args.rank])
-    peak = fieldfile.write_rows(fields.RealField, axes, rows, args.out)
+    # W goes to the file tile by tile as the transform makes it, and the transform returns its peak
+    axes, tiles = wigner.transform_rows(psi, p, {"4": ("x", "v"), "3": ("v",), "24": ("x",)}[args.rank])
+    peak = fieldfile.write_rows(fields.RealField, axes, tiles, args.out)
     names = " x ".join(a.name for a in axes)
     print(f"wrote {args.out}: real rank-{len(axes)} field on ({names}), peak {peak:.9g}")
     return 0

@@ -45,18 +45,19 @@ def write_field(field, path):
     """
     if not isinstance(field, (RealField, ComplexField)):
         raise ValidationError(f"cannot serialize {type(field)!r}")
-    write_rows(type(field), field.axes, iter([field.data]), path)
+    write_rows(type(field), field.axes, iter([((), field.data)]), path)
 
 
-def write_rows(kind, axes, rows, path):
-    """Write a field of `kind` on `axes` from the iterator `rows` of its x-row blocks; return what `rows` returns.
+def write_rows(kind, axes, tiles, path):
+    """Write a field of `kind` on `axes` from the iterator `tiles` of (index, block) pairs; return what it returns.
 
-    kind is RealField or ComplexField. Each block is written before the next
-    is asked for, so the blocks of wigner.transform_rows, which reuse their
-    buffers, go to the file as made. The block values are not checked here:
-    the caller's rows vouch for them. The header is built, and the axes
-    checked, before any file is made. The temporary file replaces the target
-    only after `rows` is exhausted, so a transform that raises after its last
+    kind is RealField or ComplexField. Each block is the next consecutive
+    byte range of the payload, as are the in-order tiles of
+    wigner.transform_rows, and is written before the next is asked for, so
+    reused buffers go to the file as made. The values are not checked here:
+    the caller vouches for them. The header is built, and the axes checked,
+    before any file is made. The temporary file replaces the target only
+    after `tiles` is exhausted, so a transform that raises after its last
     block leaves the target as it was.
     """
     dtype_code, cast = (1, "<c16") if kind is ComplexField else (0, "<f8")
@@ -83,7 +84,7 @@ def write_rows(kind, axes, rows, path):
             fh.writelines(header)
             while True:
                 try:
-                    block = next(rows)
+                    _, block = next(tiles)
                 except StopIteration as stop:
                     result = stop.value
                     break

@@ -383,7 +383,7 @@ def _slab_extrema(data: Array):
 
 # the bytes of one slab task, whatever the worker count, so tiles (and a stencil's BLAS sum order) follow only the
 # field's shape: a tile (_grid_tiles) takes the x-rows that fit, or, where one x-row is larger, as many of its v-rows,
-# at least one (16 of a 64^4 field's 2 MiB x-row); the transform's x-slabs and the finiteness scan take x-rows
+# at least one (16 of a 64^4 field's 2 MiB x-row); the finiteness scan takes x-rows
 _TILE_BYTES = 1 << 19
 
 
@@ -400,15 +400,16 @@ def _row_slabs(n: int, row_bytes: int):
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def _grid_tiles(data: Array):
-    """(lo, hi, v0, v1) over x-rows [lo, hi) and v-rows [v0, v1) (array axis 1) of a rank >= 2 `data`, in order.
+def _grid_tiles(shape):
+    """(lo, hi, v0, v1) over x-rows [lo, hi) and v-rows [v0, v1) (axis 1) of a float64 array of rank >= 2 `shape`.
 
     These are the x-slabs of _row_slabs, with every v-row, while one x-row
     fits _TILE_BYTES. A larger x-row is cut into the v-slabs of _row_slabs,
-    one x-row each. The tiles depend only on the shape, not on the workers.
+    one x-row each. The tiles depend only on the shape, not on the workers;
+    in order, they are consecutive byte ranges of a C-contiguous array.
     """
-    n, nv = data.shape[:2]
-    v_row = data[0, 0].nbytes
+    n, nv = shape[:2]
+    v_row = 8 * math.prod(shape[2:])
     if nv * v_row <= _TILE_BYTES:
         return [(lo, hi, 0, nv) for lo, hi in _row_slabs(n, nv * v_row)]
     return [(i, i + 1, v0, v1) for i in range(n) for v0, v1 in _row_slabs(nv, v_row)]
@@ -500,16 +501,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of the threads
 
 
-def _map_slabs(task, ranges, spare: int = 0):
+def _map_slabs(task, ranges):
     """Yield task(*r) for each r of ranges ((lo, hi) pairs, or _grid_tiles' tiles), in order, on the slab pool.
 
-    At most _workers() + spare tasks are in flight, queued, running, or done
-    and not yet taken; a spare task lets a worker start the next task while
-    the caller takes a result. Each runs in a copy of the caller's
-    context, so np.errstate carries into the workers. One range, or one worker,
-    runs inline and starts no thread, and so does a call from a slab task: its
-    jobs would wait behind the tasks that wait for them. A task's exception is
-    raised here unchanged, after the tasks still in flight have finished.
+    At most _workers() + 1 tasks are in flight (queued, running, or done and
+    not yet taken, the caller's result among them), so a worker starts the
+    next task while the caller takes a result. Each runs in a copy of the
+    caller's context, so np.errstate carries into the workers. One range, or
+    one worker, runs inline and starts no thread, and so does a call from a
+    slab task: its jobs would wait behind the tasks that wait for them. A
+    task's exception is raised here unchanged, after the tasks still in
+    flight have finished.
     """
     workers = _workers()
     if workers == 1 or len(ranges) == 1 or getattr(_worker_thread, "active", False):
@@ -519,7 +521,7 @@ def _map_slabs(task, ranges, spare: int = 0):
     jobs, pending = _pool(workers), []
     try:
         for r in ranges:
-            if len(pending) == workers + spare:
+            if len(pending) == workers + 1:
                 yield pending.pop(0).result()
             pending.append(_Job(task, r))
             jobs.put(pending[-1])
@@ -776,11 +778,9 @@ def _grid_slabs(field: RealField, scheme: StencilScheme, body, halo: int | None 
     def task(lo, hi, v0, v1):
         return (slice(lo, hi), slice(v0, v1)), body(_GridView(field, scheme, potentials, lo, hi, v0, v1))
 
-    tiles = _grid_tiles(data)
-    # a v-tile is short work: there one spare tile keeps the workers busy while the caller takes a result
-    spare = int(tiles[0][3] < data.shape[1])
+    tiles = _grid_tiles(data.shape)
     done = 0
-    for (lo, *_), value in zip([*tiles[1:], (len(data),)], _map_slabs(task, tiles, spare)):
+    for (lo, *_), value in zip([*tiles[1:], (len(data),)], _map_slabs(task, tiles)):
         yield value
         _drop_rows(data, done, lo - halo)
         done = max(done, lo - halo)
@@ -813,29 +813,31 @@ def _axis_sums(field, k: int, scale: float, scheme: StencilScheme, *bodies) -> l
     """
     data = field.data
     sums = [np.zeros(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype) for _ in range(1 + len(bodies))]
-    if k == 0:
-        view = _GridView(field, scheme, {}, 0, len(data)) if bodies else None  # a rank-1 field has no v-rows
-        for out, part in zip(sums, (data, *(body(view) for body in bodies))):
-            out[...] = part.sum(axis=0) * scale
-        _drop_rows(data, 0, len(data))
-        return sums
+    # finite values may sum past the float range, which the result's check refuses (slab tasks inherit this state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == 0:
+            view = _GridView(field, scheme, {}, 0, len(data)) if bodies else None  # a rank-1 field has no v-rows
+            for out, part in zip(sums, (data, *(body(view) for body in bodies))):
+                out[...] = part.sum(axis=0) * scale
+            _drop_rows(data, 0, len(data))
+            return sums
 
-    integrands = (_GridView.values, *bodies)
+        integrands = (_GridView.values, *bodies)
 
-    def task(view):  # one part at a time, summed before the next is made: two at once made glibc refault its heap
-        if k == 1 and view.shape[1] < data.shape[1]:
-            return [integrand(view) for integrand in integrands]
-        index = (slice(view.lo, view.hi), slice(view.v0, view.v1))[:k]
-        for out, integrand in zip(sums, integrands):
-            out[index] = integrand(view).sum(axis=k) * scale
-        return []
+        def task(view):  # one part at a time, summed before the next is made: two at once made glibc refault its heap
+            if k == 1 and view.shape[1] < data.shape[1]:
+                return [integrand(view) for integrand in integrands]
+            index = (slice(view.lo, view.hi), slice(view.v0, view.v1))[:k]
+            for out, integrand in zip(sums, integrands):
+                out[index] = integrand(view).sum(axis=k) * scale
+            return []
 
-    for (rows, v_rows), parts in _grid_slabs(field, scheme, task, 0):
-        for out, part in zip(sums, parts):
-            for j in range(part.shape[1]):
-                out[rows] += part[:, j]
-            if v_rows.stop == data.shape[1]:
-                out[rows] *= scale
+        for (rows, v_rows), parts in _grid_slabs(field, scheme, task, 0):
+            for out, part in zip(sums, parts):
+                for j in range(part.shape[1]):
+                    out[rows] += part[:, j]
+                if v_rows.stop == data.shape[1]:
+                    out[rows] *= scale
     return sums
 
 

@@ -34,9 +34,8 @@ from .fields import (
     NumericError,
     RealField,
     ValidationError,
+    _grid_tiles,
     _map_slabs,
-    _row_slabs,
-    _workers,
     integrate_axis,
 )
 
@@ -111,27 +110,27 @@ def wigner24(psi: ComplexField, params) -> RealField:
     return _assemble(*transform_rows(psi, params, ("x",)))
 
 
-def _assemble(axes, rows) -> RealField:
+def _assemble(axes, tiles) -> RealField:
     out = np.empty(tuple(a.n for a in axes))
-    lo = 0
-    for block in rows:
-        out[lo : lo + len(block)] = block
-        lo += len(block)
+    for index, block in tiles:
+        out[index] = block
     return RealField._trusted(axes, out)
 
 
 def transform_rows(psi: ComplexField, params, shifts):
-    """The transform over `shifts` ("x", "v" or both): W's axes, and a generator of W's x-rows in order.
+    """The transform over `shifts` ("x", "v" or both): W's axes, and a generator of W's tiles in order.
 
     psi and params are as for wigner4, which is this transform over ("x",
     "v") assembled; wigner3 takes ("v",) and wigner24 ("x",). A shift left out
     is the single shift 0, so its dual axis has length 1 and is dropped from
-    the axes and the blocks. The rows come in blocks computed on the slab
-    pool, so W is never held whole (fieldfile.write_rows streams them to a
-    file). A block is valid only until the next one is asked for: the
-    workers' buffers are reused, so copy a block to keep it. After the last
-    block the generator raises what wigner4 raises, or returns max |W|, taken
-    from the blocks' minima and maxima.
+    the axes and the blocks. The generator yields (index, block) for each of
+    the fields._grid_tiles of W's shape, computed on the slab pool, so W is
+    never held whole: index is the tile's (x-rows, v-rows) pair of slices, and
+    block holds W[index]. In order, the tiles are consecutive byte ranges of W
+    (fieldfile.write_rows streams them to a file). A block is valid only
+    until the next one is asked for: its buffer is then reused, so copy a
+    block to keep it. After the last block the generator raises what wigner4
+    raises, or returns max |W|, taken from the blocks' minima and maxima.
     """
     plan = TransformPlan.for_psi(psi, params)
     ax, av = psi.axes
@@ -156,18 +155,24 @@ def transform_rows(psi: ComplexField, params, shifts):
     runs = [(slice(0, up), slice(h, h + up), slice(h, h - up, -1))]
     if down:
         runs.append((slice(up, nr), slice(h - down, h), slice(h + down, h, -1)))
-    # one kernel buffer per task in flight, for one slab of the kernel's v-rows at a time (at least one, at
-    # most all); both FFTs overwrite it in place, and each v-row's FFT lines are its own
-    chunk = _row_slabs(nv, 16 * nr * nq)[0][1]
-    kernels = [np.empty((chunk, nr, nq), dtype=np.complex128) for _ in range(_workers())]
-    # one block buffer per task in flight, the caller's block counting as one
-    ranges = _row_slabs(nx, nv * nr * nq * 8)
-    height = ranges[0][1] - ranges[0][0]
-    buffers = [np.empty((height, nv, nr, nq)) for _ in range(min(_workers(), len(ranges)))]
+    shape = tuple(a.n for a in axes)
+    tiles = _grid_tiles(shape)
+    # free lists that grow on demand: a task takes a kernel for its v-rows and gives it back, and the caller gives
+    # back each tile's buffer when it asks for the next. The first tile is the largest
+    x_rows, v_rows = tiles[0][1] - tiles[0][0], tiles[0][3] - tiles[0][2]
+    kernels, buffers = [], []
 
-    def rows(lo, hi):
-        """Fill a free buffer with rows [lo, hi); return them with their max |imaginary residue|, min and max."""
-        ker, block = kernels.pop(), buffers.pop()[: hi - lo]
+    def take(free, size, dtype):  # a free buffer, or a new one if every buffer is in use
+        try:
+            return free.pop()
+        except IndexError:
+            return np.empty(size, dtype=dtype)
+
+    def task(lo, hi, v0, v1):
+        """Fill a free buffer with W's tile; return it with its index, max |imaginary residue|, min and max."""
+        flat = take(kernels, v_rows * nr * nq, np.complex128)
+        ker = flat[: (v1 - v0) * nr * nq].reshape(v1 - v0, nr, nq)
+        block = take(buffers, x_rows * flat.size, np.float64)[: (hi - lo) * ker.size].reshape((hi - lo,) + ker.shape)
         max_imag = 0.0
         for i in range(lo, hi):
             m = min(i, nx - 1 - i) if nq > 1 else 0
@@ -177,36 +182,35 @@ def transform_rows(psi: ComplexField, params, shifts):
             row_shifts = [(slice(0, m + 1), slice(i, i + m + 1), slice(y, y + m + 1))]
             if m:
                 row_shifts.append((slice(nq - m, nq), slice(i - m, i), slice(y - m, y)))
-            factors = [(rev[ys, :, minus].transpose(1, 2, 0), win[xs, :, plus].transpose(1, 2, 0),
-                        (slice(None), rs, qs)) for qs, xs, ys in row_shifts for rs, plus, minus in runs]
-            for j in range(0, nv, chunk):
-                # part[j', r, q] = conj(psi[i-k, j+j'-l]) psi[i+k, j+j'+l] with k = q for q < nq/2 and q - nq
-                # above; rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
-                part = ker[: min(chunk, nv - j)]
-                for conj_factor, factor, columns in factors:
-                    np.multiply(conj_factor[j : j + chunk], factor[j : j + chunk], out=part[columns])
-                part[..., m + 1 : nq - m] = 0.0
-                np.fft.ifft(part, axis=2, norm="forward", out=part)
-                np.fft.fft(part, axis=1, out=part)
-                # max_abs, spelled out: a slab task calls no public function
-                max_imag = max(max_imag, float(part.imag.max()), -float(part.imag.min()))
-                # part is (v, vdot, vddot), the last two in FFT order; fftshift is a swap of quadrants
-                re = part.real
-                for src_r, dst_r in _swapped_halves(nr):
-                    for src_q, dst_q in _swapped_halves(nq):
-                        np.multiply(pref, re[:, src_r, src_q], out=block[i - lo, j : j + chunk][:, dst_r, dst_q])
-        kernels.append(ker)
-        return block, max_imag, float(block.min()), float(block.max())
+            # ker[j', r, q] = conj(psi[i-k, v0+j'-l]) psi[i+k, v0+j'+l] with k = q for q < nq/2 and q - nq above;
+            # rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
+            for qs, xs, ys in row_shifts:
+                for rs, plus, minus in runs:
+                    np.multiply(rev[ys, v0:v1, minus].transpose(1, 2, 0), win[xs, v0:v1, plus].transpose(1, 2, 0),
+                                out=ker[:, rs, qs])
+            ker[..., m + 1 : nq - m] = 0.0
+            # each v-row's FFT lines are its own, so any run of v-rows gives the same bits
+            np.fft.ifft(ker, axis=2, norm="forward", out=ker)
+            np.fft.fft(ker, axis=1, out=ker)
+            # max_abs, spelled out: a slab task calls no public function
+            max_imag = max(max_imag, float(ker.imag.max()), -float(ker.imag.min()))
+            # ker is (v, vdot, vddot), the last two in FFT order; fftshift is a swap of quadrants
+            re = ker.real
+            for src_r, dst_r in _swapped_halves(nr):
+                for src_q, dst_q in _swapped_halves(nq):
+                    np.multiply(pref, re[:, src_r, src_q], out=block[i - lo][:, dst_r, dst_q])
+        kernels.append(flat)
+        return (slice(lo, hi), slice(v0, v1)), block, max_imag, float(block.min()), float(block.max())
 
     def blocks():
         max_imag, peak, finite = 0.0, 0.0, True
-        for block, imag, low, high in _map_slabs(rows, ranges):
+        for index, block, imag, low, high in _map_slabs(task, tiles):
             max_imag = max(max_imag, imag)
             peak = max(peak, high, -low)
             finite = finite and math.isfinite(low) and math.isfinite(high)
-            yield block.reshape(len(block), *(a.n for a in axes[1:]))
+            yield index, block.reshape(block.shape[:2] + shape[2:])
             buffers.append(block.base)
-        # finite row minima and maxima mean finite rows, so W needs no second scan
+        # finite tile minima and maxima mean finite tiles, so W needs no second scan
         if not finite:
             raise ValidationError("field data contains non-finite values")
         if max_imag * pref > IMAG_RESIDUE_LIMIT * peak:

@@ -221,11 +221,10 @@ def test_streamed_w4_equals_the_written_wigner4(psi_path, tmp_path, monkeypatch,
 
 
 def test_row_buffers_hold_with_more_workers_than_cores(psi_path, monkeypatch):
-    # one row per slab and a short switch interval: a block buffer handed to two tasks at once, or lost,
+    # one-v-row tiles and a short switch interval: a kernel or tile buffer handed to two tasks at once, or lost,
     # would change W's bytes or raise. _workers caps a host at two, so the counts are set past the cap
     def set_workers(n):
-        for module in (fields_mod, wigner_mod):
-            monkeypatch.setattr(module, "_workers", lambda: n)
+        monkeypatch.setattr(fields_mod, "_workers", lambda: n)
 
     psi = read_field(psi_path)
     set_workers(1)
@@ -255,7 +254,7 @@ def test_a_failed_stream_leaves_the_target_as_it_was(psi_path, tmp_path, monkeyp
 def test_rows_that_do_not_fill_the_axes_make_no_file(tmp_path):
     axes = (make_axis("x", 0.0, 1.0, 4), make_axis("v", 0.0, 1.0, 4))
     with pytest.raises(ValidationError, match="payload of 96 bytes"):
-        write_rows(RealField, axes, iter([np.zeros((3, 4))]), tmp_path / "f.fld")
+        write_rows(RealField, axes, iter([((), np.zeros((3, 4)))]), tmp_path / "f.fld")
     assert os.listdir(tmp_path) == []
 
 

@@ -245,10 +245,10 @@ def call_sites(name: str) -> list:
 
 
 def test_every_grid_pass_runs_on_the_one_tiler():
-    # grid loops and reductions alike take their tasks from _grid_slabs; only the transform's rows and the
-    # finiteness scan cut x-rows of their own
+    # grid loops, reductions and the transform alike take their tiles from _grid_tiles and run them on the one
+    # pool; only the finiteness scan cuts x-rows of its own
     assert sorted(set(call_sites("_map_slabs"))) == [("fields", "_grid_slabs"), ("wigner", "transform_rows")]
-    assert set(call_sites("_row_slabs")) == {("fields", "_slab_extrema"), ("fields", "_grid_tiles"),
-                                             ("wigner", "transform_rows")}
-    # the worker count sizes only the pool and the transform's buffer lists, never a tile
-    assert set(call_sites("_workers")) == {("fields", "_map_slabs"), ("wigner", "transform_rows")}
+    assert sorted(set(call_sites("_grid_tiles"))) == [("fields", "_grid_slabs"), ("wigner", "transform_rows")]
+    assert set(call_sites("_row_slabs")) == {("fields", "_slab_extrema"), ("fields", "_grid_tiles")}
+    # the worker count sizes only the pool, never a tile or a buffer list
+    assert set(call_sites("_workers")) == {("fields", "_map_slabs")}

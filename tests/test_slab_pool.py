@@ -272,11 +272,10 @@ def test_a_host_runs_two_workers_at_most(monkeypatch):
 
 def test_tiles_do_not_depend_on_the_worker_count(monkeypatch):
     # the budget is per task: 8 rows of 64 KiB, 4 x-rows of 128 KiB and 16 v-rows of a 2 MiB x-row on any host
-    x_slabbed, v_tiled = np.empty((10, 16, 32, 32)), np.empty((2, 64, 64, 64))
     cuts = {}
     for n in (1, 2, 3, 16):
         set_workers(monkeypatch, n)
-        cuts[n] = (_row_slabs(20, 1 << 16), _grid_tiles(x_slabbed), _grid_tiles(v_tiled))
+        cuts[n] = (_row_slabs(20, 1 << 16), _grid_tiles((10, 16, 32, 32)), _grid_tiles((2, 64, 64, 64)))
     rows, x_slabs, v_tiles = cuts[1]
     assert rows == [(0, 8), (8, 16), (16, 20)]
     assert x_slabs == [(0, 4, 0, 16), (4, 8, 0, 16), (8, 10, 0, 16)]

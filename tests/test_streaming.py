@@ -442,8 +442,8 @@ def step_holds_one_dense_field(session32, capsys, step):
     code, peak_mb = _traced_peak_mb(main, argv)
     assert code == 0, capsys.readouterr().err
     w_mb = 8 * 32**4 / 2**20
-    # W itself is a read-only file mapping, which tracemalloc does not see; wigner streams W's rows to the
-    # file, so it holds psi's column windows, the row kernels and a block of rows per worker
+    # W itself is a read-only file mapping, which tracemalloc does not see; wigner streams W's tiles to the
+    # file, so it holds psi's padded copies, a kernel per worker and the tiles in flight
     limit = 0.5 if step == "wigner" else 1
     assert peak_mb <= limit * w_mb, f"{step}: traced peak {peak_mb / w_mb:.2f} x W"
 
@@ -492,17 +492,18 @@ def test_a_residual_slab_pass_holds_a_few_slab_budgets(two_workers):
 
 
 def test_the_transform_gathers_no_shifted_window(two_workers):
-    # the transform holds a block buffer of one x-row (nv^2 nx doubles) and a kernel per worker; gathering the
-    # shifted factors took two more arrays of nx nv^2 complex values (4 MiB each at 64^2)
+    # the transform holds a tile buffer per task in flight (three on two workers) and a kernel per worker of
+    # twice a tile's bytes (complex values for a 512 KiB v-tile); gathering the shifted factors took two more
+    # arrays of nx nv^2 complex values (4 MiB each at 64^2)
     n = 64
     axes = (make_axis("x", -8.0, 8.0, n), make_axis("v", -8.0, 8.0, n))
     psi = ComplexField(axes, np.random.default_rng(3).standard_normal((n, n)) + 0j)
     window = 16 * n**3
-    held = 2 * 8 * n**3 + 2 * fields_mod._TILE_BYTES
+    held = (3 + 2 * 2) * fields_mod._TILE_BYTES
 
     def stream():
-        _, rows = transform_rows(psi, P, ("x", "v"))
-        for _ in rows:
+        _, tiles = transform_rows(psi, P, ("x", "v"))
+        for _ in tiles:
             pass
 
     assert traced_peak(stream) < held + window

@@ -1,6 +1,7 @@
 """Chain continuity residuals, flux closures, and dissipation diagnostics."""
 
 import math
+import os
 import re
 import tracemalloc
 
@@ -23,6 +24,7 @@ from phasechain import (
     divergence_series_gap,
     integrate_axis,
     make_axis,
+    marginal_to_2,
     mean_flux_analytic,
     mean_flux_from_w4,
     moyal_residual,
@@ -40,6 +42,8 @@ from phasechain import (
     w1234_analytic,
     w1234_field,
     w12_field,
+    wigner4_marginal_to_3,
+    wigner4_marginal_to_24,
 )
 import phasechain.fields as fields_mod
 import phasechain.vlasov as vlasov_mod
@@ -489,6 +493,32 @@ def test_non_finite_grid_flux_is_rejected(bad):
     for flux in (vals, lambda x, v: np.where((x > 0) & (v > 0), bad, 0.0)):
         with pytest.raises(ValidationError, match="non-finite"):
             vlasov_residual("w12", w12, {"v": flux}, P, ORDER4)
+
+
+@pytest.mark.parametrize("tiles", ["inline", "one-v-row-on-two-workers"])
+def test_sums_that_overflow_are_refused_without_a_warning(monkeypatch, tiles):
+    # finite values whose sums leave the float range: every reduction over W raises the result's ValidationError
+    # and warns nowhere (warnings are errors here), on the pool's workers too
+    axes = tuple(make_axis(name, -1.0, 1.0, n) for name, n in zip(("x", "v", "vdot", "vddot"), (4, 6, 8, 10)))
+    w4 = RealField(axes, np.full((4, 6, 8, 10), 1e308))
+    calls = [lambda a=a: integrate_axis(w4, a.name) for a in axes] + [
+        lambda: marginal_to_2(w4, P),
+        lambda: wigner4_marginal_to_3(w4, P),
+        lambda: wigner4_marginal_to_24(w4, P),
+        *(lambda kind=kind: mean_flux_from_w4(w4, kind, P) for kind in ("123-accel", "124-vel", "12-vel")),
+        lambda: accel_flux_124_from_w4(w4, U_HO, P, ORDER4),
+        *(lambda member=member: chain_residual(member, w4, U_HO, P, ORDER4) for member in ("w123", "w124", "w12")),
+    ]
+    if tiles != "inline":  # the whole field is one tile at the default budget, which runs on the calling thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)
+    fields_mod._workers.cache_clear()
+    try:
+        for call in calls:
+            with pytest.raises(ValidationError, match="non-finite"):
+                call()
+    finally:
+        fields_mod._workers.cache_clear()
 
 
 def test_dt_term_enters_additively():

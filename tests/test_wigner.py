@@ -20,6 +20,7 @@ from phasechain import (
     marginal_to_2,
     psi12,
     sample_complex,
+    transform_rows,
     w123_analytic,
     w124_analytic,
     w1234_analytic,
@@ -225,23 +226,46 @@ def test_wigner4_equals_the_gather_oracle_bit_for_bit(shape):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("v_rows", [1, 3, 32], ids=["one-v-row", "3-of-32-v-rows", "whole-row"])
 def test_any_kernel_chunk_gives_the_gather_oracle_bit_for_bit(monkeypatch, workers, v_rows):
-    # each v-row's FFT lines are transformed alone whatever the chunk, and 3 leaves a short last chunk
+    # each v-row's FFT lines are transformed alone whatever the tile, and 3 leaves a short last tile
     axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 32))
     rng = np.random.default_rng(1632)
     psi = ComplexField(axes, rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
-    # a v-row of the kernel: 32 x 16 complex values for wigner4, 32 x 1 for wigner3 and 1 x 16 for wigner24
+    # a v-row of W: 32 x 16 values for wigner4, 32 for wigner3 and 16 for wigner24
     cases = ((wigner4, 32 * 16, gather_wigner4(psi, P)[0]), (wigner3, 32, gather_single(psi, P, 1)[0]),
              (wigner24, 16, gather_single(psi, P, 0)[0]))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     fields_mod._workers.cache_clear()
     try:
         for transform, v_row, ref in cases:
-            monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 16 * v_row)
+            monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 8 * v_row)
             got = transform(psi, P).data
             assert np.array_equal(got, ref), transform.__name__
             assert transform is not wigner4 or got.tobytes() == ref.tobytes()
     finally:
         fields_mod._workers.cache_clear()
+
+
+@pytest.mark.parametrize("v_rows", ["default", 1, 3], ids=["default", "one-v-row", "3-of-32-v-rows"])
+def test_the_transform_tiles_equal_the_gather_oracle_bit_for_bit(monkeypatch, v_rows):
+    # transform_rows yields the grid loops' tiles of W's shape in order, each block W's points at its index; in
+    # order the blocks are consecutive byte ranges of W, as write_rows writes them
+    axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 32))
+    rng = np.random.default_rng(1632)
+    psi = ComplexField(axes, rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
+    cases = ((("x", "v"), gather_wigner4(psi, P)[0]), (("v",), gather_single(psi, P, 1)[0]),
+             (("x",), gather_single(psi, P, 0)[0]))
+    for shifts, ref in cases:
+        if v_rows != "default":
+            monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 8 * math.prod(ref.shape[2:]))
+        w_axes, tiles = transform_rows(psi, P, shifts)
+        assert tuple(a.n for a in w_axes) == ref.shape
+        got = [(index, block.copy()) for index, block in tiles]  # a block is valid until the next is asked for
+        assert [index for index, _ in got] == [(slice(lo, hi), slice(v0, v1))
+                                              for lo, hi, v0, v1 in fields_mod._grid_tiles(ref.shape)], shifts
+        for index, block in got:
+            assert np.array_equal(block, ref[index]), (shifts, index)
+        if len(shifts) == 2:
+            assert b"".join(block.tobytes() for _, block in got) == ref.tobytes()
 
 
 def test_wigner4_of_the_oscillator_equals_the_gather_oracle_bit_for_bit(psi, w4):
