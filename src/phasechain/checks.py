@@ -10,6 +10,7 @@ its tolerances; the suite reports one line per check plus peak memory.
 from __future__ import annotations
 
 import math
+import random
 import resource
 import time
 import tracemalloc
@@ -59,6 +60,23 @@ def _peak_rss_mb() -> float:
         pass
     # ru_maxrss is KiB on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+class _Draws:
+    """The suite's seeded points: uniform float64 arrays from the stdlib's random.Random(seed), which takes any int.
+
+    Each value is lo + (hi - lo) * u, for a u in [0, 1) of 53 random bits read
+    from the generator's bytes. NumPy's own generators, used for nothing else
+    here, took 6.1 MiB of RSS to load.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
+        count = math.prod(size) if isinstance(size, tuple) else size
+        u = (np.frombuffer(self._random.randbytes(8 * count), "<u8") >> 11) * 2.0**-53
+        return (lo + (hi - lo) * u).reshape(size)
 
 
 @dataclass(frozen=True)
@@ -291,7 +309,7 @@ _STEPS = (
 
 def run_ho_suite(seed: int = DEFAULT_SEED, progress=None) -> SuiteReport:
     """Run the oscillator battery; `progress` (if given) receives each line as it lands."""
-    ctx = {"params": PhysParams(), "rng": np.random.default_rng(seed)}
+    ctx = {"params": PhysParams(), "rng": _Draws(seed)}
     results = []
     t0 = time.perf_counter()
     for index, name, fn in _STEPS:

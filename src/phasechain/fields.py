@@ -405,8 +405,9 @@ def _grid_tiles(shape):
 
     These are the x-slabs of _row_slabs, with every v-row, while one x-row
     fits _TILE_BYTES. A larger x-row is cut into the v-slabs of _row_slabs,
-    one x-row each. The tiles depend only on the shape, not on the workers;
-    in order, they are consecutive byte ranges of a C-contiguous array.
+    one x-row each. The tiles depend only on the shape, not on the workers.
+    Their order is x-major, the writer's: in order, they are consecutive byte
+    ranges of a C-contiguous array (_grid_slabs reorders them run-major).
     """
     n, nv = shape[:2]
     v_row = 8 * math.prod(shape[2:])
@@ -764,27 +765,29 @@ class _PointView:
 
 
 def _grid_slabs(field: RealField, scheme: StencilScheme, body, halo: int | None = None):
-    """Yield (index, body(view)) for the _GridView of each of the field's _grid_tiles, in order, from _map_slabs.
+    """Yield (index, body(view)) for the _GridView of each of the field's _grid_tiles, run-major, from _map_slabs.
 
     index is the tile's (x-rows, v-rows) pair of slices, so field.data[index]
-    holds its points. halo, the x-rows beyond a tile that a body reads, is by
-    default that of a view's one x-stencil, d/dx. As each result is taken,
-    _drop_rows drops the rows no later tile reads, and at the end the rest:
-    a loop keeps only its tiles in flight and their halo of a mapped field.
+    holds its points. The tiles of each run of v-rows go down x before the
+    next run starts: x-slabs (one run of every v-row) keep their x order, and
+    the v-tiles of an x-row arrive in v order, one run after another. halo,
+    the x-rows beyond a tile that a body reads, is by default that of a
+    view's one x-stencil, d/dx. As each result is taken, _drop_rows drops the
+    tile's x-rows less the halo, [lo - halo, hi - halo), and a run's last
+    tile the rest: a loop keeps only its tiles in flight and 2 halo + 1 tiles
+    of a mapped field resident. A later run reads its pages of a dropped
+    x-row back from the page cache.
     """
-    data, potentials = field.data, {}
+    data, potentials, n = field.data, {}, len(field.data)
     halo = stencil_halfwidth(1, scheme.order) if halo is None else halo
 
     def task(lo, hi, v0, v1):
         return (slice(lo, hi), slice(v0, v1)), body(_GridView(field, scheme, potentials, lo, hi, v0, v1))
 
-    tiles = _grid_tiles(data.shape)
-    done = 0
-    for (lo, *_), value in zip([*tiles[1:], (len(data),)], _map_slabs(task, tiles)):
+    tiles = sorted(_grid_tiles(data.shape), key=lambda t: (t[2], t[0]))
+    for (lo, hi, *_), value in zip(tiles, _map_slabs(task, tiles)):
         yield value
-        _drop_rows(data, done, lo - halo)
-        done = max(done, lo - halo)
-    _drop_rows(data, done, len(data))
+        _drop_rows(data, max(lo - halo, 0), hi - halo if hi < n else n)
 
 
 def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
@@ -796,20 +799,26 @@ def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
 
 
 def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
-    """body at the points of a PointwiseField (an array), or on a grid field's tiles (a RealField)."""
+    """body at the points of a PointwiseField (an array), or on a grid field's tiles (a RealField).
+
+    Finite values may combine past the float range on the grid; the result's
+    own check refuses them (slab tasks inherit the errstate).
+    """
     if isinstance(field, PointwiseField):
         return body(_PointView(field, axis_names, points, scheme))
     require_axes(field, axis_names)
-    return RealField._trusted(field.axes, _over_slabs(field, scheme, body))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return RealField(field.axes, _over_slabs(field, scheme, body))
 
 
 def _axis_sums(field, k: int, scale: float, scheme: StencilScheme, *bodies) -> list:
     """scale * the sums over array axis k of the field's data and of each body(view), in the data's dtype.
 
     Summed tile by tile on _grid_slabs with no halo (no body takes d/dx). The
-    calling thread adds the v-rows of a tile cut along v into their sums in
-    order, as NumPy sums a leading axis, so any tile height gives the same
-    bits. A sum over axis 0 takes one view of the whole field.
+    calling thread adds the v-rows of a tile cut along v into their sums; the
+    runs of each x-row arrive in v order, so the v-rows are added in order,
+    as NumPy sums a leading axis, and any tile height gives the same bits. A
+    sum over axis 0 takes one view of the whole field.
     """
     data = field.data
     sums = [np.zeros(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype) for _ in range(1 + len(bodies))]

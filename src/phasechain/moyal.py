@@ -283,10 +283,11 @@ def transport_lhs(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,
 
 def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme, *,
                          dt_term=None):
-    """Yield (index, block): the grid moyal_residual on the tile w4.data[index], in x order.
+    """Yield (index, block): the grid moyal_residual on the tile w4.data[index], run-major.
 
     index is a pair of slices, x-rows and v-rows: a tile is a slab of whole
-    x-rows, or, where one x-row is large, a run of v-rows of one x-row. Each
+    x-rows, in x order, or, where one x-row is large, a run of v-rows of one
+    x-row; the tiles of one run go down x before the next run starts. Each
     block equals the same points of the dense residual within the stencil
     rounding bound, so a caller can reduce the residual (its max, say) without
     a second dense field. The tiles are sized from the field's row size and

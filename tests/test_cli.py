@@ -507,7 +507,7 @@ def argvs(draw):
 
 
 def _quick_suite(seed=0, progress=None):
-    np.random.default_rng(seed)  # the suite's first use of its seed
+    checks._Draws(seed).uniform(-5.0, 5.0, 1)  # the suite's first use of its seed
     return SuiteReport((), 0.0, 0.0)
 
 

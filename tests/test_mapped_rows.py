@@ -91,7 +91,7 @@ LOOPS = {
     "integrate_axis": lambda w4: integrate_axis(w4, "vddot", weight=P.m).data,
     "mean_flux_from_w4": lambda w4: mean_flux_from_w4(w4, "124-vel", P, 0.2).values.data,
     "accel_flux_124_from_w4": lambda w4: accel_flux_124_from_w4(w4, QUARTIC, P, StencilScheme(order=6), 0.2).values.data,
-    "moyal_residual_slabs": lambda w4: np.concatenate([b for _, b in moyal_residual_slabs(
+    "moyal_residual_slabs": lambda w4: np.concatenate([b.ravel() for _, b in moyal_residual_slabs(
         w4, QUARTIC, P, StencilScheme(order=6))]),
     "_over_slabs": lambda w4: np.concatenate([
         transport_lhs(w4, QUARTIC, P, StencilScheme(order=2)).data,
@@ -145,28 +145,84 @@ HALOS = {
 }
 
 
-@pytest.mark.parametrize("loop", sorted(LOOPS))
-def test_each_loop_drops_the_rows_its_later_slabs_do_not_read(w4_path, one_row_slabs, monkeypatch, loop):
+def walk(w4_path, monkeypatch, loop, v_rows):
+    """Run LOOPS[loop] over the mapped W on tiles of v_rows v-rows and two workers, recording what it does.
+
+    Per slab loop over W, in order: ("start", tile) as a task starts, ("take", tile) as its result is taken, and
+    ("drop", lo, hi) for each _drop_rows call on W, which is recorded and not made.
+    """
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 8 * math.prod(SHAPE[2:]))
+    monkeypatch.setattr(fields_mod, "_workers", lambda: 2)
     w4 = read_field(w4_path)
-    calls = []
+    loops, map_slabs = [], fields_mod._map_slabs
+
+    def recording(task, tiles):
+        events = []
+        loops.append(events)
+
+        def started(*tile):
+            events.append(("start", tile))
+            return task(*tile)
+
+        for tile, value in zip(tiles, map_slabs(started, tiles)):
+            events.append(("take", tile))
+            yield value
 
     def record(data, lo, hi):
         if data is w4.data:
-            calls.append((lo, hi))
+            loops[-1].append(("drop", lo, hi))
 
+    monkeypatch.setattr(fields_mod, "_map_slabs", recording)
     monkeypatch.setattr(fields_mod, "_drop_rows", record)
     LOOPS[loop](w4)
+    return [events for events in loops if any(kind == "drop" for kind, *_ in events)]
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_each_loop_drops_the_rows_its_later_slabs_do_not_read(w4_path, monkeypatch, loop):
     n = SHAPE[0]
-    assert len(calls) == (n + 1) * len(HALOS[loop])  # per loop, one call per slab and one at the end
-    for i, halo in enumerate(HALOS[loop]):
-        run = calls[i * (n + 1) : (i + 1) * (n + 1)]
-        times = np.zeros(n, int)
-        for lo, hi in run:
-            times[lo : max(lo, hi)] += 1
-        assert times.tolist() == [1] * n  # every row dropped exactly once
-        # one call as each slab's result is taken, then one at the end: taking slab k drops the rows before
-        # k + 1 - halo, so a reduction (halo 0) drops slab k's own row and a d/dx loop keeps halo rows behind
-        assert run == [(max(0, k - halo), k + 1 - halo) for k in range(n)] + [(n - halo, n)], halo
+    for v_rows in (SHAPE[1], 3):  # one-x-row slabs, then 3-v-row tiles: three runs of v-rows, [0, 3), [3, 6), [6, 8)
+        loops = walk(w4_path, monkeypatch, loop, v_rows)
+        assert len(loops) == len(HALOS[loop])
+        for events, halo in zip(loops, HALOS[loop]):
+            steps = [(kind, args) for kind, *args in events if kind != "start"]
+            # one drop call as each tile's result is taken, and none at the end
+            assert [kind for kind, _ in steps] == ["take", "drop"] * (len(steps) // 2), (v_rows, halo)
+            tiles, drops = [args[0] for _, args in steps[::2]], [args for _, args in steps[1::2]]
+            if v_rows == SHAPE[1]:
+                # taking slab k drops the rows before k + 1 - halo, and the last slab the rest: a reduction (halo 0)
+                # drops slab k's own row and a d/dx loop keeps halo rows behind
+                assert drops == [[max(0, k - halo), k + 1 - halo if k + 1 < n else n] for k in range(n)], halo
+            for v0 in sorted({t[2] for t in tiles}):
+                times = np.zeros(n, int)
+                for (lo, hi, t_v0, _), (a, b) in zip(tiles, drops):
+                    if t_v0 != v0:
+                        continue
+                    times[a : max(a, b)] += 1
+                    # a row goes only once the run's tile at that row + halo (or the last) has been taken
+                    assert all(hi - 1 >= min(r + halo, n - 1) for r in range(a, b)), (v_rows, halo, v0)
+                assert times.tolist() == [1] * n, (v_rows, halo, v0)  # in each run, every row dropped exactly once
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_a_loop_holds_few_tiles_of_w_undropped(w4_path, monkeypatch, loop):
+    # a replay of the recorded starts and drops: a started task reads its tile's run of v-rows on its x-rows and
+    # their halo, and a drop takes every run of its x-rows. The tiles of one run go down x before the next run
+    # starts, so a loop holds 2 halo + 1 tiles and the tasks in flight, whatever the number of runs
+    n = SHAPE[0]
+    for v_rows in (SHAPE[1], 3):
+        loops = walk(w4_path, monkeypatch, loop, v_rows)
+        bound = [2 * halo + 1 + fields_mod._workers() + 1 for halo in HALOS[loop]]
+        for events, halo, most in zip(loops, HALOS[loop], bound):
+            held = set()  # (x-row, run) pairs read by a started task and not dropped since
+            for kind, *args in events:
+                if kind == "start":
+                    lo, hi, v0, _ = args[0]
+                    held |= {(r, v0) for r in range(max(lo - halo, 0), min(hi + halo, n))}
+                elif kind == "drop":
+                    held = {(r, v0) for r, v0 in held if not args[0] <= r < args[1]}
+                assert len(held) <= most, (v_rows, halo, sorted(held))
+            assert not held, (v_rows, halo)
 
 
 def test_the_helper_leaves_every_other_memory_alone(tmp_path, dropped):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,20 @@ def loaded_after(code: str) -> list:
 
 def test_import_runs_no_library_module():
     assert loaded_after("import phasechain, phasechain.cli") == []
+
+
+def test_the_check_suite_loads_no_random_module_of_numpy():
+    # the suite draws its seeded points from the stdlib's generator: NumPy's took 6.1 MiB of RSS to load
+    code = ("import sys\nfrom phasechain.checks import run_ho_suite\nassert run_ho_suite().ok\n"
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=child_env())
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize("path", sorted(Path(phasechain.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_names_the_random_module_of_numpy(path):
+    text = path.read_text(encoding="utf-8")
+    assert not re.findall(r"numpy\.random|np\.random|default_rng|from numpy import[^\n]*\brandom\b", text)
 
 
 @pytest.fixture(scope="module")

@@ -37,7 +37,7 @@ from phasechain import (
     vlasov_residual,
     write_field,
 )
-from phasechain.checks import _check_fluxes, _check_transform, _peak_rss_mb, _traced_peak_mb
+from phasechain.checks import _check_fluxes, _check_transform, _Draws, _peak_rss_mb, _traced_peak_mb
 from phasechain.cli import main
 from phasechain.fields import KINEMATIC_ORDER, _stencil, partial_derivative, stencil_halfwidth
 from phasechain.moyal import build_term_table
@@ -330,9 +330,9 @@ def test_every_grid_loop_gives_the_same_values_whatever_the_tiles(w4, positive_w
     set_tile(monkeypatch, v_rows)
     if v_rows == "default":
         want = [(slice(lo, hi), slice(0, SHAPE[1])) for lo, hi in fields_mod._row_slabs(SHAPE[0], w4.data[0].nbytes)]
-    else:
+    else:  # run-major: each run of v-rows goes down x before the next
         want = [(slice(i, i + 1), slice(v0, min(v0 + v_rows, SHAPE[1])))
-                for i in range(SHAPE[0]) for v0 in range(0, SHAPE[1], v_rows)]
+                for v0 in range(0, SHAPE[1], v_rows) for i in range(SHAPE[0])]
     blocks = list(moyal_residual_slabs(w4, MIXED_QUARTIC, P, scheme))
     assert [index for index, _ in blocks] == want
     for index, block in blocks:
@@ -512,7 +512,7 @@ def test_the_transform_gathers_no_shifted_window(two_workers):
 def test_the_mean_flux_check_holds_one_field():
     # check 5's (16, 16, 64, 64) W is the closed form's own array: 1.17 fields now, 2.0 with a sampled copy
     field_bytes = 8 * 16 * 16 * 64 * 64
-    ctx = {"params": PhysParams(), "rng": np.random.default_rng(0)}
+    ctx = {"params": PhysParams(), "rng": _Draws(0)}
     assert traced_peak(_check_fluxes, ctx) <= 1.25 * field_bytes
 
 
@@ -521,6 +521,6 @@ def test_transform_gate_measures_only_check_1():
     block = np.ones(700 * 2**20 // 8)
     del block
     assert _peak_rss_mb() > 600.0
-    ok, detail = _check_transform({"params": PhysParams(), "rng": np.random.default_rng(0)})
+    ok, detail = _check_transform({"params": PhysParams(), "rng": _Draws(0)})
     assert ok, detail
     assert "traced peak" in detail

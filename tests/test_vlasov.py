@@ -495,13 +495,23 @@ def test_non_finite_grid_flux_is_rejected(bad):
             vlasov_residual("w12", w12, {"v": flux}, P, ORDER4)
 
 
-@pytest.mark.parametrize("tiles", ["inline", "one-v-row-on-two-workers"])
-def test_sums_that_overflow_are_refused_without_a_warning(monkeypatch, tiles):
+@pytest.fixture(params=["inline", "one-v-row-on-two-workers"])
+def hostile_w4(request, monkeypatch):
+    """A (4, 6, 8, 10) field full of 1e308, its loops run inline or on one-v-row tiles on two workers."""
+    axes = tuple(make_axis(name, -1.0, 1.0, n) for name, n in zip(("x", "v", "vdot", "vddot"), (4, 6, 8, 10)))
+    if request.param != "inline":  # the whole field is one tile at the default budget, which runs on the calling thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)
+    fields_mod._workers.cache_clear()
+    yield RealField(axes, np.full((4, 6, 8, 10), 1e308))
+    fields_mod._workers.cache_clear()
+
+
+def test_sums_that_overflow_are_refused_without_a_warning(hostile_w4):
     # finite values whose sums leave the float range: every reduction over W raises the result's ValidationError
     # and warns nowhere (warnings are errors here), on the pool's workers too
-    axes = tuple(make_axis(name, -1.0, 1.0, n) for name, n in zip(("x", "v", "vdot", "vddot"), (4, 6, 8, 10)))
-    w4 = RealField(axes, np.full((4, 6, 8, 10), 1e308))
-    calls = [lambda a=a: integrate_axis(w4, a.name) for a in axes] + [
+    w4 = hostile_w4
+    calls = [lambda a=a: integrate_axis(w4, a.name) for a in w4.axes] + [
         lambda: marginal_to_2(w4, P),
         lambda: wigner4_marginal_to_3(w4, P),
         lambda: wigner4_marginal_to_24(w4, P),
@@ -509,16 +519,24 @@ def test_sums_that_overflow_are_refused_without_a_warning(monkeypatch, tiles):
         lambda: accel_flux_124_from_w4(w4, U_HO, P, ORDER4),
         *(lambda member=member: chain_residual(member, w4, U_HO, P, ORDER4) for member in ("w123", "w124", "w12")),
     ]
-    if tiles != "inline":  # the whole field is one tile at the default budget, which runs on the calling thread
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)
-    fields_mod._workers.cache_clear()
-    try:
-        for call in calls:
-            with pytest.raises(ValidationError, match="non-finite"):
-                call()
-    finally:
-        fields_mod._workers.cache_clear()
+    for call in calls:
+        with pytest.raises(ValidationError, match="non-finite"):
+            call()
+
+
+def test_grid_fields_that_overflow_are_refused_without_a_warning(hostile_w4):
+    # finite values whose stencils and products leave the float range: every assembled grid result raises its
+    # own ValidationError and warns nowhere, on the pool's workers too; a quartic U gives moyal_rhs a series
+    w4, quartic = hostile_w4, PolynomialPotential(((2, 0, 0.5), (4, 0, 0.01)))
+    calls = [
+        lambda: transport_lhs(w4, quartic, P, ORDER4),
+        lambda: moyal_rhs(w4, quartic, P, ORDER4),
+        lambda: moyal_residual(w4, quartic, P, ORDER4),
+        lambda: vlasov_residual("chain4", w4, {"vddot": lambda x, v, vd, vdd: -x * v}, P, ORDER4),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="non-finite"):
+            call()
 
 
 def test_dt_term_enters_additively():
