@@ -37,7 +37,7 @@ _EXPORTS = {
                "wigner4_marginal_to_24", "marginal_to_2"),
     "vlasov": ("FluxField", "DissipationReport", "mean_flux_from_w4", "vlasov_moyal_accel_flux",
                "vlasov_moyal_velocity_flux", "accel_flux_124_from_w4", "vlasov_residual", "chain_residual",
-               "divergence_series_gap", "dissipation_report"),
+               "chain_residual_slabs", "divergence_series_gap", "dissipation_report"),
     "vonneumann": ("ModeSet", "VonNeumannCheck", "coefficients_at", "density_matrix_at", "rho_time_derivative",
                    "von_neumann_residual"),
 }

@@ -42,7 +42,7 @@ from .vlasov import (
     mean_flux_from_w4,
     vlasov_residual,
 )
-from .wigner import marginal_to_2, transform_rows, wigner24, wigner3
+from .wigner import marginal_to_2, transform_rows
 
 __all__ = ["CheckResult", "SuiteReport", "run_ho_suite"]
 
@@ -168,8 +168,12 @@ def _transform_fidelity(ctx):
 
 def _check_marginals(ctx) -> tuple[bool, str]:
     p, psi, w123, w124 = ctx["params"], ctx.pop("psi"), ctx.pop("w123"), ctx.pop("w124")
-    err3 = float(np.abs(w123.data - wigner3(psi, p).data).max())
-    err24 = float(np.abs(w124.data - wigner24(psi, p).data).max())
+    # the single transforms stream past one tile at a time, each compared with the same points of its marginal
+    errs = []
+    for shifts, marginal in ((("v",), w123), (("x",), w124)):
+        _, tiles = transform_rows(psi, p, shifts)
+        errs.append(max(max_abs(np.subtract(marginal.data[index], block)) for index, block in tiles))
+    err3, err24 = errs
     dens = np.abs(psi.data) ** 2
     err12 = max(
         float(np.abs(marginal_to_2(w123, p).data - dens).max()),
@@ -225,17 +229,21 @@ def _check_fluxes(ctx) -> tuple[bool, str]:
         make_axis("vdot", -12.0, 12.0, 64),
         make_axis("vddot", -12.0, 12.0, 64),
     )
-    # the closed form's fresh array is the field's data, with no second copy
-    w4 = RealField(axes, w1234_analytic(*np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True), p))
+    mesh = np.meshgrid(*[a.points() for a in axes], indexing="ij", sparse=True)
+
+    def w4():
+        """W as a stream of its x-rows, the closed form on each made as it is asked for: no rank-4 array is held."""
+        return axes, (((slice(i, i + 1), slice(0, axes[1].n)), w1234_analytic(mesh[0][i : i + 1], *mesh[1:], p))
+                      for i in range(axes[0].n))
 
     def flux_err(fl, which):
         mesh = fl.values.mesh()
         ref = mean_flux_analytic(which, mesh[0], mesh[1], p)
         return float(np.abs((fl.values.data - ref))[fl.mask].max())
 
-    e123 = flux_err(mean_flux_from_w4(w4, "123-accel", p), "123-accel")
-    e124v = flux_err(mean_flux_from_w4(w4, "124-vel", p), "124-vel")
-    e124a = flux_err(accel_flux_124_from_w4(w4, u12_polynomial(p), p), "124-accel")
+    e123 = flux_err(mean_flux_from_w4(w4(), "123-accel", p), "123-accel")
+    e124v = flux_err(mean_flux_from_w4(w4(), "124-vel", p), "124-vel")
+    e124a = flux_err(accel_flux_124_from_w4(w4(), u12_polynomial(p), p), "124-accel")
     xr, vr = rng.uniform(-5.0, 5.0, size=(2, 1000))
     u1 = PolynomialPotential(((2, 0, 0.5 * p.m * p.omega**2),))
     _, dn_over_m = radiation_power(xr, vr, u1, p)

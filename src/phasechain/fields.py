@@ -154,10 +154,7 @@ class _BaseField:
         return len(self.axes)
 
     def axis_index(self, name: str) -> int:
-        for i, a in enumerate(self.axes):
-            if a.name == name:
-                return i
-        raise ValidationError(f"field has no axis {name!r}; axes are {[a.name for a in self.axes]}")
+        return _axis_index(self.axes, name)
 
     def axis(self, name: str) -> AxisGrid:
         return self.axes[self.axis_index(name)]
@@ -182,6 +179,25 @@ class ComplexField(_BaseField):
 
     _dtype = np.complex128
     _rank_range = (1, 2)
+
+
+def _axis_index(axes, name: str) -> int:
+    for i, a in enumerate(axes):
+        if a.name == name:
+            return i
+    raise ValidationError(f"field has no axis {name!r}; axes are {[a.name for a in axes]}")
+
+
+def _axes_of(source) -> tuple:
+    """The axes of a field, or of a stream: an (axes, tiles) pair on real rank 2-4 axes, as transform_rows returns.
+
+    tiles is any in-order source of a real field's (index, block) tiles (see _stream_views).
+    """
+    if isinstance(source, _BaseField):
+        return source.axes
+    if isinstance(source, tuple) and len(source) == 2:
+        return _check_axes(source[0], 2, 4)
+    raise ValidationError(f"expected a field or an (axes, tiles) stream, got {type(source)!r}")
 
 
 def sample_real(func, axes) -> RealField:
@@ -550,19 +566,23 @@ def partial_derivative(field: RealField, axis: str, power: int, scheme: StencilS
     return type(field)(field.axes, _stencil(field.data, k, field.axes[k].step, power, scheme))
 
 
-def integrate_axis(field: RealField, axis: str, weight: float = 1.0):
+def integrate_axis(field, axis: str, weight: float = 1.0):
     """Riemann-sum reduction weight * step * sum along one axis.
 
     Matches the DFT quadrature convention and is spectrally accurate for
     fields decaying to zero at the boundary. Returns a field of rank - 1,
-    or a float when the last axis is integrated away.
+    or a float when the last axis is integrated away. field may also be a
+    stream of a real field's tiles, an (axes, tiles) pair such as
+    wigner.transform_rows returns; its sums are the same bits as the
+    assembled field's.
     """
-    k = field.axis_index(axis)
-    total, = _axis_sums(field, k, weight * field.axes[k].step, StencilScheme())
-    rest = field.axes[:k] + field.axes[k + 1 :]
+    axes = _axes_of(field)
+    k = _axis_index(axes, axis)
+    total, = _axis_sums(field, k, weight * axes[k].step, StencilScheme())
+    rest = axes[:k] + axes[k + 1 :]
     if not (rest or np.isfinite(total)):  # a rank >= 2 result is checked by its constructor
         raise ValidationError("field data contains non-finite values")
-    return type(field)(rest, total) if rest else float(total)
+    return (type(field) if isinstance(field, _BaseField) else RealField)(rest, total) if rest else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -653,45 +673,63 @@ def _add_product(out: Array, d: Array, coef):
 
 
 class _GridView:
-    """x-rows [lo, hi) and v-rows [v0, v1) (all of them by default) of a grid field of rank >= 2.
+    """x-rows [lo, hi) and v-rows [v0, v1) of a grid field of rank >= 2 on `axes`, read from `data`.
 
-    Only d_x and d_v couple the points of different views, and each reads its
-    stencil-halfwidth neighbours in place from the whole field. d_x is never
-    combined with another axis, and a product from times takes none. Other
-    axes chain last axis first, so d_v comes last, on the view's x-rows
-    widened by its halfwidth along v (for a product, the field times the
-    fluxes there). A view equals the same points of the whole-field
-    evaluation within the stencil rounding bound. The views of one slab loop
-    share the dict `potentials`, where each potential is evaluated once, on
-    the field's (x, v) nodes.
+    data holds the field's points from x-row x0 and v-row y0 on, at = (x0,
+    y0): the whole field's array, at (0, 0), or a streamed tile's block, at
+    the tile's first point, which holds the view's own points. Only d_x and
+    d_v couple the points of different views, and each reads its
+    stencil-halfwidth neighbours in place from data; a stencil whose
+    neighbours are not in data raises ValidationError. d_x is never combined
+    with another axis, and a product from times takes none. Other axes chain
+    last axis first, so d_v comes last, on the view's x-rows widened by its
+    halfwidth along v (for a product, the field times the fluxes there). A
+    view equals the same points of the whole-field evaluation within the
+    stencil rounding bound. The views of one slab loop share the dict
+    `potentials`, where each potential is evaluated once, on the field's
+    (x, v) nodes.
     """
 
-    def __init__(self, field: RealField, scheme: StencilScheme, potentials: dict, lo: int, hi: int, v0: int = 0,
-                 v1: int | None = None, fluxes: tuple = ()):
-        self.field, self.scheme, self._potentials, self.lo, self.hi = field, scheme, potentials, lo, hi
-        self.v0, self.v1 = v0, field.axes[1].n if v1 is None else v1
-        self.names = tuple(a.name for a in field.axes)
+    def __init__(self, axes, data: Array, scheme: StencilScheme, potentials: dict, lo: int, hi: int, v0: int,
+                 v1: int, at: tuple = (0, 0), fluxes: tuple = ()):
+        self.axes, self._data, self.scheme, self._potentials = axes, data, scheme, potentials
+        self.lo, self.hi, self.v0, self.v1, self._at = lo, hi, v0, v1, at
+        self.names = tuple(a.name for a in axes)
         self._fluxes = fluxes  # the factors of a product from times
-        self.shape = (hi - lo, self.v1 - v0) + field.data.shape[2:]
+        self._field_shape = tuple(a.n for a in axes)
+        self.shape = (hi - lo, v1 - v0) + self._field_shape[2:]
+
+    @property
+    def index(self) -> tuple:
+        """The view's (x-rows, v-rows) pair of slices of the field."""
+        return slice(self.lo, self.hi), slice(self.v0, self.v1)
+
+    def _rows(self, a: int, b: int, k: int) -> slice:
+        """Rows [a, b) of the field along axis k (0 or 1), as a slice of data; ValidationError if data lacks one."""
+        start = self._at[k]
+        if a < start or b > start + self._data.shape[k]:
+            raise ValidationError("a stencil on a streamed tile needs rows of its neighbours: take it on a field")
+        return slice(a - start, b - start)
 
     def coord(self, name: str, v_rows: slice | None = None) -> Array:
         """The coordinate on the view's points, or on its x-rows and the given v-rows."""
         k = self.names.index(name)
         cut = (slice(self.lo, self.hi), v_rows or slice(self.v0, self.v1), slice(None), slice(None))[k]
-        return self.field.axes[k].points()[cut].reshape((-1,) + (1,) * (len(self.names) - 1 - k))
+        return self.axes[k].points()[cut].reshape((-1,) + (1,) * (len(self.names) - 1 - k))
 
     def potential(self, u) -> Array:
         values = self._potentials.get(u)
         if values is None:  # two tasks may both evaluate it; either result is the same
-            values = self._potentials[u] = u(*self.field.mesh()[:2])
+            mesh = np.meshgrid(*[a.points() for a in self.axes], indexing="ij", sparse=True)
+            values = self._potentials[u] = u(*mesh[:2])
         return values[self.lo:self.hi, self.v0:self.v1]
 
     def _block(self, a: int, b: int) -> Array:
         """The view's field times its fluxes (if any) on its x-rows and v-rows [a, b)."""
-        block = self.field.data[self.lo:self.hi, a:b]
+        block = self._data[self._rows(self.lo, self.hi, 0), self._rows(a, b, 1)]
         for flux in self._fluxes:
             block = block * (flux(*(self.coord(n, slice(a, b)) for n in self.names)) if callable(flux)
-                             else np.broadcast_to(flux, self.field.data.shape)[self.lo:self.hi, a:b])
+                             else np.broadcast_to(flux, self._field_shape)[self.lo:self.hi, a:b])
             if not (np.isfinite(block.min()) and np.isfinite(block.max())):
                 raise ValidationError("field times flux contains non-finite values")
         return block
@@ -705,22 +743,23 @@ class _GridView:
         if k == 0:
             if len(active) > 1 or self._fluxes:
                 raise ValidationError("a grid view takes d_x alone, and only of the field's own rows")
-            return _stencil(self.field.data[:, self.v0:self.v1], 0, self.field.axes[0].step, p, self.scheme,
-                            self.lo, self.hi)
+            w, x0 = stencil_halfwidth(p, self.scheme.order), self._at[0]
+            self._rows(max(self.lo - w, 0), min(self.hi + w, self._field_shape[0]), 0)
+            return _stencil(self._data[:, self._rows(self.v0, self.v1, 1)], 0, self.axes[0].step, p, self.scheme,
+                            self.lo - x0, self.hi - x0)
         w = stencil_halfwidth(p, self.scheme.order) if k == 1 else 0
-        a, b = max(self.v0 - w, 0), min(self.v1 + w, self.field.axes[1].n)
+        a, b = max(self.v0 - w, 0), min(self.v1 + w, self._field_shape[1])
         out = self._block(a, b)
         for k, p in active:
-            out = _stencil(out, k, self.field.axes[k].step, p, self.scheme,
-                           *((self.v0 - a, self.v1 - a) if k == 1 else ()))
+            out = _stencil(out, k, self.axes[k].step, p, self.scheme, *((self.v0 - a, self.v1 - a) if k == 1 else ()))
         return out
 
     def times(self, flux) -> "_GridView":
-        return _GridView(self.field, self.scheme, self._potentials, self.lo, self.hi, self.v0, self.v1,
-                         self._fluxes + (flux,))
+        return _GridView(self.axes, self._data, self.scheme, self._potentials, self.lo, self.hi, self.v0, self.v1,
+                         self._at, self._fluxes + (flux,))
 
     def restrict(self, samples) -> Array:
-        return np.broadcast_to(samples, self.field.data.shape)[self.lo:self.hi, self.v0:self.v1]
+        return np.broadcast_to(samples, self._field_shape)[self.lo:self.hi, self.v0:self.v1]
 
 
 class _PointView:
@@ -782,7 +821,7 @@ def _grid_slabs(field: RealField, scheme: StencilScheme, body, halo: int | None 
     halo = stencil_halfwidth(1, scheme.order) if halo is None else halo
 
     def task(lo, hi, v0, v1):
-        return (slice(lo, hi), slice(v0, v1)), body(_GridView(field, scheme, potentials, lo, hi, v0, v1))
+        return (slice(lo, hi), slice(v0, v1)), body(_GridView(field.axes, data, scheme, potentials, lo, hi, v0, v1))
 
     tiles = sorted(_grid_tiles(data.shape), key=lambda t: (t[2], t[0]))
     for (lo, hi, *_), value in zip(tiles, _map_slabs(task, tiles)):
@@ -790,12 +829,60 @@ def _grid_slabs(field: RealField, scheme: StencilScheme, body, halo: int | None 
         _drop_rows(data, max(lo - halo, 0), hi - halo if hi < n else n)
 
 
-def _over_slabs(field: RealField, scheme: StencilScheme, body) -> Array:
-    """body(view) on each tile of a grid field, assembled into one array of the field's shape."""
-    out = np.empty_like(field.data)
-    for index, block in _grid_slabs(field, scheme, body):
+def _stream_views(axes, tiles, scheme: StencilScheme):
+    """Yield (index, view) for each (index, block) of a stream's tiles: the _GridView that reads that block.
+
+    index is a pair of slices, x-rows and v-rows, and block a float64 array
+    of those points. The tiles may come in any order in which each x-row's
+    v-rows, and each v-row's x-rows, arrive in order, and each point once:
+    transform_rows' x-major order and _grid_slabs' run-major order both do.
+    A stream that breaks this, or ends early, raises ValidationError. The
+    next tile is asked for only when the next view is, so a view may read a
+    block that is valid only until then.
+    """
+    shape = tuple(a.n for a in axes)
+    next_v, next_x = np.zeros(shape[0], dtype=int), np.zeros(shape[1], dtype=int)
+    potentials = {}
+    for index, block in tiles:
+        try:
+            (lo, hi, dx), (v0, v1, dv) = (part.indices(n) for part, n in zip(index, shape[:2], strict=True))
+        except (AttributeError, TypeError, ValueError):
+            raise ValidationError(f"a stream's index is an (x-rows, v-rows) pair of slices, got {index!r}") from None
+        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+                and block.shape == (hi - lo, v1 - v0) + shape[2:] and dx == dv == 1 and hi > lo and v1 > v0):
+            raise ValidationError(f"a stream's block must be float64 of the shape its index {index!r} cuts from "
+                                  f"{shape}")
+        if (next_v[lo:hi] != v0).any() or (next_x[v0:v1] != lo).any():
+            raise ValidationError(f"stream tile {index!r} is out of order, or repeats points")
+        next_v[lo:hi], next_x[v0:v1] = v1, hi
+        yield (slice(lo, hi), slice(v0, v1)), _GridView(axes, block, scheme, potentials, lo, hi, v0, v1, (lo, v0))
+    if (next_v != shape[1]).any():
+        raise ValidationError("the stream ended before its last tile")
+
+
+def _assemble(shape, tiles) -> Array:
+    """The blocks of (index, block) tiles written into one new float64 array of the given shape."""
+    out = np.empty(shape)
+    for index, block in tiles:
         out[index] = block
     return out
+
+
+def _finite(body, error):
+    """body under np.errstate(over="ignore", invalid="ignore"), its result refused by error(max |result|) unless finite.
+
+    For the slab loops a caller takes as a generator: a task's errstate ends
+    with the task, so none of it reaches the caller between two yields.
+    """
+    def checked(view):
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = body(view)
+        low, high = float(block.min()), float(block.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise error(max(high, -low))
+        return block
+
+    return checked
 
 
 def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
@@ -808,51 +895,74 @@ def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
         return body(_PointView(field, axis_names, points, scheme))
     require_axes(field, axis_names)
     with np.errstate(over="ignore", invalid="ignore"):
-        return RealField(field.axes, _over_slabs(field, scheme, body))
+        return RealField(field.axes, _assemble(field.data.shape, _grid_slabs(field, scheme, body)))
 
 
-def _axis_sums(field, k: int, scale: float, scheme: StencilScheme, *bodies) -> list:
-    """scale * the sums over array axis k of the field's data and of each body(view), in the data's dtype.
+def _axis_sums(source, k: int, scale: float, scheme: StencilScheme, *bodies) -> list:
+    """scale * the sums over array axis k of a field's or a stream's data and of each body(view), in the data's dtype.
 
-    Summed tile by tile on _grid_slabs with no halo (no body takes d/dx). The
-    calling thread adds the v-rows of a tile cut along v into their sums; the
-    runs of each x-row arrive in v order, so the v-rows are added in order,
-    as NumPy sums a leading axis, and any tile height gives the same bits. A
-    sum over axis 0 takes one view of the whole field.
+    A field is summed tile by tile on _grid_slabs with no halo (no body takes
+    d/dx); a sum over its axis 0 takes one view of the whole field. A stream
+    (see _axes_of) is summed on the calling thread, each block as it arrives
+    and before the next is asked for: a transform block is valid only until
+    then. Where a tile holds part of axis k (a run of v-rows, or a stream's
+    x-rows), the calling thread adds the tile's slices along k into their
+    sums in order, as NumPy sums a leading axis, and each x-row's v-rows (a
+    stream's v-rows' x-rows) arrive in order: so any tiles, and a field or a
+    stream of its tiles, give the same bits.
     """
-    data = field.data
-    sums = [np.zeros(data.shape[:k] + data.shape[k + 1 :], dtype=data.dtype) for _ in range(1 + len(bodies))]
+    axes = _axes_of(source)
+    shape = tuple(a.n for a in axes)
+    field = source if isinstance(source, _BaseField) else None
+    dtype = np.float64 if field is None else field.data.dtype
+    sums = [np.zeros(shape[:k] + shape[k + 1 :], dtype=dtype) for _ in range(1 + len(bodies))]
+    integrands = (_GridView.values, *bodies)
+
+    def whole(index):  # the tile holds every point of axis k
+        return k > 1 or (index[k].start, index[k].stop) == (0, shape[k])
+
+    def reduce(out, index, part):
+        at = index[:k] + index[k + 1 :]
+        if whole(index):
+            out[at] = part.sum(axis=k) * scale
+            return
+        for j in range(part.shape[k]):
+            out[at] += part[(slice(None),) * k + (j,)]
+        if index[k].stop == shape[k]:
+            out[at] *= scale
+
     # finite values may sum past the float range, which the result's check refuses (slab tasks inherit this state)
+    if field is None:
+        for index, view in _stream_views(axes, source[1], scheme):
+            with np.errstate(over="ignore", invalid="ignore"):  # not around the producer's own work
+                for out, integrand in zip(sums, integrands):
+                    reduce(out, index, integrand(view))
+        return sums
+    data = field.data
     with np.errstate(over="ignore", invalid="ignore"):
         if k == 0:
-            view = _GridView(field, scheme, {}, 0, len(data)) if bodies else None  # a rank-1 field has no v-rows
+            view = _GridView(axes, data, scheme, {}, 0, len(data), 0, shape[1]) if bodies else None  # rank 1: no v
             for out, part in zip(sums, (data, *(body(view) for body in bodies))):
                 out[...] = part.sum(axis=0) * scale
             _drop_rows(data, 0, len(data))
             return sums
 
-        integrands = (_GridView.values, *bodies)
-
         def task(view):  # one part at a time, summed before the next is made: two at once made glibc refault its heap
-            if k == 1 and view.shape[1] < data.shape[1]:
+            if not whole(view.index):  # added on the calling thread, in v order
                 return [integrand(view) for integrand in integrands]
-            index = (slice(view.lo, view.hi), slice(view.v0, view.v1))[:k]
             for out, integrand in zip(sums, integrands):
-                out[index] = integrand(view).sum(axis=k) * scale
+                reduce(out, view.index, integrand(view))
             return []
 
-        for (rows, v_rows), parts in _grid_slabs(field, scheme, task, 0):
+        for index, parts in _grid_slabs(field, scheme, task, 0):
             for out, part in zip(sums, parts):
-                for j in range(part.shape[1]):
-                    out[rows] += part[:, j]
-                if v_rows.stop == data.shape[1]:
-                    out[rows] *= scale
+                reduce(out, index, part)
     return sums
 
 
-def require_axes(field: RealField, axis_names):
-    """Raise ValidationError unless the field's axes are named axis_names, in that order."""
-    names = tuple(a.name for a in field.axes)
+def require_axes(field, axis_names):
+    """Raise ValidationError unless the field's (or stream's) axes are named axis_names, in that order."""
+    names = tuple(a.name for a in _axes_of(field))
     if names != tuple(axis_names):
         raise ValidationError(f"field must have axes {tuple(axis_names)}, got {names}")
 

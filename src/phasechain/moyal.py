@@ -35,6 +35,7 @@ from .fields import (
     ValidationError,
     _add_product,
     _evaluate,
+    _finite,
     _grid_slabs,
     _read_table,
     require_axes,
@@ -292,11 +293,14 @@ def moyal_residual_slabs(w4: RealField, u: PolynomialPotential, params, scheme: 
     rounding bound, so a caller can reduce the residual (its max, say) without
     a second dense field. The tiles are sized from the field's row size and
     computed on the slab pool, a few ahead of the caller. The rows of a W read
-    from a file are dropped from memory behind the caller.
+    from a file are dropped from memory behind the caller. Finite values may
+    combine past the float range: a block with a non-finite value raises
+    NumericError, and no floating-point warning is left to the caller.
     """
     require_axes(w4, KINEMATIC_ORDER)
     rows = _series_rows(u, params)
-    yield from _grid_slabs(w4, scheme, lambda view: _continuity(view, (), rows, dt_term))
+    yield from _grid_slabs(w4, scheme, _finite(lambda view: _continuity(view, (), rows, dt_term), lambda top: (
+        NumericError(f"the residual is not finite (max|residual| = {top})"))))
 
 
 def moyal_residual(w4, u: PolynomialPotential, params, scheme: StencilScheme, *,

@@ -20,6 +20,7 @@ denominator, and one helper builds each member's dissipation balance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,13 @@ from .fields import (
     StencilScheme,
     ValidationError,
     _add_product,
+    _assemble,
+    _axes_of,
+    _axis_index,
     _axis_sums,
     _evaluate,
+    _finite,
     _grid_slabs,
-    _over_slabs,
     _PointView,
     _slab_extrema,
     _stencil,
@@ -98,8 +102,18 @@ class FluxField:
         return 1.0 - float(self.mask.sum()) / self.mask.size
 
 
+def _non_finite(top: float) -> ValidationError:
+    """The error of a grid result with a non-finite value, as a RealField's constructor raises it."""
+    return ValidationError("field data contains non-finite values")
+
+
 def _support_mask(density: Array, threshold: float) -> Array:
-    return np.abs(density) >= threshold * max_abs(density)
+    """|density| >= threshold * max |density|, an x-row at a time in one buffer: no temporary of the density's size."""
+    cut, rows = threshold * max_abs(density), density.reshape(len(density), -1)
+    mask, buffer = np.empty(rows.shape, dtype=bool), np.empty(rows.shape[1])
+    for row, out in zip(rows, mask):
+        np.greater_equal(np.abs(row, out=buffer), cut, out=out)
+    return mask.reshape(density.shape)
 
 
 def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, threshold: float) -> FluxField:
@@ -109,14 +123,17 @@ def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, thresh
     return FluxField(kind, RealField._trusted(density.axes, num), mask, threshold, density)
 
 
-def _moment_ratio(field: RealField, k: int, params, threshold: float, scheme: StencilScheme, *numerators) -> list:
-    """(m step sum_k numerator) / (m step sum_k field) for each (kind, numerator), from one _axis_sums.
+def _moment_ratio(field, axis: str, params, threshold: float, scheme: StencilScheme, *numerators) -> list:
+    """(m step sum numerator) / (m step sum field) along `axis` for each (kind, numerator), from one _axis_sums.
 
-    Each numerator is a body on views of the field, on the given scheme. The
-    fluxes share the denominator as their density, and its support mask.
+    field is a field or a stream (see integrate_axis), and each numerator a
+    body on views of it, on the given scheme. The fluxes share the
+    denominator as their density, and its support mask.
     """
-    den, *nums = _axis_sums(field, k, params.m * field.axes[k].step, scheme, *(num for _, num in numerators))
-    density = RealField(field.axes[:k] + field.axes[k + 1 :], den)
+    axes = _axes_of(field)
+    k = _axis_index(axes, axis)
+    den, *nums = _axis_sums(field, k, params.m * axes[k].step, scheme, *(num for _, num in numerators))
+    density = RealField(axes[:k] + axes[k + 1 :], den)
     mask = _support_mask(den, threshold)
     return [_masked_ratio(kind, num, density, mask, threshold) for (kind, _), num in zip(numerators, nums)]
 
@@ -126,25 +143,27 @@ def _first_moment(axis: str):
     return lambda view: view.values() * view.coord(axis)
 
 
-def mean_flux_from_w4(w4: RealField, which: str, params, mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
-    """Moment-ratio flux extraction from a rank-4 (or reducible) field.
+def mean_flux_from_w4(w4, which: str, params, mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
+    """Moment-ratio flux extraction from a rank-4 (or reducible) field, or a stream of its tiles.
 
     The flux is the m-weighted first moment along the traced axis divided by
     the m-weighted zeroth moment, masked where the zeroth moment falls below
     mask_threshold times its peak. '12-vel' first reduces the vddot axis.
-    Both moments are accumulated one tile at a time.
+    Both moments are accumulated one tile at a time. w4 may be a stream, an
+    (axes, tiles) pair such as wigner.transform_rows returns, whose tiles are
+    read once as they arrive: the flux is the same bits as the assembled
+    field's.
     """
     if which not in MOMENT_KINDS:
         raise ValidationError(f"unknown moment kind {which!r}; expected one of {sorted(MOMENT_KINDS)}")
     check_mask_threshold(mask_threshold)
     traced, reduce_first = MOMENT_KINDS[which]
     field = w4
-    present = {a.name for a in field.axes}
+    present = {a.name for a in _axes_of(field)}
     for name in reduce_first:
         if name in present:
             field = integrate_axis(field, name, weight=params.m)
-    return _moment_ratio(field, field.axis_index(traced), params, mask_threshold, StencilScheme(),
-                         (which, _first_moment(traced)))[0]
+    return _moment_ratio(field, traced, params, mask_threshold, StencilScheme(), (which, _first_moment(traced)))[0]
 
 
 def _closure_series(view, terms, axis: str) -> Array:
@@ -181,8 +200,8 @@ def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
                            f"first offender at index {tuple(int(i) for i in bad[0])}")
     if isinstance(f, PointwiseField):
         return _closure_series(view, terms, axis) / density
-    out = _over_slabs(f, scheme, lambda view: _closure_series(view, terms, axis))
-    return _masked_ratio(kind, out, f, mask, mask_threshold)
+    body = _finite(lambda view: _closure_series(view, terms, axis), _non_finite)
+    return _masked_ratio(kind, _assemble(f.data.shape, _grid_slabs(f, scheme, body)), f, mask, mask_threshold)
 
 
 def vlasov_moyal_accel_flux(f, u: PolynomialPotential, params, scheme: StencilScheme | None = None, *,
@@ -215,19 +234,20 @@ def _closure_moment(u: PolynomialPotential, params):
     return lambda view: _closure_series(view, terms, "vddot")
 
 
-def accel_flux_124_from_w4(w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme | None = None,
+def accel_flux_124_from_w4(w4, u: PolynomialPotential, params, scheme: StencilScheme | None = None,
                            mask_threshold: float = DEFAULT_MASK_THRESHOLD) -> FluxField:
     """Integral route to the (x, v, vddot) acceleration flux.
 
     Averages the rank-4 series closure over vdot:
     <vddot>_{124} = m Int <vddot>_{1234} w4 dvdot / (m Int w4 dvdot).
     The numerator integrates the closure body, <vddot>_{1234} w4, so it never
-    divides by w4. Both integrals are accumulated one tile at a time.
+    divides by w4. Both integrals are accumulated one tile at a time. w4 is
+    a rank-4 field or a stream of its tiles, as for mean_flux_from_w4.
     """
     check_mask_threshold(mask_threshold)
     require_axes(w4, KINEMATIC_ORDER)
     scheme = StencilScheme() if scheme is None else scheme
-    return _moment_ratio(w4, 2, params, mask_threshold, scheme, ("124-accel", _closure_moment(u, params)))[0]
+    return _moment_ratio(w4, "vdot", params, mask_threshold, scheme, ("124-accel", _closure_moment(u, params)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +280,41 @@ def vlasov_residual(kind: str, f, fluxes, params, scheme: StencilScheme, u: Poly
         raise ValidationError(f"unknown residual kind {kind!r}; expected one of {tuple(MEMBERS)}")
     if kind == "w123" and u is None:
         raise ValidationError("'w123' residual needs the potential for its correction series")
-    axes, flux_axes = MEMBERS[kind]
-    missing = [a for a in flux_axes if a not in fluxes]
+    missing = [a for a in MEMBERS[kind][1] if a not in fluxes]
     if missing:
         raise ValidationError(f"{kind}: missing fluxes for axes {missing}")
-    closing = [(a, _flux_samples(fluxes[a])) for a in flux_axes]
+    return _evaluate(f, MEMBERS[kind][0], scheme, points, _member_body(kind, fluxes, params, u, dt_term))
+
+
+def _member_body(kind: str, fluxes, params, u, dt_term):
+    """The body of a member's continuity residual on a view: its closing fluxes, and w123's correction series."""
+    closing = [(a, _flux_samples(fluxes[a])) for a in MEMBERS[kind][1]]
     rows = tuple(row for row in _series_rows(u, params) if row.n == 0) if kind == "w123" else ()
-    return _evaluate(f, axes, scheme, points, lambda view: _continuity(view, closing, rows, dt_term))
+    return lambda view: _continuity(view, closing, rows, dt_term)
 
 
-def chain_residual(member: str, w4: RealField, u: PolynomialPotential, params, scheme: StencilScheme,
-                   mask_threshold: float = DEFAULT_MASK_THRESHOLD):
-    """Residual, density and valid region of chain member 'w123', 'w124' or 'w12', from one pass over a rank-4 W.
+def chain_residual_slabs(member: str, w4, u: PolynomialPotential, params, scheme: StencilScheme,
+                         mask_threshold: float = DEFAULT_MASK_THRESHOLD):
+    """The density and valid region of chain member 'w123', 'w124' or 'w12', and its residual tile by tile.
 
-    The member's density and closing fluxes are moments of w4: mean_flux_from_w4
-    for w123 and w12, and for w124 the velocity flux with
-    accel_flux_124_from_w4's, both over one shared denominator. The residual
-    is vlasov_residual's on that density. The valid region is the fluxes'
-    support mask, eroded by the stencil halfwidth along each flux axis in turn.
-    Returns (residual RealField, density RealField, valid boolean array).
+    w4 is a rank-4 RealField, or a stream of its tiles, an (axes, tiles)
+    pair such as wigner.transform_rows returns: then the member comes from
+    psi in one transform pass, with no W held. One moment pass over w4
+    gives the member's density and closing fluxes: mean_flux_from_w4's for
+    w123 and w12, and for w124 the velocity flux with
+    accel_flux_124_from_w4's, over one shared denominator. The valid region
+    is the fluxes' support mask, eroded by the stencil halfwidth along each
+    flux axis in turn. Returns (density RealField, valid boolean array,
+    tiles), where tiles yields (index, block) for each tile of the density,
+    run-major as moyal_residual_slabs does: block is vlasov_residual's
+    residual on density.data[index], computed on the slab pool, and a block
+    with a non-finite value raises ValidationError. So a caller can reduce
+    the residual (its max over the valid region, say) without holding it.
     """
     check_mask_threshold(mask_threshold)
     require_axes(w4, KINEMATIC_ORDER)
     if member == "w124":
-        fluxes = _moment_ratio(w4, 2, params, mask_threshold, scheme, ("124-vel", _first_moment("vdot")),
+        fluxes = _moment_ratio(w4, "vdot", params, mask_threshold, scheme, ("124-vel", _first_moment("vdot")),
                                ("124-accel", _closure_moment(u, params)))
     elif member in ("w123", "w12"):
         fluxes = [mean_flux_from_w4(w4, {"w123": "123-accel", "w12": "12-vel"}[member], params, mask_threshold)]
@@ -292,7 +323,21 @@ def chain_residual(member: str, w4: RealField, u: PolynomialPotential, params, s
     density, valid, flux_axes = fluxes[0].density, fluxes[0].mask, MEMBERS[member][1]
     for name in flux_axes:
         valid = _erode(valid, density.axis_index(name), stencil_halfwidth(1, scheme.order))
-    return vlasov_residual(member, density, dict(zip(flux_axes, fluxes)), params, scheme, u), density, valid
+    body = _finite(_member_body(member, dict(zip(flux_axes, fluxes)), params, u, None), _non_finite)
+    return density, valid, _grid_slabs(density, scheme, body)
+
+
+def chain_residual(member: str, w4, u: PolynomialPotential, params, scheme: StencilScheme,
+                   mask_threshold: float = DEFAULT_MASK_THRESHOLD):
+    """Residual, density and valid region of chain member 'w123', 'w124' or 'w12', from one pass over a rank-4 W.
+
+    chain_residual_slabs' residual, assembled: w4 is a rank-4 RealField or
+    a stream of its tiles, and the residual is vlasov_residual's on the
+    density. Returns (residual RealField, density RealField, valid boolean
+    array).
+    """
+    density, valid, tiles = chain_residual_slabs(member, w4, u, params, scheme, mask_threshold)
+    return RealField._trusted(density.axes, _assemble(density.data.shape, tiles)), density, valid
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +361,29 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     terms = closure_coefficients(u1, params, "x")
     cut = mask_threshold * max(max(high, -low) for low, high in _slab_extrema(f4.data))  # _support_mask's cut
 
-    def body(view):
-        derivs = [view.values()]
-        for _ in range(2 * max((l for l, _, _ in terms), default=0) + 1):
-            derivs.append(_stencil(derivs[-1], 3, f4.axes[3].step, 1, scheme))
-        # side A: transport + d_vddot( sum_l c_l U^(2l+1) d^{2l} f )
-        # side B: transport + force term - correction series
-        side_a = _continuity(view, (), (), None)
-        side_b = side_a.copy()
-        flux_times_f = np.zeros(view.shape)
-        for l, c, du in terms:
-            coeff = c * view.potential(du)
-            flux_times_f += coeff * derivs[2 * l]
-            side_b += coeff * derivs[2 * l + 1]
-        side_a += _stencil(flux_times_f, 3, f4.axes[3].step, 1, scheme)
-        mask = np.abs(derivs[0]) >= cut
-        return [np.max(np.abs(s), where=mask, initial=0.0) for s in (side_a - side_b, side_a, side_b)]
+    def body(view):  # finite values may combine past the float range: the maxima's check below refuses them
+        with np.errstate(over="ignore", invalid="ignore"):
+            derivs = [view.values()]
+            for _ in range(2 * max((l for l, _, _ in terms), default=0) + 1):
+                derivs.append(_stencil(derivs[-1], 3, f4.axes[3].step, 1, scheme))
+            # side A: transport + d_vddot( sum_l c_l U^(2l+1) d^{2l} f )
+            # side B: transport + force term - correction series
+            side_a = _continuity(view, (), (), None)
+            side_b = side_a.copy()
+            flux_times_f = np.zeros(view.shape)
+            for l, c, du in terms:
+                coeff = c * view.potential(du)
+                flux_times_f += coeff * derivs[2 * l]
+                side_b += coeff * derivs[2 * l + 1]
+            side_a += _stencil(flux_times_f, 3, f4.axes[3].step, 1, scheme)
+            mask = np.abs(derivs[0]) >= cut
+            return [np.max(np.abs(s), where=mask, initial=0.0) for s in (side_a - side_b, side_a, side_b)]
 
     # np.max, unlike Python's max, keeps a NaN
-    gap, a, b = np.max([maxima for _, maxima in _grid_slabs(f4, scheme, body)], axis=0)
-    return float(gap) / max(float(a), float(b), np.finfo(float).tiny)
+    gap, a, b = (float(m) for m in np.max([maxima for _, maxima in _grid_slabs(f4, scheme, body)], axis=0))
+    if not (math.isfinite(gap) and math.isfinite(a) and math.isfinite(b)):
+        raise NumericError(f"the divergence and series forms leave the float range (max|gap| = {gap})")
+    return gap / max(a, b, np.finfo(float).tiny)
 
 
 def _erode(mask: Array, axis: int, w: int) -> Array:

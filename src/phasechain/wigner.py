@@ -34,6 +34,7 @@ from .fields import (
     NumericError,
     RealField,
     ValidationError,
+    _assemble,
     _grid_tiles,
     _map_slabs,
     integrate_axis,
@@ -97,24 +98,23 @@ def wigner4(psi: ComplexField, params) -> RealField:
     transform plan. Raises NumericError if the prefactor leaves the float
     range at this hbar2, or if the imaginary residue exceeds 1e-10 of W's peak.
     """
-    return _assemble(*transform_rows(psi, params, ("x", "v")))
+    return _transform(psi, params, ("x", "v"))
 
 
 def wigner3(psi: ComplexField, params) -> RealField:
     """Single transform over the v-shift, to (x, v, vdot)."""
-    return _assemble(*transform_rows(psi, params, ("v",)))
+    return _transform(psi, params, ("v",))
 
 
 def wigner24(psi: ComplexField, params) -> RealField:
     """Single transform over the x-shift, to (x, v, vddot)."""
-    return _assemble(*transform_rows(psi, params, ("x",)))
+    return _transform(psi, params, ("x",))
 
 
-def _assemble(axes, tiles) -> RealField:
-    out = np.empty(tuple(a.n for a in axes))
-    for index, block in tiles:
-        out[index] = block
-    return RealField._trusted(axes, out)
+def _transform(psi: ComplexField, params, shifts) -> RealField:
+    """The transform over `shifts`, assembled into one field."""
+    axes, tiles = transform_rows(psi, params, shifts)
+    return RealField._trusted(axes, _assemble(tuple(a.n for a in axes), tiles))
 
 
 def transform_rows(psi: ComplexField, params, shifts):
@@ -131,6 +131,12 @@ def transform_rows(psi: ComplexField, params, shifts):
     until the next one is asked for: its buffer is then reused, so copy a
     block to keep it. After the last block the generator raises what wigner4
     raises, or returns max |W|, taken from the blocks' minima and maxima.
+
+    The (axes, tiles) pair is a stream that the moment passes read as it
+    comes, with no W held: fields.integrate_axis, and vlasov's
+    mean_flux_from_w4, accel_flux_124_from_w4, chain_residual and
+    chain_residual_slabs, give from it the same bits as from the assembled
+    W, and raise what the generator raises.
     """
     plan = TransformPlan.for_psi(psi, params)
     ax, av = psi.axes

@@ -267,3 +267,43 @@ def test_every_grid_pass_runs_on_the_one_tiler():
     assert set(call_sites("_row_slabs")) == {("fields", "_slab_extrema"), ("fields", "_grid_tiles")}
     # the worker count sizes only the pool, never a tile or a buffer list
     assert set(call_sites("_workers")) == {("fields", "_map_slabs")}
+    # _axis_sums is the one moment loop, and the one reader of a stream's blocks
+    assert set(call_sites("_axis_sums")) == {("fields", "integrate_axis"), ("vlasov", "_moment_ratio")}
+    assert set(call_sites("_stream_views")) == {("fields", "_axis_sums")}
+
+
+def test_a_streams_blocks_never_reach_the_slab_pool(monkeypatch):
+    # a block is valid only until the next is asked for, so the calling thread sums each as it arrives: the pool
+    # runs only the grid loops over the rank-3 fields that the moment passes make
+    fields = importlib.import_module("phasechain.fields")
+    monkeypatch.setattr(fields, "_workers", lambda: 2)
+    monkeypatch.setattr(fields, "_TILE_BYTES", 1)  # one v-row a tile
+    ranks, pool_loops, grid_slabs, map_slabs = [], [], fields._grid_slabs, fields._map_slabs
+
+    def grid_loop(field, *args):
+        ranks.append(field.rank)
+        return grid_slabs(field, *args)
+
+    def pool_loop(task, ranges):
+        pool_loops.append(len(ranges))
+        return map_slabs(task, ranges)
+
+    for module in ("fields", "moyal", "vlasov"):  # every module that runs a grid loop
+        monkeypatch.setattr(importlib.import_module(f"phasechain.{module}"), "_grid_slabs", grid_loop)
+    monkeypatch.setattr(fields, "_map_slabs", pool_loop)
+    axes = tuple(phasechain.make_axis(n, -1.0, 1.0, 8) for n in ("x", "v", "vdot", "vddot"))
+    w4 = phasechain.RealField(axes, np.exp(-sum(c * c for c in np.meshgrid(*[a.points() for a in axes],
+                                                                           indexing="ij", sparse=True))))
+
+    def stream():
+        return axes, (((slice(lo, hi), slice(v0, v1)), w4.data[lo:hi, v0:v1])
+                      for lo, hi, v0, v1 in fields._grid_tiles(w4.data.shape))
+
+    p, u = phasechain.PhysParams(), phasechain.PolynomialPotential(((2, 0, 0.5),))
+    phasechain.integrate_axis(stream(), "vdot")
+    phasechain.accel_flux_124_from_w4(stream(), u, p)
+    assert ranks == pool_loops == []
+    phasechain.mean_flux_from_w4(stream(), "12-vel", p)  # its moments run over the rank-3 vddot marginal
+    for member in ("w123", "w124", "w12"):  # each residual runs over its density
+        phasechain.chain_residual(member, stream(), u, p, phasechain.StencilScheme(), 0.1)
+    assert ranks == [3, 3, 3, 3, 2] and len(pool_loops) == len(ranks)

@@ -33,6 +33,7 @@ from phasechain import (
     StencilScheme,
     ValidationError,
     accel_flux_124_from_w4,
+    chain_residual,
     divergence_series_gap,
     integrate_axis,
     make_axis,
@@ -41,6 +42,7 @@ from phasechain import (
     moyal_residual_slabs,
     moyal_rhs,
     read_field,
+    transform_rows,
     transport_lhs,
     vlasov_moyal_accel_flux,
     vlasov_residual,
@@ -50,6 +52,7 @@ from phasechain import (
     wigner24,
     write_field,
 )
+from phasechain.checks import _check_fluxes, _Draws
 from phasechain.cli import main
 from phasechain.fields import _grid_tiles, _map_slabs, _row_slabs, _stencil
 
@@ -574,6 +577,15 @@ def test_slab_tasks_call_no_public_function(monkeypatch, w4, calls_off_the_main_
     for axis in ("v", "vdot", "vddot"):
         integrate_axis(w4, axis)
     wigner4(psi, P)
+    # the moment passes over a transform's stream, and check 5's closed form, streamed one x-row at a time: the
+    # producer's blocks are summed on the calling thread
+    integrate_axis(transform_rows(psi, P, ("x", "v")), "vdot")
+    for kind in ("123-accel", "124-vel", "12-vel"):
+        mean_flux_from_w4(transform_rows(psi, P, ("x", "v")), kind, P, 0.2)
+    accel_flux_124_from_w4(transform_rows(psi, P, ("x", "v")), QUARTIC, P, scheme, 0.2)
+    for member in ("w123", "w124", "w12"):
+        chain_residual(member, transform_rows(psi, P, ("x", "v")), QUARTIC, P, scheme, 0.2)
+    assert _check_fluxes({"params": PhysParams(), "rng": _Draws(0)})[0]
     assert calls_off_the_main_thread == []
     # the recorder sees a public call made in a slab task
     list(_map_slabs(lambda lo, hi: fields_mod.make_axis("x", lo, hi, 4), [(0, 1), (1, 2)]))

@@ -28,6 +28,7 @@ from phasechain import (
     mean_flux_analytic,
     mean_flux_from_w4,
     moyal_residual,
+    moyal_residual_slabs,
     moyal_rhs,
     sample_real,
     transport_lhs,
@@ -171,13 +172,13 @@ def signed_w4(n=8, seed=3):
 
 def test_the_vlasov124_fluxes_of_one_pass_are_the_single_flux_functions(monkeypatch):
     w4, pm, u = signed_w4(), PhysParams(m=1.3), PolynomialPotential(((2, 0, 0.5), (4, 0, 0.1), (0, 2, 0.3)))
-    seen, residual = {}, vlasov_mod.vlasov_residual
+    seen, body = {}, vlasov_mod._member_body
 
-    def recorded(kind, f, fluxes, *args):
+    def recorded(kind, fluxes, *args):  # the residual's body, which chain_residual shares with vlasov_residual
         seen.update(fluxes)
-        return residual(kind, f, fluxes, *args)
+        return body(kind, fluxes, *args)
 
-    monkeypatch.setattr(vlasov_mod, "vlasov_residual", recorded)
+    monkeypatch.setattr(vlasov_mod, "_member_body", recorded)
     vlasov_mod.chain_residual("w124", w4, u, pm, ORDER4, 1e-3)
     for shared, single in ((seen["v"], mean_flux_from_w4(w4, "124-vel", pm, 1e-3)),
                            (seen["vddot"], accel_flux_124_from_w4(w4, u, pm, ORDER4, 1e-3))):
@@ -526,16 +527,22 @@ def test_sums_that_overflow_are_refused_without_a_warning(hostile_w4):
 
 def test_grid_fields_that_overflow_are_refused_without_a_warning(hostile_w4):
     # finite values whose stencils and products leave the float range: every assembled grid result raises its
-    # own ValidationError and warns nowhere, on the pool's workers too; a quartic U gives moyal_rhs a series
+    # own ValidationError and warns nowhere, on the pool's workers too; a quartic U gives moyal_rhs a series.
+    # The residual slabs, the closure flux and the series gap refuse a tile, or their maxima, the same way
     w4, quartic = hostile_w4, PolynomialPotential(((2, 0, 0.5), (4, 0, 0.01)))
+    refused = (ValidationError, "non-finite")
     calls = [
-        lambda: transport_lhs(w4, quartic, P, ORDER4),
-        lambda: moyal_rhs(w4, quartic, P, ORDER4),
-        lambda: moyal_residual(w4, quartic, P, ORDER4),
-        lambda: vlasov_residual("chain4", w4, {"vddot": lambda x, v, vd, vdd: -x * v}, P, ORDER4),
+        (lambda: transport_lhs(w4, quartic, P, ORDER4), refused),
+        (lambda: moyal_rhs(w4, quartic, P, ORDER4), refused),
+        (lambda: moyal_residual(w4, quartic, P, ORDER4), refused),
+        (lambda: vlasov_residual("chain4", w4, {"vddot": lambda x, v, vd, vdd: -x * v}, P, ORDER4), refused),
+        (lambda: list(moyal_residual_slabs(w4, quartic, P, ORDER4)), (NumericError, "residual is not finite")),
+        (lambda: divergence_series_gap(U_HO, w4, P, ORDER4), (NumericError, "leave the float range")),
+        (lambda: divergence_series_gap(quartic, w4, P, ORDER4), (NumericError, "leave the float range")),
+        (lambda: vlasov_moyal_accel_flux(w4, quartic, P, ORDER4), refused),
     ]
-    for call in calls:
-        with pytest.raises(ValidationError, match="non-finite"):
+    for call, (error, match) in calls:
+        with pytest.raises(error, match=match):
             call()
 
 
