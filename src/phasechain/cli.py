@@ -126,7 +126,8 @@ def _cmd_fluxes(args) -> int:
     flux = vlasov.mean_flux_from_w4(w4, kind, p, args.mask_threshold)
     fieldfile.write_field(flux.values, args.out)
     mask_path = str(args.out) + ".mask"
-    fieldfile.write_field(fields.RealField(flux.values.axes, flux.mask.astype(np.float64)), mask_path)
+    # the mask's x-rows, each cast to float64 as it is written, so no float copy of the whole mask is made
+    fieldfile.write_rows(fields.RealField, flux.values.axes, enumerate(flux.mask), mask_path)
     names = " x ".join(a.name for a in flux.values.axes)
     print(f"wrote {args.out} (+ .mask): {kind} flux on ({names}), "
           f"masked fraction {flux.masked_fraction:.4f} at threshold {args.mask_threshold:g}")

@@ -15,9 +15,11 @@ transform with the other shift held at 0, a dual axis of one node that is
 dropped: wigner3 transforms s2 to (x, v, vdot) and wigner24 s1 to
 (x, v, vddot), each with prefactor 2 d / (2 pi hbar2).
 
-All three run one row kernel by FFT; each output point is an independent
-finite sum, so results are deterministic and the imaginary residue of the
-Hermitian kernel is checked (<= 1e-10 of peak) before being dropped.
+All three run one row kernel on half its spectrum: it is Hermitian,
+K(-l, -k) = conj K(l, k), so W is real and an fft along l and an irfft along
+k of the shifts k >= 0 give it, with both fftshifts folded in as the sign
+(-1)^(l + k). Each output point is an independent finite sum, so results are
+deterministic; the imaginary residue irfft drops is checked (< 1e-10 of peak).
 """
 
 from __future__ import annotations
@@ -84,19 +86,14 @@ class TransformPlan:
         return plan
 
 
-def _swapped_halves(n: int):
-    # fftshift of an axis of even length, or of length 1, as (source, destination) pairs
-    h = n // 2
-    return (slice(h, None), slice(None, n - h)), (slice(None, h), slice(n - h, None))
-
-
 def wigner4(psi: ComplexField, params) -> RealField:
     """Double transform of a rank-2 wave function to (x, v, vdot, vddot).
 
     psi is a ComplexField on power-of-two ('x', 'v') axes, and params has
     hbar2 and m. W shares psi's x/v axes; its vdot/vddot axes come from the
     transform plan. Raises NumericError if the prefactor leaves the float
-    range at this hbar2, or if the imaginary residue exceeds 1e-10 of W's peak.
+    range at this hbar2, or if the imaginary residue dropped reaches 1e-10 of
+    W's peak (a W of zeros has none).
     """
     return _transform(psi, params, ("x", "v"))
 
@@ -131,6 +128,8 @@ def transform_rows(psi: ComplexField, params, shifts):
     until the next one is asked for: its buffer is then reused, so copy a
     block to keep it. After the last block the generator raises what wigner4
     raises, or returns max |W|, taken from the blocks' minima and maxima.
+    The residue checked is the imaginary part of each kernel's k = 0 column
+    after the fft along l, which irfft reads as real (the Nyquist one is 0).
 
     The (axes, tiles) pair is a stream that the moment passes read as it
     comes, with no W held: fields.integrate_axis, and vlasov's
@@ -166,6 +165,7 @@ def transform_rows(psi: ComplexField, params, shifts):
     # free lists that grow on demand: a task takes a kernel for its v-rows and gives it back, and the caller gives
     # back each tile's buffer when it asks for the next. The first tile is the largest
     x_rows, v_rows = tiles[0][1] - tiles[0][0], tiles[0][3] - tiles[0][2]
+    half = nq // 2 + 1
     kernels, buffers = [], []
 
     def take(free, size, dtype):  # a free buffer, or a new one if every buffer is in use
@@ -176,36 +176,31 @@ def transform_rows(psi: ComplexField, params, shifts):
 
     def task(lo, hi, v0, v1):
         """Fill a free buffer with W's tile; return it with its index, max |imaginary residue|, min and max."""
-        flat = take(kernels, v_rows * nr * nq, np.complex128)
-        ker = flat[: (v1 - v0) * nr * nq].reshape(v1 - v0, nr, nq)
-        block = take(buffers, x_rows * flat.size, np.float64)[: (hi - lo) * ker.size].reshape((hi - lo,) + ker.shape)
+        flat = take(kernels, v_rows * nr * half, np.complex128)
+        ker = flat[: (v1 - v0) * nr * half].reshape(v1 - v0, nr, half)
+        size = (hi - lo, v1 - v0, nr, nq)
+        block = take(buffers, x_rows * v_rows * nr * nq, np.float64)[: math.prod(size)].reshape(size)
         max_imag = 0.0
         for i in range(lo, hi):
-            m = min(i, nx - 1 - i) if nq > 1 else 0
-            # kernel columns q, rows i + k of psi and rows y + k of rev (row i - k of psi) for the shifts k = q of
-            # q <= m, then for k = q - nq of q >= nq - m; the factors as (v-row, r, q) views, with their columns
-            y = nx - 1 - i
-            row_shifts = [(slice(0, m + 1), slice(i, i + m + 1), slice(y, y + m + 1))]
-            if m:
-                row_shifts.append((slice(nq - m, nq), slice(i - m, i), slice(y - m, y)))
-            # ker[j', r, q] = conj(psi[i-k, v0+j'-l]) psi[i+k, v0+j'+l] with k = q for q < nq/2 and q - nq above;
-            # rows i +- k stay on the grid for |k| <= m, every other slot (the Nyquist one too) is zero
-            for qs, xs, ys in row_shifts:
-                for rs, plus, minus in runs:
-                    np.multiply(rev[ys, v0:v1, minus].transpose(1, 2, 0), win[xs, v0:v1, plus].transpose(1, 2, 0),
-                                out=ker[:, rs, qs])
-            ker[..., m + 1 : nq - m] = 0.0
+            # ker[j', r, q] = conj(psi[i-q, v0+j'-l]) psi[i+q, v0+j'+l] for the shifts k = q >= 0 that keep rows i +- k
+            # on the grid (q <= m, rows i + q of psi and y + q of rev); every other column, the Nyquist one too, is
+            # zero. The shifts k < 0 are the conjugates of these, which irfft supplies
+            m, y = (min(i, nx - 1 - i) if nq > 1 else 0), nx - 1 - i
+            for rs, plus, minus in runs:
+                np.multiply(rev[y : y + m + 1, v0:v1, minus].transpose(1, 2, 0),
+                            win[i : i + m + 1, v0:v1, plus].transpose(1, 2, 0), out=ker[:, rs, : m + 1])
+            ker[..., m + 1 :] = 0.0
+            # fftshift of both dual axes, folded in as the exact sign (-1)^(r + q)
+            for odd in (ker[:, 1::2, : m + 1 : 2], ker[:, ::2, 1 : m + 1 : 2]):
+                np.negative(odd, out=odd)
             # each v-row's FFT lines are its own, so any run of v-rows gives the same bits
-            np.fft.ifft(ker, axis=2, norm="forward", out=ker)
             np.fft.fft(ker, axis=1, out=ker)
-            # max_abs, spelled out: a slab task calls no public function
-            max_imag = max(max_imag, float(ker.imag.max()), -float(ker.imag.min()))
-            # ker is (v, vdot, vddot), the last two in FFT order; fftshift is a swap of quadrants
-            re = ker.real
-            for src_r, dst_r in _swapped_halves(nr):
-                for src_q, dst_q in _swapped_halves(nq):
-                    np.multiply(pref, re[:, src_r, src_q], out=block[i - lo][:, dst_r, dst_q])
+            # irfft reads column q = 0 as real: its imaginary part is the residue dropped (max_abs, spelled out: a
+            # slab task calls no public function)
+            max_imag = max(max_imag, float(ker[..., 0].imag.max()), -float(ker[..., 0].imag.min()))
+            np.fft.irfft(ker, n=nq, norm="forward", out=block[i - lo])
         kernels.append(flat)
+        block *= pref
         return (slice(lo, hi), slice(v0, v1)), block, max_imag, float(block.min()), float(block.max())
 
     def blocks():
@@ -219,9 +214,11 @@ def transform_rows(psi: ComplexField, params, shifts):
         # finite tile minima and maxima mean finite tiles, so W needs no second scan
         if not finite:
             raise ValidationError("field data contains non-finite values")
-        if max_imag * pref > IMAG_RESIDUE_LIMIT * peak:
+        # refused at the limit too, so a limit of 0 fires where the residue is exactly 0: wigner24's k = 0 column is
+        # |psi|^2, whose imaginary part is 0 unless NumPy fuses the complex product's multiply-add
+        if peak and max_imag * pref >= IMAG_RESIDUE_LIMIT * peak:
             raise NumericError(
-                f"imaginary residue {max_imag * pref:.3e} exceeds {IMAG_RESIDUE_LIMIT:.1e} x peak {peak:.3e}"
+                f"imaginary residue {max_imag * pref:.3e} reaches {IMAG_RESIDUE_LIMIT:.1e} x peak {peak:.3e}"
             )
         return peak
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasechain import RealField, make_axis, read_field, sample_real, write_field
+from phasechain import PhysParams, RealField, make_axis, mean_flux_from_w4, read_field, sample_real, write_field
 from phasechain import checks, cli
 from phasechain.checks import SuiteReport
 from phasechain.cli import main
@@ -123,6 +123,18 @@ def test_fluxes_writes_values_and_mask(w4_path, tmp_path, capsys):
     assert np.abs(vals.data - v)[sel].max() < 1e-6
     frac = 1.0 - sel.sum() / sel.size
     assert f"masked fraction {frac:.4f}" in printed
+
+
+@pytest.mark.parametrize("which", ["123", "124", "12"])
+def test_fluxes_streams_the_bytes_of_the_whole_float_mask(w4_path, tmp_path, which):
+    # the mask file is written x-row by x-row; its bytes are those of the mask cast to float64 whole
+    out = tmp_path / "flux.fld"
+    assert main(["fluxes", "--in", str(w4_path), "--which", which, "--mask-threshold", "1e-2", "--out", str(out)]) == 0
+    kind = {"123": "123-accel", "124": "124-vel", "12": "12-vel"}[which]
+    flux = mean_flux_from_w4(read_field(w4_path), kind, PhysParams(), 1e-2)
+    assert 0.0 < flux.masked_fraction < 1.0
+    write_field(RealField(flux.values.axes, flux.mask.astype(np.float64)), tmp_path / "whole.mask")
+    assert (tmp_path / "flux.fld.mask").read_bytes() == (tmp_path / "whole.mask").read_bytes()
 
 
 def test_fluxes_12_lands_on_xv(w4_path, tmp_path):

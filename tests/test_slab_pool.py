@@ -434,10 +434,13 @@ def test_a_non_finite_flux_is_refused_from_a_worker(monkeypatch, w4):
             vlasov_residual("w123", w3, {"vdot": flux}, P, StencilScheme(), QUARTIC)
 
 
-def test_the_imaginary_residue_check_fires_for_every_worker_count(monkeypatch):
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_the_imaginary_residue_check_fires_for_every_worker_count(monkeypatch, kind):
+    # a real psi leaves wigner24 a residue of exactly 0 on any NumPy build, which a limit of 0 refuses too
     axes = (make_axis("x", -3.0, 3.0, 32), make_axis("v", -2.0, 2.0, 16))
     rng = np.random.default_rng(5)
-    psi = ComplexField(axes, rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)))
+    data = rng.standard_normal((32, 16)) + (1j * rng.standard_normal((32, 16)) if kind == "complex" else 0j)
+    psi = ComplexField(axes, data)
     monkeypatch.setattr(wigner_mod, "IMAG_RESIDUE_LIMIT", 0.0)
     for transform in (wigner4, wigner3, wigner24):
         messages = []
@@ -447,6 +450,15 @@ def test_the_imaginary_residue_check_fires_for_every_worker_count(monkeypatch):
                 transform(psi, P)
             messages.append(str(exc.value))
         assert len(set(messages)) == 1, transform.__name__
+    if kind == "real":
+        assert "residue 0.000e+00" in messages[0]
+
+
+def test_a_zero_psi_has_no_residue_to_refuse(monkeypatch):
+    psi = ComplexField((make_axis("x", -3.0, 3.0, 8), make_axis("v", -2.0, 2.0, 8)), np.zeros((8, 8), dtype=complex))
+    monkeypatch.setattr(wigner_mod, "IMAG_RESIDUE_LIMIT", 0.0)
+    for transform in (wigner4, wigner3, wigner24):
+        assert not transform(psi, P).data.any(), transform.__name__
 
 
 @pytest.mark.parametrize("where", [0, -1])

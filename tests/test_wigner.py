@@ -181,6 +181,16 @@ def test_transforms_are_deterministic(psi):
     assert np.array_equal(a.data, b.data)
 
 
+# The transforms run on half the spectrum and the gather oracles below on all of it, so the two differ by the
+# rounding of their FFTs: at most 1.95 eps x peak over this file's cases (wigner3 agrees bit for bit)
+ROUNDING = 4 * np.finfo(float).eps
+
+
+def assert_near_oracle(got, ref, name=""):
+    assert got.shape == ref.shape, name
+    assert max_abs(got - ref) <= ROUNDING * max_abs(ref), name
+
+
 def gather_wigner4(psi, params):
     """The padded-gather rank-4 transform: one fancy-indexed kernel per x-row, shifted by quadrant stores.
 
@@ -214,46 +224,43 @@ def gather_wigner4(psi, params):
 
 
 @pytest.mark.parametrize("shape", [(4, 8), (8, 4), (16, 32), (32, 16)])
-def test_wigner4_equals_the_gather_oracle_bit_for_bit(shape):
+def test_wigner4_is_within_rounding_of_the_gather_oracle(shape):
     axes = (make_axis("x", -3.0, 3.0, shape[0]), make_axis("v", -2.0, 2.0, shape[1]))
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     psi = ComplexField(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     ref, residue = gather_wigner4(psi, P)
     assert residue <= 1e-10 * max_abs(ref)
-    assert wigner4(psi, P).data.tobytes() == ref.tobytes()
+    assert_near_oracle(wigner4(psi, P).data, ref)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("v_rows", [1, 3, 32], ids=["one-v-row", "3-of-32-v-rows", "whole-row"])
-def test_any_kernel_chunk_gives_the_gather_oracle_bit_for_bit(monkeypatch, workers, v_rows):
+def test_any_kernel_chunk_gives_the_default_run_bit_for_bit(monkeypatch, workers, v_rows):
     # each v-row's FFT lines are transformed alone whatever the tile, and 3 leaves a short last tile
     axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 32))
     rng = np.random.default_rng(1632)
     psi = ComplexField(axes, rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
     # a v-row of W: 32 x 16 values for wigner4, 32 for wigner3 and 16 for wigner24
-    cases = ((wigner4, 32 * 16, gather_wigner4(psi, P)[0]), (wigner3, 32, gather_single(psi, P, 1)[0]),
-             (wigner24, 16, gather_single(psi, P, 0)[0]))
+    cases = [(transform, v_row, transform(psi, P).data)
+             for transform, v_row in ((wigner4, 32 * 16), (wigner3, 32), (wigner24, 16))]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     fields_mod._workers.cache_clear()
     try:
         for transform, v_row, ref in cases:
             monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 8 * v_row)
-            got = transform(psi, P).data
-            assert np.array_equal(got, ref), transform.__name__
-            assert transform is not wigner4 or got.tobytes() == ref.tobytes()
+            assert transform(psi, P).data.tobytes() == ref.tobytes(), transform.__name__
     finally:
         fields_mod._workers.cache_clear()
 
 
 @pytest.mark.parametrize("v_rows", ["default", 1, 3], ids=["default", "one-v-row", "3-of-32-v-rows"])
-def test_the_transform_tiles_equal_the_gather_oracle_bit_for_bit(monkeypatch, v_rows):
+def test_the_transform_tiles_equal_the_default_run_bit_for_bit(monkeypatch, v_rows):
     # transform_rows yields the grid loops' tiles of W's shape in order, each block W's points at its index; in
     # order the blocks are consecutive byte ranges of W, as write_rows writes them
     axes = (make_axis("x", -3.0, 3.0, 16), make_axis("v", -2.0, 2.0, 32))
     rng = np.random.default_rng(1632)
     psi = ComplexField(axes, rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32)))
-    cases = ((("x", "v"), gather_wigner4(psi, P)[0]), (("v",), gather_single(psi, P, 1)[0]),
-             (("x",), gather_single(psi, P, 0)[0]))
+    cases = ((("x", "v"), wigner4(psi, P).data), (("v",), wigner3(psi, P).data), (("x",), wigner24(psi, P).data))
     for shifts, ref in cases:
         if v_rows != "default":
             monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 8 * math.prod(ref.shape[2:]))
@@ -264,12 +271,11 @@ def test_the_transform_tiles_equal_the_gather_oracle_bit_for_bit(monkeypatch, v_
                                               for lo, hi, v0, v1 in fields_mod._grid_tiles(ref.shape)], shifts
         for index, block in got:
             assert np.array_equal(block, ref[index]), (shifts, index)
-        if len(shifts) == 2:
-            assert b"".join(block.tobytes() for _, block in got) == ref.tobytes()
+        assert b"".join(block.tobytes() for _, block in got) == ref.tobytes(), shifts
 
 
-def test_wigner4_of_the_oscillator_equals_the_gather_oracle_bit_for_bit(psi, w4):
-    assert w4.data.tobytes() == gather_wigner4(psi, P)[0].tobytes()
+def test_wigner4_of_the_oscillator_is_within_rounding_of_the_gather_oracle(psi, w4):
+    assert_near_oracle(w4.data, gather_wigner4(psi, P)[0])
 
 
 def gather_single(psi, params, axis):
@@ -293,17 +299,17 @@ def gather_single(psi, params, axis):
 
 
 @pytest.mark.parametrize("shape", [(4, 8), (8, 4), (16, 32), (32, 16)])
-def test_single_transforms_equal_the_gather_oracle(shape):
-    # the streamed rows hold the untransformed shift at 0; np.array_equal, since a zero may change sign
+def test_single_transforms_are_within_rounding_of_the_gather_oracle(shape):
+    # the streamed rows hold the untransformed shift at 0
     axes = (make_axis("x", -3.0, 3.0, shape[0]), make_axis("v", -2.0, 2.0, shape[1]))
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     psi = ComplexField(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     for transform, axis in ((wigner3, 1), (wigner24, 0)):
         ref, residue = gather_single(psi, P, axis)
         assert residue <= 1e-10 * max_abs(ref)
-        assert np.array_equal(transform(psi, P).data, ref), transform.__name__
+        assert_near_oracle(transform(psi, P).data, ref, transform.__name__)
 
 
-def test_single_transforms_of_the_oscillator_equal_the_gather_oracle(psi):
-    assert np.array_equal(wigner3(psi, P).data, gather_single(psi, P, 1)[0])
-    assert np.array_equal(wigner24(psi, P).data, gather_single(psi, P, 0)[0])
+def test_single_transforms_of_the_oscillator_are_within_rounding_of_the_gather_oracle(psi):
+    assert_near_oracle(wigner3(psi, P).data, gather_single(psi, P, 1)[0], "wigner3")
+    assert_near_oracle(wigner24(psi, P).data, gather_single(psi, P, 0)[0], "wigner24")
