@@ -150,6 +150,8 @@ def _cmd_residual(args) -> int:
         for index, block in moyal.moyal_residual_slabs(w4, u, p, scheme):
             rmax = max(rmax, fields.max_abs(block))
             peak = max(peak, fields.max_abs(w4.data[index]))
+        if not peak:
+            raise fields.NumericError("W is zero everywhere: max|residual|/peak is undefined")
         masked = 0.0
     else:
         density, valid, tiles = vlasov.chain_residual_slabs(args.mode.replace("vlasov", "w"), w4, u, p, scheme,

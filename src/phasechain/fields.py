@@ -379,14 +379,13 @@ def max_abs(data: Array) -> float:
 
 
 def _slab_extrema(data: Array):
-    """Yield the (min, max) of each x-slab of data's float64 view in order, dropping its mapped rows once read.
+    """Yield the (min, max) of each of _field_tiles' tiles of data's float64 view (a rank-1 one as a column), in order.
 
     Bound by memory bandwidth: max reads what min left in cache, and 2 slab workers were slower than one thread.
     """
     flat = data.view(np.float64)
-    for lo, hi in _row_slabs(len(flat), flat[0].nbytes):
-        yield flat[lo:hi].min(), flat[lo:hi].max()
-        _drop_rows(flat, lo, hi)
+    for _, tile in _field_tiles(flat if flat.ndim > 1 else flat[:, None]):
+        yield tile.min(), tile.max()
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +396,9 @@ def _slab_extrema(data: Array):
 # while they work. A slab task calls only private code (the benchmark's span
 # recorder keeps one span stack per process) and writes only its own rows.
 
-# the bytes of one slab task, whatever the worker count, so tiles (and a stencil's BLAS sum order) follow only the
+# the bytes of one tile, whatever the worker count, so tiles (and a stencil's BLAS sum order) follow only the
 # field's shape: a tile (_grid_tiles) takes the x-rows that fit, or, where one x-row is larger, as many of its v-rows,
-# at least one (16 of a 64^4 field's 2 MiB x-row); the finiteness scan takes x-rows
+# at least one (16 of a 64^4 field's 2 MiB x-row); the finiteness scan and the moment sums read the same tiles
 _TILE_BYTES = 1 << 19
 
 
@@ -410,26 +409,36 @@ def _workers() -> int:
     return min(cpus, 2)
 
 
-def _row_slabs(n: int, row_bytes: int):
-    """[lo, hi) over n rows of row_bytes each; a slab holds about _TILE_BYTES, a row at least."""
-    rows = max(1, _TILE_BYTES // row_bytes)
-    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-
-
 def _grid_tiles(shape):
     """(lo, hi, v0, v1) over x-rows [lo, hi) and v-rows [v0, v1) (axis 1) of a float64 array of rank >= 2 `shape`.
 
-    These are the x-slabs of _row_slabs, with every v-row, while one x-row
-    fits _TILE_BYTES. A larger x-row is cut into the v-slabs of _row_slabs,
-    one x-row each. The tiles depend only on the shape, not on the workers.
-    Their order is x-major, the writer's: in order, they are consecutive byte
-    ranges of a C-contiguous array (_grid_slabs reorders them run-major).
+    A tile holds as many whole x-rows as fit _TILE_BYTES or, where one x-row
+    is larger, as many v-rows of one x-row, at least one. The tiles depend
+    only on the shape, not on the workers. Their order is x-major, the
+    writer's: in order, they are consecutive byte ranges of a C-contiguous
+    array (_grid_slabs reorders them run-major).
     """
     n, nv = shape[:2]
     v_row = 8 * math.prod(shape[2:])
     if nv * v_row <= _TILE_BYTES:
-        return [(lo, hi, 0, nv) for lo, hi in _row_slabs(n, nv * v_row)]
-    return [(i, i + 1, v0, v1) for i in range(n) for v0, v1 in _row_slabs(nv, v_row)]
+        rows = _TILE_BYTES // (nv * v_row)
+        return [(lo, min(lo + rows, n), 0, nv) for lo in range(0, n, rows)]
+    rows = max(1, _TILE_BYTES // v_row)
+    return [(i, i + 1, v0, min(v0 + rows, nv)) for i in range(n) for v0 in range(0, nv, rows)]
+
+
+def _field_tiles(data: Array):
+    """Yield (index, data[index]) for each of the _grid_tiles of a C-contiguous array of rank >= 2, x-major.
+
+    index is the tile's (x-rows, v-rows) pair of slices. Each tile's mapped
+    pages are dropped (_drop_rows) as the next is asked for: the tiles are
+    consecutive byte ranges, so none is left behind and a reader holds one.
+    """
+    nv = data.shape[1]
+    rows = data.reshape((-1,) + data.shape[2:])  # its x-rows' v-rows, in order
+    for lo, hi, v0, v1 in _grid_tiles(data.shape):
+        yield (slice(lo, hi), slice(v0, v1)), data[lo:hi, v0:v1]
+        _drop_rows(rows, lo * nv + v0, (hi - 1) * nv + v1)
 
 
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
@@ -571,7 +580,8 @@ def integrate_axis(field, axis: str, weight: float = 1.0):
 
     Matches the DFT quadrature convention and is spectrally accurate for
     fields decaying to zero at the boundary. Returns a field of rank - 1,
-    or a float when the last axis is integrated away. field may also be a
+    or a float when the last axis is integrated away. The sum runs on the
+    calling thread, one tile of the field at a time. field may also be a
     stream of a real field's tiles, an (axes, tiles) pair such as
     wigner.transform_rows returns; its sums are the same bits as the
     assembled field's.
@@ -699,11 +709,6 @@ class _GridView:
         self._field_shape = tuple(a.n for a in axes)
         self.shape = (hi - lo, v1 - v0) + self._field_shape[2:]
 
-    @property
-    def index(self) -> tuple:
-        """The view's (x-rows, v-rows) pair of slices of the field."""
-        return slice(self.lo, self.hi), slice(self.v0, self.v1)
-
     def _rows(self, a: int, b: int, k: int) -> slice:
         """Rows [a, b) of the field along axis k (0 or 1), as a slice of data; ValidationError if data lacks one."""
         start = self._at[k]
@@ -803,22 +808,21 @@ class _PointView:
         return np.asarray(samples)
 
 
-def _grid_slabs(field: RealField, scheme: StencilScheme, body, halo: int | None = None):
+def _grid_slabs(field: RealField, scheme: StencilScheme, body):
     """Yield (index, body(view)) for the _GridView of each of the field's _grid_tiles, run-major, from _map_slabs.
 
     index is the tile's (x-rows, v-rows) pair of slices, so field.data[index]
     holds its points. The tiles of each run of v-rows go down x before the
     next run starts: x-slabs (one run of every v-row) keep their x order, and
-    the v-tiles of an x-row arrive in v order, one run after another. halo,
-    the x-rows beyond a tile that a body reads, is by default that of a
-    view's one x-stencil, d/dx. As each result is taken, _drop_rows drops the
-    tile's x-rows less the halo, [lo - halo, hi - halo), and a run's last
-    tile the rest: a loop keeps only its tiles in flight and 2 halo + 1 tiles
-    of a mapped field resident. A later run reads its pages of a dropped
-    x-row back from the page cache.
+    the v-tiles of an x-row arrive in v order, one run after another. A body
+    reads the halo of a view's one x-stencil, d/dx, beyond its tile: as each
+    result is taken, _drop_rows drops the tile's x-rows less the halo, [lo -
+    halo, hi - halo), and a run's last tile the rest, so a loop keeps only
+    its tiles in flight and 2 halo + 1 tiles of a mapped field resident. A
+    later run reads its pages of a dropped x-row back from the page cache.
     """
     data, potentials, n = field.data, {}, len(field.data)
-    halo = stencil_halfwidth(1, scheme.order) if halo is None else halo
+    halo = stencil_halfwidth(1, scheme.order)
 
     def task(lo, hi, v0, v1):
         return (slice(lo, hi), slice(v0, v1)), body(_GridView(field.axes, data, scheme, potentials, lo, hi, v0, v1))
@@ -829,16 +833,17 @@ def _grid_slabs(field: RealField, scheme: StencilScheme, body, halo: int | None 
         _drop_rows(data, max(lo - halo, 0), hi - halo if hi < n else n)
 
 
-def _stream_views(axes, tiles, scheme: StencilScheme):
+def _stream_views(axes, tiles, scheme: StencilScheme, dtype):
     """Yield (index, view) for each (index, block) of a stream's tiles: the _GridView that reads that block.
 
-    index is a pair of slices, x-rows and v-rows, and block a float64 array
-    of those points. The tiles may come in any order in which each x-row's
-    v-rows, and each v-row's x-rows, arrive in order, and each point once:
-    transform_rows' x-major order and _grid_slabs' run-major order both do.
-    A stream that breaks this, or ends early, raises ValidationError. The
-    next tile is asked for only when the next view is, so a view may read a
-    block that is valid only until then.
+    index is a pair of slices, x-rows and v-rows, and block an array of
+    those points in dtype (a field's own; a stream's is float64). The tiles
+    may come in any order in which each x-row's v-rows, and each v-row's
+    x-rows, arrive in order, and each point once: transform_rows' x-major
+    order and _grid_slabs' run-major order both do. A stream that breaks
+    this, or ends early, raises ValidationError. The next tile is asked for
+    only when the next view is, so a view may read a block that is valid
+    only until then.
     """
     shape = tuple(a.n for a in axes)
     next_v, next_x = np.zeros(shape[0], dtype=int), np.zeros(shape[1], dtype=int)
@@ -848,10 +853,10 @@ def _stream_views(axes, tiles, scheme: StencilScheme):
             (lo, hi, dx), (v0, v1, dv) = (part.indices(n) for part, n in zip(index, shape[:2], strict=True))
         except (AttributeError, TypeError, ValueError):
             raise ValidationError(f"a stream's index is an (x-rows, v-rows) pair of slices, got {index!r}") from None
-        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+        if not (isinstance(block, np.ndarray) and block.dtype == dtype
                 and block.shape == (hi - lo, v1 - v0) + shape[2:] and dx == dv == 1 and hi > lo and v1 > v0):
-            raise ValidationError(f"a stream's block must be float64 of the shape its index {index!r} cuts from "
-                                  f"{shape}")
+            raise ValidationError(f"a stream's block must be {np.dtype(dtype)} of the shape its index {index!r} "
+                                  f"cuts from {shape}")
         if (next_v[lo:hi] != v0).any() or (next_x[v0:v1] != lo).any():
             raise ValidationError(f"stream tile {index!r} is out of order, or repeats points")
         next_v[lo:hi], next_x[v0:v1] = v1, hi
@@ -901,29 +906,27 @@ def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
 def _axis_sums(source, k: int, scale: float, scheme: StencilScheme, *bodies) -> list:
     """scale * the sums over array axis k of a field's or a stream's data and of each body(view), in the data's dtype.
 
-    A field is summed tile by tile on _grid_slabs with no halo (no body takes
-    d/dx); a sum over its axis 0 takes one view of the whole field. A stream
-    (see _axes_of) is summed on the calling thread, each block as it arrives
-    and before the next is asked for: a transform block is valid only until
-    then. Where a tile holds part of axis k (a run of v-rows, or a stream's
-    x-rows), the calling thread adds the tile's slices along k into their
-    sums in order, as NumPy sums a leading axis, and each x-row's v-rows (a
-    stream's v-rows' x-rows) arrive in order: so any tiles, and a field or a
-    stream of its tiles, give the same bits.
+    One loop on the calling thread sums each tile as it arrives, before the
+    next is asked for: a stream's (see _axes_of) block is valid only until
+    then, and a field is read as the stream of its own tiles (_field_tiles),
+    whose mapped pages drop as each is summed. Where a tile holds part of
+    axis k (a run of v-rows, or x-rows), its slices along k are added into
+    their sums in order, as NumPy sums a leading axis, and each x-row's
+    v-rows (each v-row's x-rows) arrive in order: so any tiles, and a field
+    or a stream of its tiles, give the same bits. A rank-1 field is one sum.
     """
     axes = _axes_of(source)
     shape = tuple(a.n for a in axes)
     field = source if isinstance(source, _BaseField) else None
-    dtype = np.float64 if field is None else field.data.dtype
-    sums = [np.zeros(shape[:k] + shape[k + 1 :], dtype=dtype) for _ in range(1 + len(bodies))]
-    integrands = (_GridView.values, *bodies)
+    if len(shape) == 1:  # finite values may sum past the float range, which the result's check refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [field.data.sum() * scale]
+    sums = [np.zeros(shape[:k] + shape[k + 1 :], dtype=np.float64 if field is None else field.data.dtype)
+            for _ in range(1 + len(bodies))]
 
-    def whole(index):  # the tile holds every point of axis k
-        return k > 1 or (index[k].start, index[k].stop) == (0, shape[k])
-
-    def reduce(out, index, part):
+    def reduce(out, index, part):  # one part at a time, summed before the next is made
         at = index[:k] + index[k + 1 :]
-        if whole(index):
+        if k > 1 or (index[k].start, index[k].stop) == (0, shape[k]):  # the tile holds all of axis k
             out[at] = part.sum(axis=k) * scale
             return
         for j in range(part.shape[k]):
@@ -931,32 +934,11 @@ def _axis_sums(source, k: int, scale: float, scheme: StencilScheme, *bodies) -> 
         if index[k].stop == shape[k]:
             out[at] *= scale
 
-    # finite values may sum past the float range, which the result's check refuses (slab tasks inherit this state)
-    if field is None:
-        for index, view in _stream_views(axes, source[1], scheme):
-            with np.errstate(over="ignore", invalid="ignore"):  # not around the producer's own work
-                for out, integrand in zip(sums, integrands):
-                    reduce(out, index, integrand(view))
-        return sums
-    data = field.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k == 0:
-            view = _GridView(axes, data, scheme, {}, 0, len(data), 0, shape[1]) if bodies else None  # rank 1: no v
-            for out, part in zip(sums, (data, *(body(view) for body in bodies))):
-                out[...] = part.sum(axis=0) * scale
-            _drop_rows(data, 0, len(data))
-            return sums
-
-        def task(view):  # one part at a time, summed before the next is made: two at once made glibc refault its heap
-            if not whole(view.index):  # added on the calling thread, in v order
-                return [integrand(view) for integrand in integrands]
-            for out, integrand in zip(sums, integrands):
-                reduce(out, view.index, integrand(view))
-            return []
-
-        for index, parts in _grid_slabs(field, scheme, task, 0):
-            for out, part in zip(sums, parts):
-                reduce(out, index, part)
+    tiles = source[1] if field is None else _field_tiles(field.data)
+    for index, view in _stream_views(axes, tiles, scheme, sums[0].dtype):
+        with np.errstate(over="ignore", invalid="ignore"):  # not around the producer's own work
+            for out, integrand in zip(sums, (_GridView.values, *bodies)):
+                reduce(out, index, integrand(view))
     return sums
 
 
@@ -974,8 +956,10 @@ DEFAULT_MASK_THRESHOLD = 1e-8
 def check_mask_threshold(threshold: float) -> float:
     """Return the threshold if it is finite and in [0, 1); raise ValidationError otherwise.
 
-    Below 0 nothing is masked, and W may be negative, so moment ratios would
-    divide by densities near or below zero; at 1 or above the mask is empty.
+    0 keeps every node of nonzero density: a zero density is never in the
+    mask. Below 0 nothing would be masked, and W may be negative, so moment
+    ratios would divide by densities near or below zero; at 1 or above the
+    mask is empty.
     """
     if not 0.0 <= threshold < 1.0:
         raise ValidationError(f"mask threshold must be finite and in [0, 1), got {threshold!r}")

@@ -108,8 +108,8 @@ def _non_finite(top: float) -> ValidationError:
 
 
 def _support_mask(density: Array, threshold: float) -> Array:
-    """|density| >= threshold * max |density|, an x-row at a time in one buffer: no temporary of the density's size."""
-    cut, rows = threshold * max_abs(density), density.reshape(len(density), -1)
+    """|density| >= threshold * max |density| and > 0, an x-row at a time in one buffer: no density-sized temporary."""
+    cut, rows = max(threshold * max_abs(density), math.ulp(0.0)), density.reshape(len(density), -1)
     mask, buffer = np.empty(rows.shape, dtype=bool), np.empty(rows.shape[1])
     for row, out in zip(rows, mask):
         np.greater_equal(np.abs(row, out=buffer), cut, out=out)
@@ -117,9 +117,13 @@ def _support_mask(density: Array, threshold: float) -> Array:
 
 
 def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, threshold: float) -> FluxField:
-    """num / density on mask and 0 elsewhere, as a FluxField on the density's axes (num is overwritten)."""
-    np.divide(num, density.data, out=num, where=mask)
+    """num / density on mask and 0 elsewhere, as a FluxField (num is overwritten); NumericError unless it is finite."""
+    with np.errstate(over="ignore"):
+        np.divide(num, density.data, out=num, where=mask)
     num[~mask] = 0.0
+    top = max_abs(num)
+    if not math.isfinite(top):
+        raise NumericError(f"{kind}: the flux leaves the float range (max|flux| = {top})")
     return FluxField(kind, RealField._trusted(density.axes, num), mask, threshold, density)
 
 
@@ -148,11 +152,12 @@ def mean_flux_from_w4(w4, which: str, params, mask_threshold: float = DEFAULT_MA
 
     The flux is the m-weighted first moment along the traced axis divided by
     the m-weighted zeroth moment, masked where the zeroth moment falls below
-    mask_threshold times its peak. '12-vel' first reduces the vddot axis.
-    Both moments are accumulated one tile at a time. w4 may be a stream, an
-    (axes, tiles) pair such as wigner.transform_rows returns, whose tiles are
-    read once as they arrive: the flux is the same bits as the assembled
-    field's.
+    mask_threshold times its peak; a zero density is always masked. '12-vel'
+    first reduces the vddot axis. Both moments are accumulated one tile at a
+    time, on the calling thread. w4 may be a stream, an (axes, tiles) pair
+    such as wigner.transform_rows returns, whose tiles are read once as they
+    arrive: the flux is the same bits as the assembled field's. A flux that
+    is not finite (over a tiny density, say) raises NumericError.
     """
     if which not in MOMENT_KINDS:
         raise ValidationError(f"unknown moment kind {which!r}; expected one of {sorted(MOMENT_KINDS)}")
@@ -241,8 +246,9 @@ def accel_flux_124_from_w4(w4, u: PolynomialPotential, params, scheme: StencilSc
     Averages the rank-4 series closure over vdot:
     <vddot>_{124} = m Int <vddot>_{1234} w4 dvdot / (m Int w4 dvdot).
     The numerator integrates the closure body, <vddot>_{1234} w4, so it never
-    divides by w4. Both integrals are accumulated one tile at a time. w4 is
-    a rank-4 field or a stream of its tiles, as for mean_flux_from_w4.
+    divides by w4. Both integrals are accumulated one tile at a time, on
+    the calling thread. w4 is a rank-4 field or a stream of its tiles, and
+    the mask is made, as for mean_flux_from_w4.
     """
     check_mask_threshold(mask_threshold)
     require_axes(w4, KINEMATIC_ORDER)
@@ -299,17 +305,18 @@ def chain_residual_slabs(member: str, w4, u: PolynomialPotential, params, scheme
 
     w4 is a rank-4 RealField, or a stream of its tiles, an (axes, tiles)
     pair such as wigner.transform_rows returns: then the member comes from
-    psi in one transform pass, with no W held. One moment pass over w4
-    gives the member's density and closing fluxes: mean_flux_from_w4's for
-    w123 and w12, and for w124 the velocity flux with
-    accel_flux_124_from_w4's, over one shared denominator. The valid region
-    is the fluxes' support mask, eroded by the stencil halfwidth along each
-    flux axis in turn. Returns (density RealField, valid boolean array,
-    tiles), where tiles yields (index, block) for each tile of the density,
-    run-major as moyal_residual_slabs does: block is vlasov_residual's
-    residual on density.data[index], computed on the slab pool, and a block
-    with a non-finite value raises ValidationError. So a caller can reduce
-    the residual (its max over the valid region, say) without holding it.
+    psi in one transform pass, with no W held. One moment pass over w4, on
+    the calling thread, gives the member's density and closing fluxes:
+    mean_flux_from_w4's for w123 and w12, and for w124 the velocity flux
+    with accel_flux_124_from_w4's, over one shared denominator. The valid
+    region is the fluxes' support mask, eroded by the stencil halfwidth
+    along each flux axis in turn. Returns (density RealField, valid boolean
+    array, tiles), where tiles yields (index, block) for each tile of the
+    density, run-major as moyal_residual_slabs does: block is
+    vlasov_residual's residual on density.data[index], a stencil loop on the
+    slab pool, and a block with a non-finite value raises ValidationError.
+    So a caller can reduce the residual (its max over the valid region, say)
+    without holding it.
     """
     check_mask_threshold(mask_threshold)
     require_axes(w4, KINEMATIC_ORDER)

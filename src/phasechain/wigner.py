@@ -132,10 +132,11 @@ def transform_rows(psi: ComplexField, params, shifts):
     after the fft along l, which irfft reads as real (the Nyquist one is 0).
 
     The (axes, tiles) pair is a stream that the moment passes read as it
-    comes, with no W held: fields.integrate_axis, and vlasov's
-    mean_flux_from_w4, accel_flux_124_from_w4, chain_residual and
-    chain_residual_slabs, give from it the same bits as from the assembled
-    W, and raise what the generator raises.
+    comes, with no W held, on the calling thread as they read a field's own
+    tiles: fields.integrate_axis, and vlasov's mean_flux_from_w4,
+    accel_flux_124_from_w4, chain_residual and chain_residual_slabs, give
+    from it the same bits as from the assembled W, and raise what the
+    generator raises.
     """
     plan = TransformPlan.for_psi(psi, params)
     ax, av = psi.axes

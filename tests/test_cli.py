@@ -209,6 +209,33 @@ def test_residual_with_empty_mask_is_numeric_failure(w4_path, tmp_path, capsys):
     assert "numeric failure: no valid points left after masking" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def zero_w4_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("zero") / "w4.fld"
+    axes = tuple(make_axis(name, -1.0, 1.0, 8) for name in ("x", "v", "vdot", "vddot"))
+    write_field(RealField(axes, np.zeros((8,) * 4)), path)
+    return path
+
+
+@pytest.mark.parametrize("which", ["123", "124", "12"])
+def test_fluxes_of_a_zero_w_mask_every_node(zero_w4_path, tmp_path, capsys, which):
+    # a zero density never enters the mask, so the flux is finite zeros that read back (0 / 0 wrote NaN)
+    out = tmp_path / "flux.fld"
+    assert main(["fluxes", "--in", str(zero_w4_path), "--which", which, "--out", str(out)]) == 0
+    assert "masked fraction 1.0000 at threshold 1e-08" in capsys.readouterr().out
+    assert not read_field(out).data.any() and not read_field(str(out) + ".mask").data.any()
+
+
+@pytest.mark.parametrize("mode", ["psi-moyal", "vlasov123", "vlasov124", "vlasov12"])
+def test_a_residual_of_a_zero_w_is_a_numeric_failure(zero_w4_path, tmp_path, capsys, mode):
+    # psi-moyal's max|residual|/peak divided by a zero peak; the chain modes' NaN fluxes failed as a flux product
+    pot = potential_file(tmp_path, "0 2 1.5\n2 0 -0.5\n")
+    assert main(["residual", "--in", str(zero_w4_path), "--potential", pot, "--mode", mode]) == 3
+    message = ("W is zero everywhere: max|residual|/peak is undefined" if mode == "psi-moyal"
+               else "no valid points left after masking")
+    assert capsys.readouterr() == ("", f"numeric failure: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1", "1.5", "1e400", "abc"])
 @pytest.mark.parametrize("command", ["fluxes", "residual"])
 def test_bad_mask_threshold_exits_1(w4_path, tmp_path, capsys, command, value):

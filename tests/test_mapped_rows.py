@@ -27,6 +27,8 @@ from phasechain import (
     StencilScheme,
     ValidationError,
     accel_flux_124_from_w4,
+    chain_residual,
+    chain_residual_slabs,
     divergence_series_gap,
     integrate_axis,
     make_axis,
@@ -133,12 +135,91 @@ def test_dropping_rows_behind_a_slab_loop_changes_no_value(w4_path, one_row_slab
     assert same_bits(w4.data, payload(w4_path, w4))
 
 
-# rows beyond a slab that each loop's tasks read from W, per slab loop over W in its LOOPS entry: the
-# reductions read none, and the loops that take d/dx (at power 1 only) read its stencil's halfwidth
+def test_no_moment_pass_over_a_field_submits_a_slab_task(tmp_path, monkeypatch):
+    # with the pool refused, each moment pass over a mapped W gives the bits that summing W's tiles in turn gives
+    # (numpy's sums over x and v; over vdot and vddot, each tile's body summed on the pool, as the passes did), and
+    # chain_residual_slabs its density and valid region: only its residual tiles, a stencil loop, ask for the pool
+    psi, path, u, scheme = tmp_path / "psi.fld", tmp_path / "w4.fld", QUARTIC, StencilScheme(order=4)
+    assert main(["gen-ho", "--nx", "16", "--nv", "16", "--out", str(psi)]) == 0
+    assert main(["wigner", "--in", str(psi), "--out", str(path)]) == 0
+    monkeypatch.setattr(fields_mod, "_TILE_BYTES", 3 * 8 * 16**3)  # six x-slabs of three x-rows
+    w4 = read_field(path)
+    data, axes = np.array(w4.data), w4.axes
+    w3 = RealField(axes[:3], data.sum(axis=3) * (P.m * axes[3].step))
+
+    def tile_sums(field, k, body):
+        out = np.zeros(field.data.shape[:k] + field.data.shape[k + 1 :])
+        for index, part in fields_mod._grid_slabs(field, scheme, body):
+            out[index] = part.sum(axis=k) * (P.m * field.axes[k].step)
+        return out
+
+    def flux(field, k, body, threshold=0.2):
+        den, num = tile_sums(field, k, lambda view: view.values()), tile_sums(field, k, body)
+        mask = np.abs(den) >= threshold * np.abs(den).max()
+        return np.where(mask, num / np.where(mask, den, 1.0), 0.0), den, mask
+
+    moment = vlasov_mod._first_moment
+    want = {"integrate_axis": [data.sum(axis=k) * (P.m * a.step) for k, a in enumerate(axes)],
+            "123-accel": flux(w4, 3, moment("vddot")), "124-vel": flux(w4, 2, moment("vdot")),
+            "12-vel": flux(w3, 2, moment("vdot")), "124-accel": flux(w4, 2, vlasov_mod._closure_moment(u, P))}
+    valid = {member: chain_residual(member, w4, u, P, scheme, 0.2)[2] for member in ("w123", "w124", "w12")}
+
+    def refused(task, ranges):
+        raise AssertionError("a slab task was submitted")
+
+    monkeypatch.setattr(fields_mod, "_map_slabs", refused)
+    sums = [integrate_axis(w4, a.name, weight=P.m).data for a in axes]
+    assert all(same_bits(got, ref) for got, ref in zip(sums, want["integrate_axis"]))
+    fluxes = {kind: mean_flux_from_w4(w4, kind, P, 0.2) for kind in ("123-accel", "124-vel", "12-vel")}
+    fluxes["124-accel"] = accel_flux_124_from_w4(w4, u, P, scheme, 0.2)
+    for kind, fl in fluxes.items():
+        assert 0.0 < fl.masked_fraction < 1.0, kind
+        assert all(same_bits(*pair) for pair in zip((fl.values.data, fl.density.data, fl.mask), want[kind])), kind
+    for member, kind in (("w123", "123-accel"), ("w124", "124-vel"), ("w12", "12-vel")):
+        density, mask, tiles = chain_residual_slabs(member, w4, u, P, scheme, 0.2)
+        assert same_bits(density.data, want[kind][1]) and same_bits(mask, valid[member]), member
+        with pytest.raises(AssertionError, match="a slab task was submitted"):
+            next(tiles)
+
+
+# the LOOPS entries that sum W on the calling thread, reading it as the stream of its own tiles
+MOMENT_PASSES = ("accel_flux_124_from_w4", "integrate_axis", "mean_flux_from_w4")
+
+
+@pytest.mark.parametrize("loop", MOMENT_PASSES)
+def test_a_moment_pass_drops_each_tile_once_it_is_summed(w4_path, monkeypatch, loop):
+    # x-major tiles are consecutive byte ranges of W: each tile's pages go as the next tile is asked for, so the
+    # pass holds one tile of W and drops every byte once, in order
+    for v_rows in (SHAPE[1], 3):  # one-x-row slabs, then 3-v-row tiles
+        monkeypatch.setattr(fields_mod, "_TILE_BYTES", v_rows * 8 * math.prod(SHAPE[2:]))
+        w4 = read_field(w4_path)
+        start, end = w4.data.ctypes.data, w4.data.ctypes.data + w4.data.nbytes
+        events, field_tiles = [], fields_mod._field_tiles
+
+        def tiles(data):  # a result's finiteness scan reads tiles too, of its own array
+            for index, block in field_tiles(data):
+                if start <= block.ctypes.data < end:
+                    events.append(("read", block.ctypes.data - start, block.ctypes.data - start + block.nbytes))
+                yield index, block
+
+        def record(data, lo, hi):
+            if start <= data.ctypes.data < end:
+                events.append(("drop", *(data.ctypes.data - start + i * data.strides[0] for i in (lo, hi))))
+
+        monkeypatch.setattr(fields_mod, "_field_tiles", tiles)
+        monkeypatch.setattr(fields_mod, "_drop_rows", record)
+        LOOPS[loop](w4)
+        monkeypatch.undo()
+        reads = events[::2]
+        assert [kind for kind, *_ in events] == ["read", "drop"] * len(reads), v_rows
+        assert [drop[1:] for drop in events[1::2]] == [read[1:] for read in reads], v_rows
+        assert [read[1:] for read in reads] == [(0, reads[0][2])] + [(a[2], b[2]) for a, b in zip(reads, reads[1:])]
+        assert reads[-1][2] == w4.data.nbytes and len(reads) == SHAPE[0] * -(-SHAPE[1] // v_rows), v_rows
+
+
+# rows beyond a slab that each grid loop's tasks read from W, per slab loop over W in its LOOPS entry: the loops
+# that take d/dx (at power 1 only) read its stencil's halfwidth
 HALOS = {
-    "integrate_axis": [0],
-    "mean_flux_from_w4": [0],
-    "accel_flux_124_from_w4": [0],
     "moyal_residual_slabs": [stencil_halfwidth(1, 6)],
     "_over_slabs": [stencil_halfwidth(1, 2), stencil_halfwidth(1, 4)],
     "divergence_series_gap": [stencil_halfwidth(1, 4)],
@@ -178,7 +259,7 @@ def walk(w4_path, monkeypatch, loop, v_rows):
     return [events for events in loops if any(kind == "drop" for kind, *_ in events)]
 
 
-@pytest.mark.parametrize("loop", sorted(LOOPS))
+@pytest.mark.parametrize("loop", sorted(HALOS))
 def test_each_loop_drops_the_rows_its_later_slabs_do_not_read(w4_path, monkeypatch, loop):
     n = SHAPE[0]
     for v_rows in (SHAPE[1], 3):  # one-x-row slabs, then 3-v-row tiles: three runs of v-rows, [0, 3), [3, 6), [6, 8)
@@ -190,8 +271,8 @@ def test_each_loop_drops_the_rows_its_later_slabs_do_not_read(w4_path, monkeypat
             assert [kind for kind, _ in steps] == ["take", "drop"] * (len(steps) // 2), (v_rows, halo)
             tiles, drops = [args[0] for _, args in steps[::2]], [args for _, args in steps[1::2]]
             if v_rows == SHAPE[1]:
-                # taking slab k drops the rows before k + 1 - halo, and the last slab the rest: a reduction (halo 0)
-                # drops slab k's own row and a d/dx loop keeps halo rows behind
+                # taking slab k drops the rows before k + 1 - halo, and the last slab the rest: a d/dx loop keeps
+                # halo rows behind
                 assert drops == [[max(0, k - halo), k + 1 - halo if k + 1 < n else n] for k in range(n)], halo
             for v0 in sorted({t[2] for t in tiles}):
                 times = np.zeros(n, int)
@@ -204,7 +285,7 @@ def test_each_loop_drops_the_rows_its_later_slabs_do_not_read(w4_path, monkeypat
                 assert times.tolist() == [1] * n, (v_rows, halo, v0)  # in each run, every row dropped exactly once
 
 
-@pytest.mark.parametrize("loop", sorted(LOOPS))
+@pytest.mark.parametrize("loop", sorted(HALOS))
 def test_a_loop_holds_few_tiles_of_w_undropped(w4_path, monkeypatch, loop):
     # a replay of the recorded starts and drops: a started task reads its tile's run of v-rows on its x-rows and
     # their halo, and a drop takes every run of its x-rows. The tiles of one run go down x before the next run

@@ -175,14 +175,19 @@ def test_a_command_runs_only_the_modules_it_calls(small_w4, tmp_path, argv, load
 def test_a_chain_residual_makes_one_pass_over_w(small_w4, monkeypatch, mode):
     # vlasov124's two fluxes share their denominator, so one pass sums it and both numerators
     fields, cli = importlib.import_module("phasechain.fields"), importlib.import_module("phasechain.cli")
-    ranks, grid_slabs = [], fields._grid_slabs
+    ranks, loops = [], {name: getattr(fields, name) for name in ("_grid_slabs", "_axis_sums")}
 
-    def counted(field, *args):
-        ranks.append(field.rank)
-        return grid_slabs(field, *args)
+    def counted(name):
+        def pass_over(source, *args):
+            ranks.append(len(fields._axes_of(source)))
+            return loops[name](source, *args)
+        return pass_over
 
-    for module in ("fields", "moyal", "vlasov"):  # every module that runs a grid loop
-        monkeypatch.setattr(importlib.import_module(f"phasechain.{module}"), "_grid_slabs", counted)
+    for module in ("fields", "moyal", "vlasov"):  # every module that runs a grid loop or a moment pass
+        module = importlib.import_module(f"phasechain.{module}")
+        for name in loops:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
     assert cli.main(["residual", "--in", str(small_w4), "--potential", str(small_w4.with_name("u.txt")),
                      "--mode", mode]) == 0
     assert ranks.count(4) == 1
@@ -260,11 +265,13 @@ def call_sites(name: str) -> list:
 
 
 def test_every_grid_pass_runs_on_the_one_tiler():
-    # grid loops, reductions and the transform alike take their tiles from _grid_tiles and run them on the one
-    # pool; only the finiteness scan cuts x-rows of its own
+    # grid loops, reductions, the finiteness scan and the transform alike take their tiles from _grid_tiles; only
+    # the stencil loops and the transform run them on the pool, and the scan and the moment sums read a field's
+    # tiles on the calling thread
     assert sorted(set(call_sites("_map_slabs"))) == [("fields", "_grid_slabs"), ("wigner", "transform_rows")]
-    assert sorted(set(call_sites("_grid_tiles"))) == [("fields", "_grid_slabs"), ("wigner", "transform_rows")]
-    assert set(call_sites("_row_slabs")) == {("fields", "_slab_extrema"), ("fields", "_grid_tiles")}
+    assert sorted(set(call_sites("_grid_tiles"))) == [
+        ("fields", "_field_tiles"), ("fields", "_grid_slabs"), ("wigner", "transform_rows")]
+    assert set(call_sites("_field_tiles")) == {("fields", "_slab_extrema"), ("fields", "_axis_sums")}
     # the worker count sizes only the pool, never a tile or a buffer list
     assert set(call_sites("_workers")) == {("fields", "_map_slabs")}
     # _axis_sums is the one moment loop, and the one reader of a stream's blocks
@@ -273,8 +280,8 @@ def test_every_grid_pass_runs_on_the_one_tiler():
 
 
 def test_a_streams_blocks_never_reach_the_slab_pool(monkeypatch):
-    # a block is valid only until the next is asked for, so the calling thread sums each as it arrives: the pool
-    # runs only the grid loops over the rank-3 fields that the moment passes make
+    # a block is valid only until the next is asked for, so the calling thread sums each as it arrives, as it sums
+    # a field's tiles: the pool runs only the residuals' stencil loops over the members' densities
     fields = importlib.import_module("phasechain.fields")
     monkeypatch.setattr(fields, "_workers", lambda: 2)
     monkeypatch.setattr(fields, "_TILE_BYTES", 1)  # one v-row a tile
@@ -306,4 +313,4 @@ def test_a_streams_blocks_never_reach_the_slab_pool(monkeypatch):
     phasechain.mean_flux_from_w4(stream(), "12-vel", p)  # its moments run over the rank-3 vddot marginal
     for member in ("w123", "w124", "w12"):  # each residual runs over its density
         phasechain.chain_residual(member, stream(), u, p, phasechain.StencilScheme(), 0.1)
-    assert ranks == [3, 3, 3, 3, 2] and len(pool_loops) == len(ranks)
+    assert ranks == [3, 3, 2] and len(pool_loops) == len(ranks)

@@ -54,7 +54,7 @@ from phasechain import (
 )
 from phasechain.checks import _check_fluxes, _Draws
 from phasechain.cli import main
-from phasechain.fields import _grid_tiles, _map_slabs, _row_slabs, _stencil
+from phasechain.fields import _grid_tiles, _map_slabs, _stencil
 
 from conftest import child_env
 
@@ -217,11 +217,11 @@ def test_a_slab_task_may_start_a_slab_loop(monkeypatch, w4):
     # the outer tasks, which wait for them
     set_workers(monkeypatch, 2)
     monkeypatch.setattr(fields_mod, "_TILE_BYTES", 1)  # one row a slab, inner and outer
-    want = integrate_axis(w4, "vddot").data
+    want = transport_lhs(w4, QUARTIC, P, StencilScheme()).data
     got = []
 
     def task(lo, hi):
-        return threading.current_thread(), integrate_axis(w4, "vddot").data
+        return threading.current_thread(), transport_lhs(w4, QUARTIC, P, StencilScheme()).data
 
     outer = threading.Thread(target=lambda: got.extend(_map_slabs(task, [(i, i + 1) for i in range(4)])), daemon=True)
     outer.start()
@@ -274,13 +274,13 @@ def test_a_host_runs_two_workers_at_most(monkeypatch):
 
 
 def test_tiles_do_not_depend_on_the_worker_count(monkeypatch):
-    # the budget is per task: 8 rows of 64 KiB, 4 x-rows of 128 KiB and 16 v-rows of a 2 MiB x-row on any host
+    # the budget is per task: 8 x-rows of 64 KiB, 4 x-rows of 128 KiB and 16 v-rows of a 2 MiB x-row on any host
     cuts = {}
     for n in (1, 2, 3, 16):
         set_workers(monkeypatch, n)
-        cuts[n] = (_row_slabs(20, 1 << 16), _grid_tiles((10, 16, 32, 32)), _grid_tiles((2, 64, 64, 64)))
+        cuts[n] = (_grid_tiles((20, 8, 1024)), _grid_tiles((10, 16, 32, 32)), _grid_tiles((2, 64, 64, 64)))
     rows, x_slabs, v_tiles = cuts[1]
-    assert rows == [(0, 8), (8, 16), (16, 20)]
+    assert rows == [(0, 8, 0, 8), (8, 16, 0, 8), (16, 20, 0, 8)]
     assert x_slabs == [(0, 4, 0, 16), (4, 8, 0, 16), (8, 10, 0, 16)]
     assert v_tiles == [(i, i + 1, v0, v0 + 16) for i in range(2) for v0 in range(0, 64, 16)]
     assert all(cut == cuts[1] for cut in cuts.values())
@@ -319,7 +319,7 @@ def test_wigner4_bytes_do_not_depend_on_the_worker_count(monkeypatch, shape):
         assert same_bits(got, ref), n
         del got
     set_workers(monkeypatch, 2)
-    assert len(_row_slabs(len(ref), ref[0].nbytes)) > 1
+    assert len(_grid_tiles(ref.shape)) > 1
 
 
 def test_moyal_slabs_do_not_depend_on_the_worker_count(monkeypatch, w4):
@@ -497,14 +497,14 @@ def test_no_runtime_warning_escapes_the_cli_on_a_multi_slab_field(monkeypatch, t
         assert main(["gen-ho", "--nx", "32", "--nv", "32", "--out", str(psi)]) == 0
         assert main(["wigner", "--in", str(psi), "--out", str(w4_path)]) == 0
         w4 = read_field(w4_path).data
-        assert len(_row_slabs(len(w4), w4[0].nbytes)) > 1
+        assert len(_grid_tiles(w4.shape)) > 1
         codes = [main(["residual", "--in", str(w4_path), "--potential", str(pot), "--mode", mode])
                  for mode in ("psi-moyal", "vlasov124")]
     assert not caught, [str(w.message) for w in caught]
-    # psi-moyal's max is not finite; vlasov124's flux product is refused in a slab task
-    assert codes == [3, 1], (codes, err.getvalue())
+    # psi-moyal's max is not finite; vlasov124's closure sum overflows, and its flux is refused
+    assert codes == [3, 3], (codes, err.getvalue())
     assert err.getvalue() == ("numeric failure: the residual is not finite (max|residual| = nan)\n"
-                              "error: field times flux contains non-finite values\n")
+                              "numeric failure: 124-accel: the flux leaves the float range (max|flux| = inf)\n")
 
 
 # --- tooling starts no thread -----------------------------------------------------

@@ -329,7 +329,7 @@ def test_every_grid_loop_gives_the_same_values_whatever_the_tiles(w4, positive_w
     default_gap = divergence_series_gap(u1, w4, P, scheme)
     set_tile(monkeypatch, v_rows)
     if v_rows == "default":
-        want = [(slice(lo, hi), slice(0, SHAPE[1])) for lo, hi in fields_mod._row_slabs(SHAPE[0], w4.data[0].nbytes)]
+        want = [(slice(lo, hi), slice(0, SHAPE[1])) for lo, hi, _, _ in fields_mod._grid_tiles(SHAPE)]
     else:  # run-major: each run of v-rows goes down x before the next
         want = [(slice(i, i + 1), slice(v0, min(v0 + v_rows, SHAPE[1])))
                 for v0 in range(0, SHAPE[1], v_rows) for i in range(SHAPE[0])]

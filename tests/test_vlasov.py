@@ -98,6 +98,35 @@ def test_mask_threshold_zero_keeps_every_node(w4):
     assert mean_flux_from_w4(w4, "124-vel", P, 0.0).masked_fraction == 0.0
 
 
+def zero_w4(rows=slice(None)):
+    """An (8, 8, 8, 8) W on [-1, 1) boxes that is 0 on the given x-rows (all of them by default) and 1 elsewhere."""
+    axes = tuple(make_axis(name, -1.0, 1.0, 8) for name in ("x", "v", "vdot", "vddot"))
+    data = np.ones((8,) * 4)
+    data[rows] = 0.0
+    return RealField(axes, data)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-8])
+def test_a_zero_density_is_never_in_the_mask(threshold):
+    # a cut of threshold x peak is 0 at threshold 0 or on a W that is 0 everywhere; 0 / 0 made NaN fluxes
+    for w4, kept in ((zero_w4(), 0.0), (zero_w4(slice(2, 5)), 5 / 8)):
+        fluxes = [mean_flux_from_w4(w4, kind, P, threshold) for kind in ("123-accel", "124-vel", "12-vel")]
+        fluxes.append(accel_flux_124_from_w4(w4, U_HO, P, ORDER4, threshold))
+        for fl in fluxes:
+            assert fl.masked_fraction == 1.0 - kept, fl.kind
+            assert np.array_equal(fl.mask, fl.density.data != 0.0), fl.kind
+            assert np.isfinite(fl.values.data).all() and not fl.values.data[~fl.mask].any(), fl.kind
+
+
+def test_a_flux_that_leaves_the_float_range_is_refused():
+    # at x = v = vdot = 0 the vddot sum of W cancels to 1e-310 while its first moment does not: the ratio overflows
+    w4 = zero_w4()
+    data = np.array(w4.data)
+    data[0, 0, 0, :3] = 1.0, -1.0, 1e-310
+    with pytest.raises(NumericError, match=r"123-accel: the flux leaves the float range \(max\|flux\| = inf\)"):
+        mean_flux_from_w4(RealField(w4.axes, data), "123-accel", P, 0.0)
+
+
 def test_moment_fluxes_match_closed_forms(w4):
     for kind in ("123-accel", "124-vel", "12-vel"):
         fl = mean_flux_from_w4(w4, kind, P)
