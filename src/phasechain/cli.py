@@ -145,14 +145,11 @@ def _cmd_residual(args) -> int:
     # reduce the residual tile by tile; the library refuses a tile that is not finite
     rmax = -math.inf
     if args.mode == "psi-moyal":
-        # every node counts; take W's peak from the points each tile has just read
-        peak = -math.inf
-        for index, block in moyal.moyal_residual_slabs(w4, u, p, scheme):
-            rmax = max(rmax, fields.max_abs(block))
-            peak = max(peak, fields.max_abs(w4.data[index]))
-        if not peak:
+        # every node counts; W's peak is the one read_field's finiteness scan kept
+        rmax = max(fields.max_abs(block) for _, block in moyal.moyal_residual_slabs(w4, u, p, scheme))
+        if not w4.peak:
             raise fields.NumericError("W is zero everywhere: max|residual|/peak is undefined")
-        masked = 0.0
+        peak, masked = w4.peak, 0.0
     else:
         density, valid, tiles = vlasov.chain_residual_slabs(args.mode.replace("vlasov", "w"), w4, u, p, scheme,
                                                             args.mask_threshold)
@@ -160,8 +157,7 @@ def _cmd_residual(args) -> int:
             rmax = max(rmax, float(np.max(np.abs(block, out=block), where=valid[index], initial=-math.inf)))
         if not valid.any():
             raise fields.NumericError("no valid points left after masking")
-        masked = 1.0 - float(valid.sum()) / valid.size
-        peak = fields.max_abs(density.data)
+        masked, peak = 1.0 - float(valid.sum()) / valid.size, density.peak
     lines = [
         f"max|residual|       = {rmax:.9e}",
         f"max|residual|/peak  = {rmax / peak:.9e}",

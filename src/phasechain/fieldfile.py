@@ -110,8 +110,8 @@ def read_field(path):
 
     The file is mapped read-only and the payload array views the mapping, so
     nothing is copied; the mapping lives as long as the field's data. The
-    tile loops over the field drop the mapped rows they have passed from
-    the process, and a later read maps them again from the page cache.
+    finiteness scan, which keeps a real field's peak, and the tile loops
+    drop the mapped rows they pass; a later read maps them from the page cache.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())

@@ -133,20 +133,23 @@ class _BaseField:
         if data.shape != shape:
             raise ValidationError(f"data shape {data.shape} does not match axes {shape}")
         data = np.ascontiguousarray(data)
-        # min and max propagate NaN and surface +-inf without a boolean temporary
-        for low, high in _slab_extrema(data):
-            if not (np.isfinite(low) and np.isfinite(high)):
-                raise ValidationError("field data contains non-finite values")
+        # min and max propagate NaN and surface +-inf with no boolean temporary, and give the peak. Tile by tile (a
+        # rank-1 view as a column), so mapped rows drop as read; on this thread: 2 workers were slower (bandwidth bound)
+        flat, peak = data.view(np.float64), 0.0
+        for _, tile in _field_tiles(flat if flat.ndim > 1 else flat[:, None]):
+            low, high = float(tile.min()), float(tile.max())
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise _non_finite(max(high, -low))
+            peak = max(peak, high, -low)
         data.flags.writeable = False
-        self.data = data
+        self.data, self._peak = data, peak
 
     @classmethod
     def _trusted(cls, axes, data):
-        """Wrap a derived contiguous array on already-validated axes, skipping the checks."""
+        """Wrap a derived contiguous array on already-validated axes, skipping the checks; its peak waits for use."""
         obj = cls.__new__(cls)
-        obj.axes = axes
         data.flags.writeable = False
-        obj.data = data
+        obj.axes, obj.data, obj._peak = axes, data, None
         return obj
 
     @property
@@ -168,10 +171,17 @@ class _BaseField:
 
 
 class RealField(_BaseField):
-    """Real scalar field sampled on a tensor-product grid (rank 1..4)."""
+    """Real scalar field sampled on a tensor-product grid (rank 1..4), which keeps its max |data| as peak."""
 
     _dtype = np.float64
     _rank_range = (1, 4)
+
+    @property
+    def peak(self) -> float:
+        """max |data|, the same bits as max_abs(data): kept by the finiteness scan, or found at first use (_trusted)."""
+        if self._peak is None:
+            self._peak = max_abs(self.data)
+        return self._peak
 
 
 class ComplexField(_BaseField):
@@ -373,19 +383,17 @@ def _stencil(data: Array, axis: int, step: float, power: int, scheme: StencilSch
     return out
 
 
-def max_abs(data: Array) -> float:
-    """max |data| without the full-size temporary of np.abs."""
-    return max(float(data.max()), -float(data.min()))
+def max_abs(data) -> float:
+    """max |data| of a non-empty array-like without the full-size temporary of np.abs: +0.0 for zeros, NaN for a NaN."""
+    data = np.asarray(data)
+    if not data.size:
+        raise ValidationError(f"max_abs of an empty array (shape {data.shape})")
+    return abs(max(float(data.max()), -float(data.min())))
 
 
-def _slab_extrema(data: Array):
-    """Yield the (min, max) of each of _field_tiles' tiles of data's float64 view (a rank-1 one as a column), in order.
-
-    Bound by memory bandwidth: max reads what min left in cache, and 2 slab workers were slower than one thread.
-    """
-    flat = data.view(np.float64)
-    for _, tile in _field_tiles(flat if flat.ndim > 1 else flat[:, None]):
-        yield tile.min(), tile.max()
+def _non_finite(top: float) -> ValidationError:
+    """The error of a field, or a grid result, with a non-finite value."""
+    return ValidationError("field data contains non-finite values")
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +599,7 @@ def integrate_axis(field, axis: str, weight: float = 1.0):
     total, = _axis_sums(field, k, weight * axes[k].step, StencilScheme())
     rest = axes[:k] + axes[k + 1 :]
     if not (rest or np.isfinite(total)):  # a rank >= 2 result is checked by its constructor
-        raise ValidationError("field data contains non-finite values")
+        raise _non_finite(total)
     return (type(field) if isinstance(field, _BaseField) else RealField)(rest, total) if rest else float(total)
 
 
@@ -873,7 +881,7 @@ def _assemble(shape, tiles) -> Array:
     return out
 
 
-def _finite(body, error):
+def _finite(body, error=_non_finite):
     """body under np.errstate(over="ignore", invalid="ignore"), its result refused by error(max |result|) unless finite.
 
     For the slab loops a caller takes as a generator: a task's errstate ends
@@ -893,14 +901,14 @@ def _finite(body, error):
 def _evaluate(field, axis_names, scheme: StencilScheme, points, body):
     """body at the points of a PointwiseField (an array), or on a grid field's tiles (a RealField).
 
-    Finite values may combine past the float range on the grid; the result's
-    own check refuses them (slab tasks inherit the errstate).
+    Finite values may combine past the float range on the grid: each slab
+    task refuses its non-finite tile (_finite), and the caller makes no scan.
     """
     if isinstance(field, PointwiseField):
         return body(_PointView(field, axis_names, points, scheme))
     require_axes(field, axis_names)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return RealField(field.axes, _assemble(field.data.shape, _grid_slabs(field, scheme, body)))
+    tiles = _grid_slabs(field, scheme, _finite(body))
+    return RealField._trusted(field.axes, _assemble(field.data.shape, tiles))
 
 
 def _axis_sums(source, k: int, scale: float, scheme: StencilScheme, *bodies) -> list:

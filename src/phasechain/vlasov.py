@@ -44,11 +44,9 @@ from .fields import (
     _finite,
     _grid_slabs,
     _PointView,
-    _slab_extrema,
     _stencil,
     check_mask_threshold,
     integrate_axis,
-    max_abs,
     partial_derivative,
     require_axes,
     stencil_halfwidth,
@@ -102,18 +100,13 @@ class FluxField:
         return 1.0 - float(self.mask.sum()) / self.mask.size
 
 
-def _non_finite(top: float) -> ValidationError:
-    """The error of a grid result with a non-finite value, as a RealField's constructor raises it."""
-    return ValidationError("field data contains non-finite values")
-
-
-def _support_mask(density: Array, threshold: float) -> Array:
-    """|density| >= threshold * max |density| and > 0, an x-row at a time in one buffer: no density-sized temporary."""
-    cut, rows = max(threshold * max_abs(density), math.ulp(0.0)), density.reshape(len(density), -1)
+def _support_mask(density: RealField, threshold: float) -> Array:
+    """|density| >= threshold * density.peak and > 0, an x-row at a time in one buffer: no scan, no temporary."""
+    cut, rows = max(threshold * density.peak, math.ulp(0.0)), density.data.reshape(len(density.data), -1)
     mask, buffer = np.empty(rows.shape, dtype=bool), np.empty(rows.shape[1])
     for row, out in zip(rows, mask):
         np.greater_equal(np.abs(row, out=buffer), cut, out=out)
-    return mask.reshape(density.shape)
+    return mask.reshape(density.data.shape)
 
 
 def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, threshold: float) -> FluxField:
@@ -121,10 +114,10 @@ def _masked_ratio(kind: str, num: Array, density: RealField, mask: Array, thresh
     with np.errstate(over="ignore"):
         np.divide(num, density.data, out=num, where=mask)
     num[~mask] = 0.0
-    top = max_abs(num)
-    if not math.isfinite(top):
-        raise NumericError(f"{kind}: the flux leaves the float range (max|flux| = {top})")
-    return FluxField(kind, RealField._trusted(density.axes, num), mask, threshold, density)
+    values = RealField._trusted(density.axes, num)
+    if not math.isfinite(values.peak):
+        raise NumericError(f"{kind}: the flux leaves the float range (max|flux| = {values.peak})")
+    return FluxField(kind, values, mask, threshold, density)
 
 
 def _moment_ratio(field, axis: str, params, threshold: float, scheme: StencilScheme, *numerators) -> list:
@@ -138,7 +131,7 @@ def _moment_ratio(field, axis: str, params, threshold: float, scheme: StencilSch
     k = _axis_index(axes, axis)
     den, *nums = _axis_sums(field, k, params.m * axes[k].step, scheme, *(num for _, num in numerators))
     density = RealField(axes[:k] + axes[k + 1 :], den)
-    mask = _support_mask(den, threshold)
+    mask = _support_mask(density, threshold)
     return [_masked_ratio(kind, num, density, mask, threshold) for (kind, _), num in zip(numerators, nums)]
 
 
@@ -198,14 +191,14 @@ def _closure_flux(f, members, terms, axis, scheme, points, mask_threshold):
         density, mask = view.values(), True
     else:
         require_axes(f, axes)
-        density, mask = f.data, _support_mask(f.data, mask_threshold)
+        density, mask = f.data, _support_mask(f, mask_threshold)
     bad = np.argwhere(mask & (density <= 0.0))
     if len(bad):
         raise NumericError(f"{kind}: density not strictly positive where the closure is evaluated, "
                            f"first offender at index {tuple(int(i) for i in bad[0])}")
     if isinstance(f, PointwiseField):
         return _closure_series(view, terms, axis) / density
-    body = _finite(lambda view: _closure_series(view, terms, axis), _non_finite)
+    body = _finite(lambda view: _closure_series(view, terms, axis))
     return _masked_ratio(kind, _assemble(f.data.shape, _grid_slabs(f, scheme, body)), f, mask, mask_threshold)
 
 
@@ -330,7 +323,7 @@ def chain_residual_slabs(member: str, w4, u: PolynomialPotential, params, scheme
     density, valid, flux_axes = fluxes[0].density, fluxes[0].mask, MEMBERS[member][1]
     for name in flux_axes:
         valid = _erode(valid, density.axis_index(name), stencil_halfwidth(1, scheme.order))
-    body = _finite(_member_body(member, dict(zip(flux_axes, fluxes)), params, u, None), _non_finite)
+    body = _finite(_member_body(member, dict(zip(flux_axes, fluxes)), params, u, None))
     return density, valid, _grid_slabs(density, scheme, body)
 
 
@@ -358,7 +351,8 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     independently, the transport-plus-correction-series form, using one shared
     discrete derivative (repeated first differences along vddot) so the two
     sides are algebraically identical. Returns max |difference| over the
-    support mask, relative to the larger side, reduced one tile at a time.
+    support mask (cut at mask_threshold * f4.peak, so no pass over f4 but
+    the grid loop), relative to the larger side, reduced one tile at a time.
     Requires a velocity-independent potential.
     """
     if not u1.v_independent:
@@ -366,7 +360,7 @@ def divergence_series_gap(u1: PolynomialPotential, f4: RealField, params, scheme
     check_mask_threshold(mask_threshold)
     require_axes(f4, KINEMATIC_ORDER)
     terms = closure_coefficients(u1, params, "x")
-    cut = mask_threshold * max(max(high, -low) for low, high in _slab_extrema(f4.data))  # _support_mask's cut
+    cut = mask_threshold * f4.peak  # _support_mask's cut
 
     def body(view):  # finite values may combine past the float range: the maxima's check below refuses them
         with np.errstate(over="ignore", invalid="ignore"):
@@ -443,7 +437,7 @@ def _member_balance(dens: RealField, fluxes, scheme: StencilScheme, mask_thresho
 
     S = ln dens on the support mask, and pi-hat S = v dS/dx + sum of flux dS/d axis.
     """
-    mask = _support_mask(dens.data, mask_threshold) & (dens.data > 0.0)
+    mask = _support_mask(dens, mask_threshold) & (dens.data > 0.0)
     sf = dens.with_data(np.log(dens.data, out=np.zeros_like(dens.data), where=mask))
     terms, qs = [(dens.mesh()[dens.axis_index("v")], "x")], []
     for axis, flux in fluxes.items():

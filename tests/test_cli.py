@@ -587,3 +587,31 @@ def test_the_cli_starts_no_blas_threads():
             "import numpy, phasechain.cli; assert dict(os.environ) == before")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# the benchmark's CLI session at 16^2, each step in a child of its own
+RESIDUAL_16 = ["residual", "--in", "w4.fld", "--mask-threshold", "1e-3", "--potential"]
+SESSION_16 = [
+    ["gen-ho", "--nx", "16", "--nv", "16", "--out", "psi.fld"],
+    ["wigner", "--in", "psi.fld", "--rank", "4", "--out", "w4.fld"],
+    ["marginal", "--in", "w4.fld", "--axis", "vddot", "--out", "w123.fld"],
+    ["fluxes", "--in", "w4.fld", "--which", "123", "--mask-threshold", "1e-3", "--out", "flux123.fld"],
+    RESIDUAL_16 + ["u12.txt", "--mode", "psi-moyal"],
+    RESIDUAL_16 + ["u4.txt", "--mode", "psi-moyal"],
+    *(RESIDUAL_16 + ["u12.txt", "--mode", mode] for mode in ("vlasov123", "vlasov124", "vlasov12")),
+    ["export-csv", "--in", "w123.fld", "--slice", "vdot=0", "--out", "line.csv"],
+    ["check", "--suite", "ho"],
+]
+
+
+def test_a_cli_session_runs_clean_under_python_dev_mode(tmp_path):
+    # dev mode shows ResourceWarnings (a file or mapping never closed) and -W error makes every warning an error;
+    # one raised at interpreter exit, as a mapping or a pool thread goes, only reaches stderr, which in-process
+    # tests cannot see: so each step must exit 0 and leave stderr empty
+    (tmp_path / "u12.txt").write_text("0 2 1.5\n2 0 -0.5\n", encoding="utf-8")
+    (tmp_path / "u4.txt").write_text("0 2 1.5\n2 0 -0.5\n4 0 0.01\n", encoding="utf-8")
+    for argv in SESSION_16:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "phasechain.cli", *argv],
+                              cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    assert (tmp_path / "line.csv").read_text(encoding="utf-8").startswith("x,v,value\n")

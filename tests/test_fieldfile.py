@@ -1,10 +1,13 @@
 """Binary field persistence and CSV slicing."""
 
+import contextlib
+import io
 import itertools
 import math
 import os
 import stat
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phasechain.fields as fields_mod
 from phasechain import (
     AxisGrid,
     ComplexField,
@@ -21,14 +25,17 @@ from phasechain import (
     ValidationError,
     export_csv,
     make_axis,
+    max_abs,
     psi12,
     read_field,
     sample_complex,
     sample_real,
     write_field,
+    write_rows,
 )
+from phasechain.cli import main
 from phasechain.fieldfile import parse_slice_spec
-from phasechain.fields import AXIS_NAMES
+from phasechain.fields import AXIS_NAMES, KINEMATIC_ORDER
 
 P = PhysParams()
 
@@ -105,6 +112,63 @@ def test_round_trips_are_bit_exact_on_generated_fields(tmp_path_factory, data):
     assert type(again) is kind and again.data.tobytes() == field.data.tobytes()
     assert [(a.name, a.n, a.min.hex(), a.max.hex()) for a in again.axes] == \
         [(a.name, a.n, a.min.hex(), a.max.hex()) for a in axes]
+
+
+# the peak's awkward cases too: +-1e308, whose negation is exact, and values of one sign
+PEAKY = st.one_of(st.sampled_from([1e308, -1e308]), FINITE)
+
+
+@st.composite
+def peak_cases(draw):
+    """Kinematic axes, values on them (all zero, all of one sign, or mixed) and a tile budget: one value a tile, a few,
+    or the default."""
+    axes = tuple(make_axis(name, -1.0, 1.0, draw(st.sampled_from([4, 6])))
+                 for name in KINEMATIC_ORDER[: draw(st.integers(1, 4))])
+    values = draw(arrays(np.float64, tuple(a.n for a in axes), elements=PEAKY))
+    values = draw(st.sampled_from([values, -np.abs(values), np.abs(values), np.zeros_like(values), -0.0 * values]))
+    return axes, values, draw(st.sampled_from([8, 64, fields_mod._TILE_BYTES]))
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=60)
+@given(case=peak_cases())
+def test_a_real_fields_peak_is_max_abs_of_its_data_bit_for_bit(tmp_path_factory, case):
+    axes, values, tile_bytes = case
+    path = tmp_path_factory.mktemp("peak") / "f.fld"
+    with mock.patch.object(fields_mod, "_TILE_BYTES", tile_bytes):
+        validated = RealField(axes, values)
+        write_field(validated, path)
+        mapped = read_field(path)
+    derived = RealField._trusted(axes, values.copy())
+    assert derived._peak is None  # a derived field finds its peak at first use, and keeps it
+    want = bits(max_abs(values))
+    for field in (validated, derived, mapped):
+        assert bits(field.peak) == bits(max_abs(field.data)) == want
+    assert bits(derived._peak) == want
+
+
+@settings(max_examples=40)
+@given(case=peak_cases(), data=st.data())
+def test_a_non_finite_value_is_refused_by_the_scan_that_finds_the_peak(tmp_path_factory, case, data):
+    axes, values, tile_bytes = case
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    values.reshape(-1)[data.draw(st.integers(0, values.size - 1))] = bad
+    path = tmp_path_factory.mktemp("bad") / "f.fld"
+    write_rows(RealField, axes, iter([((), values)]), path)  # the writer vouches for nothing
+    err = io.StringIO()
+    with mock.patch.object(fields_mod, "_TILE_BYTES", tile_bytes):
+        with pytest.raises(ValidationError, match="^field data contains non-finite values$"):
+            RealField(axes, values)
+        with pytest.raises(FieldFormatError, match="^invalid field in field file: field data contains non-finite"):
+            read_field(path)
+        with contextlib.redirect_stderr(err):  # a damaged file is an i/o error, exit 2
+            code = main(["export-csv", "--in", str(path), "--slice", "x=0", "--out", str(path.with_suffix(".csv"))])
+    assert code == 2
+    assert err.getvalue() == "i/o error: invalid field in field file: field data contains non-finite values\n"
+    assert os.listdir(path.parent) == ["f.fld"]
 
 
 def test_write_rejects_non_fields(tmp_path):

@@ -16,6 +16,7 @@ from phasechain.fields import (
     ValidationError,
     integrate_axis,
     make_axis,
+    max_abs,
     partial_derivative,
     sample_complex,
     sample_real,
@@ -190,6 +191,15 @@ def test_partial_derivative_zero_extension_at_boundary():
     assert np.allclose(d.data[1:-1], 0.0)
     assert d.data[0] == 0.5
     assert d.data[-1] == -0.5
+
+
+def test_max_abs_takes_any_array_like_and_refuses_an_empty_one():
+    assert max_abs([1, -3]) == 3.0 and max_abs(((0.5,), (-0.25,))) == 0.5 and max_abs(-2.0) == 2.0
+    assert math.copysign(1.0, max_abs([-0.0, 0.0, -0.0])) == 1.0  # a field of zeros has peak +0.0
+    assert math.isnan(max_abs([1.0, np.nan]))  # a NaN is never hidden
+    for empty in ([], np.empty(0), np.empty((3, 0))):
+        with pytest.raises(ValidationError, match=re.escape(f"max_abs of an empty array (shape {np.shape(empty)})")):
+            max_abs(empty)
 
 
 def test_integrate_axis_weight_and_rank_exhaustion():

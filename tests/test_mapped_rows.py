@@ -109,19 +109,22 @@ def test_the_finiteness_scan_drops_the_rows_it_read(w4_path, one_row_slabs, drop
     assert same_bits(w4.data, payload(w4_path, w4))
 
 
-def test_the_gap_takes_its_peak_dropping_the_rows_it_read(w4_path, one_row_slabs, dropped, monkeypatch):
-    # the support mask's peak is a slab scan of its own before the grid loop: by its end every row has gone
+def test_the_gap_reads_no_tile_outside_its_grid_loop(w4_path, one_row_slabs, dropped, monkeypatch):
+    # the support mask's cut takes the peak that read_field's scan kept: no tile of W is read, and no row dropped,
+    # before the grid loop starts, and the loop is the only pass
     w4 = read_field(w4_path)
-    after_scan = []
+    grid_slabs, before_loop = fields_mod._grid_slabs, []
 
-    def scan(data):
-        yield from fields_mod._slab_extrema(data)
-        after_scan.append(sum(dropped))
+    def grid_loop(*args):
+        before_loop.append(sum(dropped))
+        return grid_slabs(*args)
 
-    monkeypatch.setattr(vlasov_mod, "_slab_extrema", scan)
+    monkeypatch.setattr(vlasov_mod, "_grid_slabs", grid_loop)
+    monkeypatch.setattr(fields_mod, "_field_tiles", None)  # a tile scan would raise TypeError
     dropped.clear()
     LOOPS["divergence_series_gap"](w4)
-    assert after_scan[0] >= w4.data.nbytes - mmap.PAGESIZE  # all but the page that the file ends in
+    assert before_loop == [0]
+    assert sum(dropped) >= w4.data.nbytes - mmap.PAGESIZE  # the loop read every row
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))

@@ -266,12 +266,12 @@ def call_sites(name: str) -> list:
 
 def test_every_grid_pass_runs_on_the_one_tiler():
     # grid loops, reductions, the finiteness scan and the transform alike take their tiles from _grid_tiles; only
-    # the stencil loops and the transform run them on the pool, and the scan and the moment sums read a field's
-    # tiles on the calling thread
+    # the stencil loops and the transform run them on the pool, and the scan (in the constructor, the one scan a
+    # field gets) and the moment sums read a field's tiles on the calling thread
     assert sorted(set(call_sites("_map_slabs"))) == [("fields", "_grid_slabs"), ("wigner", "transform_rows")]
     assert sorted(set(call_sites("_grid_tiles"))) == [
         ("fields", "_field_tiles"), ("fields", "_grid_slabs"), ("wigner", "transform_rows")]
-    assert set(call_sites("_field_tiles")) == {("fields", "_slab_extrema"), ("fields", "_axis_sums")}
+    assert set(call_sites("_field_tiles")) == {("fields", "_BaseField"), ("fields", "_axis_sums")}
     # the worker count sizes only the pool, never a tile or a buffer list
     assert set(call_sites("_workers")) == {("fields", "_map_slabs")}
     # _axis_sums is the one moment loop, and the one reader of a stream's blocks

@@ -272,9 +272,12 @@ def test_the_cli_chain_modes_reduce_the_residual_tile_by_tile(tmp_path, monkeypa
 def test_the_support_mask_holds_no_float_array_of_the_densitys_size():
     density = np.random.default_rng(9).standard_normal((32, 24, 40))
     density[0, 0, :3] = -0.0, 0.0, -0.0
+    # built outside the trace: the field's finiteness scan found its peak, and the mask reads that
+    field = RealField(tuple(make_axis(name, -1.0, 1.0, n) for name, n in zip(("x", "v", "vdot"), density.shape)),
+                      density)
     for threshold in (0.0, 1e-3, 0.5):
         want = (np.abs(density) >= threshold * max_abs(density)) & (density != 0.0)  # no zero, even at threshold 0
-        got, peak = _traced_peak_mb(vlasov_mod._support_mask, density, threshold)
+        got, peak = _traced_peak_mb(vlasov_mod._support_mask, field, threshold)
         assert same_bits(got, want)
         # the boolean mask, and the |.| of one x-row at a time
         assert peak * 2**20 <= want.nbytes + density[0].nbytes + 4096
